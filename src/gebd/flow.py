@@ -15,22 +15,36 @@ system per pixel, and adds the correction to the prior.  A Gaussian pyramid
 makes the whole thing coarse-to-fine so shifts larger than the window are
 recovered.
 
+Flow is computed per video: :func:`video_flow` takes an ``(N, H, W)``
+stack of consecutive frames, builds each frame's pyramid and polynomial
+expansion once, and refines all ``N - 1`` consecutive pairs together, so
+every numpy call covers the whole stack.  Callers bound memory by passing
+chunks of about :data:`PAIR_CHUNK_PIXELS` frame pixels, each chunk sharing
+its first frame with the previous chunk's last.  :func:`farneback_flow` is
+the two-frame case of the same code.  The pyramid, expansion and
+refinement functions accept leading batch axes in front of ``(H, W)``.
+
 All images are float arrays scaled to [0,1]; flow fields are (H, W, 2)
 arrays holding (dx, dy) in pixels, x along columns and y along rows.
-Everything here is pure full-array numpy, so results are identical no
-matter how callers partition work.
+Everything here is elementwise numpy with no reductions over pixels or
+frames, so results are bit-identical no matter how callers batch or
+partition the work.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 # Pixels whose averaged normal matrix has |det| below this keep the prior
 # displacement instead of amplifying noise through a near-singular solve.
 SINGULAR_DET = 1e-9
+
+# Frame pixels refined per video_flow call when a video is split into chunks:
+# 8 pairs of 64x64 frames.  Peak memory grows with the chunk, so this bounds it.
+PAIR_CHUNK_PIXELS = 8 * 64 * 64
 
 
 @dataclass(frozen=True)
@@ -59,7 +73,11 @@ class FlowConfig:
 
 @dataclass
 class PolyCoeffs:
-    """Per-pixel quadratic model; A = [[a11, a12], [a12, a22]] is symmetric."""
+    """Per-pixel quadratic model; A = [[a11, a12], [a12, a22]] is symmetric.
+
+    Fields are (..., H, W) arrays; indexing slices every field along the
+    leading batch axes.
+    """
 
     a11: np.ndarray
     a12: np.ndarray
@@ -71,6 +89,10 @@ class PolyCoeffs:
     @property
     def shape(self):
         return self.c.shape
+
+    def __getitem__(self, index) -> "PolyCoeffs":
+        return PolyCoeffs(**{f.name: getattr(self, f.name)[index]
+                             for f in fields(self)})
 
 
 def to_gray(rgb: np.ndarray) -> np.ndarray:
@@ -84,26 +106,27 @@ def to_gray(rgb: np.ndarray) -> np.ndarray:
 def correlate1d(img: np.ndarray, kernel, axis: int) -> np.ndarray:
     """Correlation along one axis with mirror (reflect) padding.
 
-    out[x] = sum_d kernel[d + n] * img[x + d] for d in [-n, n].
+    out[x] = sum_d kernel[d + n] * img[x + d] for d in [-n, n].  ``axis``
+    may be negative; every other axis passes through unchanged.
     """
     kernel = np.asarray(kernel, dtype=np.float64)
     n = len(kernel) // 2
-    pad = [(0, 0), (0, 0)]
+    pad = [(0, 0)] * img.ndim
     pad[axis] = (n, n)
     padded = np.pad(img, pad, mode="reflect")
     out = np.zeros(img.shape, dtype=np.float64)
-    h, w = img.shape
+    size = img.shape[axis]
+    window = [slice(None)] * img.ndim
     for t, k in enumerate(kernel):
-        if axis == 0:
-            out += k * padded[t : t + h, :]
-        else:
-            out += k * padded[:, t : t + w]
+        window[axis] = slice(t, t + size)
+        out += k * padded[tuple(window)]
     return out
 
 
 def sep_correlate(img: np.ndarray, kx, ky) -> np.ndarray:
-    """Separable correlation: rows (x) with ``kx`` then columns (y) with ``ky``."""
-    return correlate1d(correlate1d(img, kx, axis=1), ky, axis=0)
+    """Separable correlation of the last two axes: rows (x) with ``kx``, then
+    columns (y) with ``ky``."""
+    return correlate1d(correlate1d(img, kx, axis=-1), ky, axis=-2)
 
 
 def gaussian_kernel(sigma: float, radius: int) -> np.ndarray:
@@ -112,14 +135,9 @@ def gaussian_kernel(sigma: float, radius: int) -> np.ndarray:
     return k / k.sum()
 
 
-def bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Bilinear resample to (out_h, out_w); trailing channel axis passes through.
-
-    Sample positions use the half-pixel convention
-    src = (dst + 0.5) * in/out - 0.5, clipped to the source extent.
-    """
-    img = np.asarray(img, dtype=np.float64)
-    h, w = img.shape[:2]
+def _resize_planes(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """Bilinear resample of the last two axes; leading axes pass through."""
+    h, w = img.shape[-2:]
     xs = np.clip((np.arange(out_w) + 0.5) * (w / out_w) - 0.5, 0, w - 1)
     ys = np.clip((np.arange(out_h) + 0.5) * (h / out_h) - 0.5, 0, h - 1)
     x0 = np.floor(xs).astype(np.intp)
@@ -132,16 +150,37 @@ def bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     w01 = (1 - fy)[:, None] * fx[None, :]
     w10 = fy[:, None] * (1 - fx)[None, :]
     w11 = fy[:, None] * fx[None, :]
+    rows0 = img[..., y0, :]
+    rows1 = img[..., y1, :]
+    return (rows0[..., x0] * w00 + rows0[..., x1] * w01
+            + rows1[..., x0] * w10 + rows1[..., x1] * w11)
+
+
+def _resize_channels_last(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """Bilinear resample of (..., H, W, C) arrays, such as stacks of flow fields."""
+    planes = _resize_planes(np.moveaxis(img, -1, -3), out_h, out_w)
+    return np.moveaxis(planes, -3, -1)
+
+
+def bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """Bilinear resample to (out_h, out_w); trailing channel axis passes through.
+
+    Accepts (H, W) or (H, W, C).  Sample positions use the half-pixel
+    convention src = (dst + 0.5) * in/out - 0.5, clipped to the source extent.
+    """
+    img = np.asarray(img, dtype=np.float64)
+    if img.ndim == 2:
+        return _resize_planes(img, out_h, out_w)
     if img.ndim == 3:
-        w00, w01, w10, w11 = (a[..., None] for a in (w00, w01, w10, w11))
-    return (img[np.ix_(y0, x0)] * w00 + img[np.ix_(y0, x1)] * w01
-            + img[np.ix_(y1, x0)] * w10 + img[np.ix_(y1, x1)] * w11)
+        return _resize_channels_last(img, out_h, out_w)
+    raise ValueError(f"expected (H,W) or (H,W,C) image, got shape {img.shape}")
 
 
 def gaussian_pyramid(img: np.ndarray, levels: int, scale: float,
                      min_size: int = 5) -> list:
     """Level 0 is the input; each next level is blurred then resampled by ``scale``.
 
+    ``img`` is (..., H, W); leading batch axes pass through every level.
     The blur sigma 0.5*sqrt(1/scale^2 - 1) keeps the resampling roughly
     alias-free.  Levels whose width or height would fall below ``min_size``
     are dropped, with a warning, so the list may be shorter than requested.
@@ -151,14 +190,14 @@ def gaussian_pyramid(img: np.ndarray, levels: int, scale: float,
         raise ValueError("levels must be >= 1")
     if not 0 < scale < 1:
         raise ValueError("scale must be in (0,1)")
-    if min(img.shape[:2]) < min_size:
+    if min(img.shape[-2:]) < min_size:
         raise ValueError(
-            f"image {img.shape[:2]} smaller than minimum size {min_size}")
+            f"image {img.shape[-2:]} smaller than minimum size {min_size}")
     sigma = 0.5 * np.sqrt(1.0 / (scale * scale) - 1.0)
     kernel = gaussian_kernel(sigma, radius=max(1, int(np.ceil(3 * sigma))))
     pyramid = [img]
     for _ in range(1, levels):
-        h, w = pyramid[-1].shape[:2]
+        h, w = pyramid[-1].shape[-2:]
         nh, nw = int(round(h * scale)), int(round(w * scale))
         if min(nh, nw) < min_size:
             warnings.warn(
@@ -166,7 +205,7 @@ def gaussian_pyramid(img: np.ndarray, levels: int, scale: float,
                 f"{nh}x{nw} would be smaller than {min_size}")
             break
         blurred = sep_correlate(pyramid[-1], kernel, kernel)
-        pyramid.append(bilinear_resize(blurred, nh, nw))
+        pyramid.append(_resize_planes(blurred, nh, nw))
     return pyramid
 
 
@@ -178,16 +217,19 @@ def _basis_exponents():
 def poly_expansion(img: np.ndarray, window: int, sigma: float) -> PolyCoeffs:
     """Fit the quadratic model at every pixel by Gaussian-weighted least squares.
 
-    The applicability weight is separable and the basis monomials factor
-    into x- and y-parts, so each weighted moment is two 1-D correlations;
-    the (constant) 6x6 normal matrix is inverted once and applied per pixel.
-    Borders see the mirror-padded image.
+    ``img`` is (..., H, W); leading batch axes pass through.  The
+    applicability weight is separable and the basis monomials factor into
+    x- and y-parts, so each weighted moment is two 1-D correlations, and
+    moments sharing an x-part share the row pass.  The (constant) 6x6
+    normal matrix is inverted once and applied per pixel.  Borders see the
+    mirror-padded image.
     """
     img = np.asarray(img, dtype=np.float64)
     if window % 2 == 0 or window < 3:
         raise ValueError(f"window must be odd and >= 3, got {window}")
-    if window > min(img.shape):
-        raise ValueError(f"window {window} exceeds image extent {img.shape}")
+    if window > min(img.shape[-2:]):
+        raise ValueError(
+            f"window {window} exceeds image extent {img.shape[-2:]}")
     n = window // 2
     x = np.arange(-n, n + 1, dtype=np.float64)
     g = np.exp(-(x * x) / (2.0 * sigma * sigma))
@@ -201,25 +243,38 @@ def poly_expansion(img: np.ndarray, window: int, sigma: float) -> PolyCoeffs:
             G[i, j] = s[pi + pj] * s[qi + qj]
     Ginv = np.linalg.inv(G)
 
-    moments = [sep_correlate(img, g * x**p, g * x**q) for p, q in exps]
+    rows = [correlate1d(img, g * x**p, axis=-1) for p in range(3)]
+    moments = [correlate1d(rows[p], g * x**q, axis=-2) for p, q in exps]
     r = [sum(Ginv[i, j] * moments[j] for j in range(6)) for i in range(6)]
     return PolyCoeffs(c=r[0], b1=r[1], b2=r[2], a11=r[3], a22=r[4], a12=0.5 * r[5])
 
 
-def _bilinear_gather(field, ys, xs):
-    h, w = field.shape
+def _bilinear_sampler(ys: np.ndarray, xs: np.ndarray):
+    """Sampler of (..., H, W) fields at in-range coordinates ``ys``, ``xs``
+    of the same shape: sample(field)[..., i, j] interpolates
+    field[..., ys[..., i, j], xs[..., i, j]] within its own plane."""
+    h, w = ys.shape[-2:]
     x0 = np.floor(xs).astype(np.intp)
     y0 = np.floor(ys).astype(np.intp)
     x1 = np.minimum(x0 + 1, w - 1)
     y1 = np.minimum(y0 + 1, h - 1)
     fx = xs - x0
     fy = ys - y0
-    return (field[y0, x0] * (1 - fy) * (1 - fx) + field[y0, x1] * (1 - fy) * fx
-            + field[y1, x0] * fy * (1 - fx) + field[y1, x1] * fy * fx)
+    gx, gy = 1 - fx, 1 - fy
+    # flat indices into the C-ordered stack of planes
+    plane = np.arange(ys.size // (h * w)).reshape(ys.shape[:-2] + (1, 1)) * (h * w)
+    i00, i01 = plane + y0 * w + x0, plane + y0 * w + x1
+    i10, i11 = plane + y1 * w + x0, plane + y1 * w + x1
+
+    def sample(field):
+        return (np.take(field, i00) * gy * gx + np.take(field, i01) * gy * fx
+                + np.take(field, i10) * fy * gx + np.take(field, i11) * fy * fx)
+
+    return sample
 
 
 def _box_average(img: np.ndarray, window: int) -> np.ndarray:
-    h, w = img.shape
+    h, w = img.shape[-2:]
     # mirror padding needs window <= 2*dim - 1; clamp for tiny pyramid levels
     window = min(window, 2 * min(h, w) - 1)
     if window % 2 == 0:
@@ -232,26 +287,29 @@ def flow_step(p1: PolyCoeffs, p2: PolyCoeffs, prior: np.ndarray,
               averaging_window: int) -> np.ndarray:
     """One displacement refinement from two polynomial expansions.
 
-    Frame 2 coefficients are sampled at prior-displaced coordinates
-    (bilinear, clipped at borders).  Normal equations are box-averaged over
-    the neighborhood window before the per-pixel 2x2 solve; near-singular
-    pixels keep the prior.
+    Coefficient fields are (..., H, W) and ``prior`` is (..., H, W, 2);
+    leading batch axes pair up element by element.  Frame 2 coefficients
+    are sampled at prior-displaced coordinates (bilinear, clipped at
+    borders).  Normal equations are box-averaged over the neighborhood
+    window before the per-pixel 2x2 solve; near-singular pixels keep the
+    prior.
     """
     if p1.shape != p2.shape:
         raise ValueError(f"coefficient grids disagree: {p1.shape} vs {p2.shape}")
-    if prior.shape[:2] != p1.shape or prior.shape[2:] != (2,):
+    if prior.shape != p1.shape + (2,):
         raise ValueError(
             f"prior flow shape {prior.shape} does not match fields {p1.shape}")
-    h, w = p1.shape
+    h, w = p1.shape[-2:]
     ys_grid, xs_grid = np.mgrid[0:h, 0:w].astype(np.float64)
     xs = np.clip(xs_grid + prior[..., 0], 0, w - 1)
     ys = np.clip(ys_grid + prior[..., 1], 0, h - 1)
+    sample = _bilinear_sampler(ys, xs)
 
-    a11 = 0.5 * (p1.a11 + _bilinear_gather(p2.a11, ys, xs))
-    a12 = 0.5 * (p1.a12 + _bilinear_gather(p2.a12, ys, xs))
-    a22 = 0.5 * (p1.a22 + _bilinear_gather(p2.a22, ys, xs))
-    db1 = -0.5 * (_bilinear_gather(p2.b1, ys, xs) - p1.b1)
-    db2 = -0.5 * (_bilinear_gather(p2.b2, ys, xs) - p1.b2)
+    a11 = 0.5 * (p1.a11 + sample(p2.a11))
+    a12 = 0.5 * (p1.a12 + sample(p2.a12))
+    a22 = 0.5 * (p1.a22 + sample(p2.a22))
+    db1 = -0.5 * (sample(p2.b1) - p1.b1)
+    db2 = -0.5 * (sample(p2.b2) - p1.b2)
 
     g11 = _box_average(a11 * a11 + a12 * a12, averaging_window)
     g12 = _box_average(a11 * a12 + a12 * a22, averaging_window)
@@ -267,6 +325,35 @@ def flow_step(p1: PolyCoeffs, p2: PolyCoeffs, prior: np.ndarray,
     return prior + np.stack([dx, dy], axis=-1)
 
 
+def video_flow(frames: np.ndarray, config: FlowConfig = FlowConfig()) -> np.ndarray:
+    """Coarse-to-fine dense flow between consecutive frames of a stack.
+
+    ``frames`` is (N, H, W) grayscale with N >= 2; the result is
+    (N-1, H, W, 2), entry ``i`` being the flow from frame ``i`` to ``i+1``.
+    Each frame's pyramid and expansion are built once and every refinement
+    step runs on all pairs at once, so memory grows with N: split long
+    videos into chunks (see :data:`PAIR_CHUNK_PIXELS`).
+    """
+    config.validate()
+    frames = np.asarray(frames, dtype=np.float64)
+    if frames.ndim != 3 or len(frames) < 2:
+        raise ValueError(
+            f"expected (N,H,W) grayscale stack with N >= 2, got shape {frames.shape}")
+    pyramid = gaussian_pyramid(frames, config.pyramid_levels,
+                               config.pyramid_scale, min_size=config.poly_window)
+    flow = np.zeros(pyramid[-1][1:].shape + (2,), dtype=np.float64)
+    for level in range(len(pyramid) - 1, -1, -1):
+        coeffs = poly_expansion(pyramid[level], config.poly_window,
+                                config.poly_sigma)
+        p1, p2 = coeffs[:-1], coeffs[1:]
+        for _ in range(config.iterations_per_level):
+            flow = flow_step(p1, p2, flow, config.averaging_window)
+        if level > 0:
+            nh, nw = pyramid[level - 1].shape[-2:]
+            flow = _resize_channels_last(flow, nh, nw) / config.pyramid_scale
+    return flow
+
+
 def farneback_flow(frame1: np.ndarray, frame2: np.ndarray,
                    config: FlowConfig = FlowConfig()) -> np.ndarray:
     """Coarse-to-fine dense flow between two equally sized grayscale frames."""
@@ -277,20 +364,7 @@ def farneback_flow(frame1: np.ndarray, frame2: np.ndarray,
         raise ValueError(f"frame shapes disagree: {f1.shape} vs {f2.shape}")
     if f1.ndim != 2:
         raise ValueError(f"expected 2-D grayscale frames, got shape {f1.shape}")
-    pyr1 = gaussian_pyramid(f1, config.pyramid_levels, config.pyramid_scale,
-                            min_size=config.poly_window)
-    pyr2 = gaussian_pyramid(f2, config.pyramid_levels, config.pyramid_scale,
-                            min_size=config.poly_window)
-    flow = np.zeros(pyr1[-1].shape + (2,), dtype=np.float64)
-    for level in range(len(pyr1) - 1, -1, -1):
-        pc1 = poly_expansion(pyr1[level], config.poly_window, config.poly_sigma)
-        pc2 = poly_expansion(pyr2[level], config.poly_window, config.poly_sigma)
-        for _ in range(config.iterations_per_level):
-            flow = flow_step(pc1, pc2, flow, config.averaging_window)
-        if level > 0:
-            nh, nw = pyr1[level - 1].shape
-            flow = bilinear_resize(flow, nh, nw) / config.pyramid_scale
-    return flow
+    return video_flow(np.stack([f1, f2]), config)[0]
 
 
 def flow_stats(flow: np.ndarray):

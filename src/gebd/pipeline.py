@@ -34,8 +34,9 @@ from .evaluation import (evaluate_corpus, write_global_csv, write_per_class_csv,
 from .flow import FlowConfig
 from .postprocess import DetectionConfig, ScoreSequence, scores_to_boundaries
 from .report import TimelineSpec, render_class_bars, render_timeline
-from .windows import (LABEL_BOUNDARY, FlowStore, FrameSequence, WindowSpec,
-                      candidate_timestamps, extract_window, label_windows)
+from .windows import (FLOW_SIDECAR, LABEL_BOUNDARY, FlowStore, FrameSequence,
+                      WindowSpec, candidate_timestamps, extract_window,
+                      label_windows)
 
 DEFAULT_THRESHOLDS = tuple(round(0.05 * k, 2) for k in range(1, 11))
 
@@ -303,7 +304,7 @@ def _flow_files(paths: Paths, sets):
         d = paths.flow_dir(aset.meta.video_id)
         for k in range(1, aset.meta.num_frames):
             files.append(os.path.join(d, f"flow_{k:06d}.gebt"))
-        files.append(os.path.join(d, "flow_config.json"))
+        files.append(os.path.join(d, FLOW_SIDECAR))
     return files
 
 

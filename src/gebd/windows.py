@@ -20,19 +20,21 @@ from __future__ import annotations
 import json
 import logging
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .annotations import VideoMeta
 from .container import read_tensor_file, write_tensor_file
-from .flow import FlowConfig, bilinear_resize, farneback_flow, to_gray
+from .flow import (PAIR_CHUNK_PIXELS, FlowConfig, bilinear_resize,
+                   farneback_flow, to_gray, video_flow)
 from .pnm import read_pnm
 
 logger = logging.getLogger(__name__)
 
 LABEL_BOUNDARY = "boundary"
 LABEL_BACKGROUND = "background"
+FLOW_SIDECAR = "flow_config.json"
 
 
 @dataclass(frozen=True)
@@ -159,7 +161,16 @@ class FlowStore:
 
     ``pair_flow(k)`` is the flow between frames ``k-1`` and ``k``; it reads
     ``flow_%06d.gebt`` when present, otherwise computes it on demand (and
-    writes it back when the store directory is set).
+    writes it back when the store directory is set).  ``compute_all``
+    materializes every pair per video in bounded chunks.
+
+    The ``flow_config.json`` sidecar records the parameters stored pairs
+    were computed with.  ``compute_all`` deletes the pairs and writes the
+    sidecar before computing any pair unless the sidecar already matches,
+    so a pair stored next to a matching sidecar is always current.  When
+    the sidecar differs from the store's config, ``pair_flow`` ignores the
+    stored pairs; a directory without a sidecar holds flow supplied from
+    elsewhere, which ``pair_flow`` reads as is.
     """
 
     def __init__(self, seq: FrameSequence, flow_dir=None,
@@ -167,49 +178,115 @@ class FlowStore:
         self.seq = seq
         self.flow_dir = str(flow_dir) if flow_dir is not None else None
         self.config = config
+        self._use_stored = None  # sidecar verdict, checked once per store
 
     def _path(self, k: int) -> str | None:
         if self.flow_dir is None:
             return None
         return os.path.join(self.flow_dir, f"flow_{k:06d}.gebt")
 
+    def _sidecar_path(self) -> str:
+        return os.path.join(self.flow_dir, FLOW_SIDECAR)
+
+    def _stored_config(self):
+        """Parsed sidecar, None when it is missing, {} when it is unreadable."""
+        try:
+            with open(self._sidecar_path(), "r", encoding="utf-8") as fh:
+                return json.load(fh)
+        except FileNotFoundError:
+            return None
+        except ValueError:
+            return {}
+
+    def _pairs_reusable(self) -> bool:
+        if self._use_stored is None:
+            stored = self._stored_config()
+            self._use_stored = stored is None or stored == asdict(self.config)
+            if not self._use_stored:
+                logger.warning("%s: %s does not match the flow config; "
+                               "ignoring its stored pairs", self.seq.meta.video_id,
+                               self._sidecar_path())
+        return self._use_stored
+
+    def _gray(self, index: int, shape=None) -> np.ndarray:
+        gray = to_gray(self.seq.frame(index))
+        if shape is not None and gray.shape != shape:
+            raise ValueError(
+                f"{self.seq.meta.video_id}: frame {index} has shape "
+                f"{gray.shape}, expected {shape}")
+        return gray
+
     def pair_flow(self, k: int) -> np.ndarray:
         if not 1 <= k < self.seq.meta.num_frames:
             raise IndexError(f"pair index {k} out of range")
         path = self._path(k)
-        if path is not None and os.path.exists(path):
+        stored = path is not None and self._pairs_reusable()
+        if stored and os.path.exists(path):
             dims, data = read_tensor_file(path)
             if len(dims) != 3 or dims[2] != 2:
                 raise ValueError(f"{path}: expected dims [H,W,2], got {dims}")
             return data.astype(np.float64).reshape(dims)
-        flow = farneback_flow(to_gray(self.seq.frame(k - 1)),
-                              to_gray(self.seq.frame(k)), self.config)
-        if path is not None:
+        flow = farneback_flow(self._gray(k - 1), self._gray(k), self.config)
+        if stored:
             os.makedirs(self.flow_dir, exist_ok=True)
             write_tensor_file(path, flow.shape, flow.astype(np.float32))
         return flow
 
     def compute_all(self) -> None:
-        """Materialize flow for every consecutive pair plus a config sidecar."""
+        """Materialize flow for every consecutive pair plus a config sidecar.
+
+        Pairs already stored under a matching sidecar are kept; otherwise
+        every pair is recomputed.  Each frame is read once: consecutive
+        missing pairs go to :func:`video_flow` in chunks of about
+        ``PAIR_CHUNK_PIXELS`` pixels, and each chunk's last frame is the
+        next chunk's first.
+        """
         if self.flow_dir is None:
             raise ValueError("flow store directory not set")
         os.makedirs(self.flow_dir, exist_ok=True)
-        for k in range(1, self.seq.meta.num_frames):
-            path = self._path(k)
-            if not os.path.exists(path):
-                flow = farneback_flow(to_gray(self.seq.frame(k - 1)),
-                                      to_gray(self.seq.frame(k)), self.config)
-                write_tensor_file(path, flow.shape, flow.astype(np.float32))
-        sidecar = os.path.join(self.flow_dir, "flow_config.json")
-        with open(sidecar, "w", encoding="utf-8") as fh:
-            json.dump({
-                "pyramid_levels": self.config.pyramid_levels,
-                "pyramid_scale": self.config.pyramid_scale,
-                "iterations_per_level": self.config.iterations_per_level,
-                "poly_window": self.config.poly_window,
-                "poly_sigma": self.config.poly_sigma,
-                "averaging_window": self.config.averaging_window,
-            }, fh, indent=1, sort_keys=True)
+        pairs = range(1, self.seq.meta.num_frames)
+        if self._stored_config() == asdict(self.config):
+            pairs = [k for k in pairs if not os.path.exists(self._path(k))]
+        else:
+            for k in pairs:
+                if os.path.exists(self._path(k)):
+                    os.remove(self._path(k))
+            self._write_sidecar()
+        self._use_stored = True
+        if not pairs:
+            return
+        first = self._gray(pairs[0] - 1)
+        chunk = max(1, PAIR_CHUNK_PIXELS // first.size)
+        carried = (pairs[0] - 1, first)
+        for run in _consecutive_runs(pairs, chunk):
+            start = run[0] - 1
+            frames = [carried[1] if carried[0] == start
+                      else self._gray(start, first.shape)]
+            frames += [self._gray(k, first.shape) for k in run]
+            for k, flow in zip(run, video_flow(np.stack(frames), self.config)):
+                write_tensor_file(self._path(k), flow.shape,
+                                  flow.astype(np.float32))
+            carried = (run[-1], frames[-1])
+
+    def _write_sidecar(self) -> None:
+        # atomic like write_tensor_file, so a crash never leaves a partial one
+        path = self._sidecar_path()
+        tmp = f"{path}.tmp.{os.getpid()}"
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(asdict(self.config), fh, indent=1, sort_keys=True)
+        os.replace(tmp, path)
+
+
+def _consecutive_runs(ks, size: int):
+    """Split increasing ints into runs of consecutive values, at most ``size`` long."""
+    run = []
+    for k in ks:
+        if run and (k != run[-1] + 1 or len(run) == size):
+            yield run
+            run = []
+        run.append(k)
+    if run:
+        yield run
 
 
 def _resize_frame(frame: np.ndarray, side: int) -> np.ndarray:

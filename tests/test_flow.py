@@ -3,7 +3,7 @@ import pytest
 
 from gebd.flow import (FlowConfig, PolyCoeffs, bilinear_resize, farneback_flow,
                        flow_stats, flow_step, gaussian_kernel, gaussian_pyramid,
-                       poly_expansion, sep_correlate, to_gray)
+                       poly_expansion, sep_correlate, to_gray, video_flow)
 
 from conftest import naive_correlate2d, shifted_pair, smooth_texture
 
@@ -229,6 +229,57 @@ class TestFarneback:
             FlowConfig(pyramid_scale=1.5).validate()
         with pytest.raises(ValueError):
             FlowConfig(pyramid_levels=0).validate()
+
+
+def drifting_video(rng, n, h, w):
+    """n frames of one texture panning one pixel right and down per frame."""
+    big = smooth_texture(rng, h + n, w + n)
+    return np.stack([big[n - i:n - i + h, n - i:n - i + w] for i in range(n)])
+
+
+def per_pair_flow(frames, config):
+    return np.stack([farneback_flow(a, b, config)
+                     for a, b in zip(frames[:-1], frames[1:])])
+
+
+def chunked_video_flow(frames, pairs_per_chunk, config):
+    """video_flow over chunks that share their boundary frame."""
+    out = [video_flow(frames[s:s + pairs_per_chunk + 1], config)
+           for s in range(0, len(frames) - 1, pairs_per_chunk)]
+    return np.concatenate(out)
+
+
+class TestVideoFlow:
+    """The batched path must reproduce the two-frame path bit for bit."""
+
+    CONFIG = FlowConfig(averaging_window=9)
+
+    def test_chunked_stack_matches_per_pair(self, rng):
+        frames = drifting_video(rng, 11, 32, 32)
+        want = per_pair_flow(frames, self.CONFIG)
+        assert np.array_equal(video_flow(frames, self.CONFIG), want)
+        # 10 pairs in chunks of 4: the last chunk is short
+        assert np.array_equal(chunked_video_flow(frames, 4, self.CONFIG), want)
+
+    def test_truncated_pyramid_matches_per_pair(self, rng):
+        frames = drifting_video(rng, 5, 12, 12)
+        with pytest.warns(UserWarning, match="truncated"):
+            want = per_pair_flow(frames, self.CONFIG)
+        with pytest.warns(UserWarning, match="truncated"):
+            got = video_flow(frames, self.CONFIG)
+        assert np.array_equal(got, want)
+
+    def test_non_square_matches_per_pair(self, rng):
+        frames = drifting_video(rng, 4, 24, 40)
+        got = video_flow(frames, self.CONFIG)
+        assert got.shape == (3, 24, 40, 2)
+        assert np.array_equal(got, per_pair_flow(frames, self.CONFIG))
+
+    def test_needs_two_frames(self):
+        with pytest.raises(ValueError, match="N >= 2"):
+            video_flow(np.zeros((1, 16, 16)))
+        with pytest.raises(ValueError, match="N >= 2"):
+            video_flow(np.zeros((16, 16)))
 
 
 class TestFlowUpsampling:

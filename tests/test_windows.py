@@ -1,3 +1,4 @@
+import json
 import logging
 import os
 
@@ -5,7 +6,8 @@ import numpy as np
 import pytest
 
 from gebd.annotations import VideoMeta
-from gebd.container import write_tensor_file
+from gebd import windows
+from gebd.container import read_tensor_file, write_tensor_file
 from gebd.flow import FlowConfig, bilinear_resize
 from gebd.pnm import read_pnm, write_pnm
 from gebd.windows import (LABEL_BACKGROUND, LABEL_BOUNDARY, FlowStore,
@@ -234,6 +236,111 @@ class TestFlowStore:
         assert names == ["flow_000001.gebt", "flow_000002.gebt",
                          "flow_000003.gebt", "flow_000004.gebt",
                          "flow_config.json"]
+
+    @staticmethod
+    def stored_bytes(flow_dir):
+        return {name: (flow_dir / name).read_bytes()
+                for name in sorted(os.listdir(flow_dir))
+                if name.endswith(".gebt")}
+
+    @staticmethod
+    def count_reads(monkeypatch):
+        reads = []
+
+        def counting(path):
+            reads.append(os.path.basename(path))
+            return read_pnm(path)
+        monkeypatch.setattr(windows, "read_pnm", counting)
+        return reads
+
+    def test_compute_all_reads_each_frame_once(self, tiny_video, tmp_path,
+                                               monkeypatch):
+        meta, d, _ = tiny_video
+        config = FlowConfig(averaging_window=9)
+        # chunks of 3 pairs, so 19 pairs end in a short chunk
+        monkeypatch.setattr(windows, "PAIR_CHUNK_PIXELS", 3 * 40 * 40)
+        reads = self.count_reads(monkeypatch)
+        store = FlowStore(FrameSequence(meta, d), tmp_path / "fl", config)
+        store.compute_all()
+        assert sorted(reads) == [f"{frame_name(i)}.pgm" for i in range(20)]
+        on_demand = FlowStore(FrameSequence(meta, d), None, config)
+        for k in range(1, 20):
+            dims, data = read_tensor_file(tmp_path / "fl" / f"flow_{k:06d}.gebt")
+            assert dims == [40, 40, 2]
+            assert data.tobytes() == \
+                on_demand.pair_flow(k).astype(np.float32).tobytes()
+
+    def test_changed_config_recomputes_pairs(self, tiny_video, tmp_path):
+        meta, d, _ = tiny_video
+        flow_dir = tmp_path / "fl"
+        seq = FrameSequence(meta, d)
+        FlowStore(seq, flow_dir, FlowConfig(averaging_window=9)).compute_all()
+        old = self.stored_bytes(flow_dir)
+        other = FlowConfig(averaging_window=11)
+        # on-demand reads ignore pairs stored under another config
+        fresh = FlowStore(seq, None, other).pair_flow(4)
+        assert np.array_equal(FlowStore(seq, flow_dir, other).pair_flow(4), fresh)
+        FlowStore(seq, flow_dir, other).compute_all()
+        new = self.stored_bytes(flow_dir)
+        assert new.keys() == old.keys()
+        assert all(new[name] != old[name] for name in old)
+        _, data = read_tensor_file(flow_dir / "flow_000004.gebt")
+        assert data.tobytes() == fresh.astype(np.float32).tobytes()
+        with open(flow_dir / "flow_config.json", encoding="utf-8") as fh:
+            assert json.load(fh)["averaging_window"] == 11
+
+    def test_missing_sidecar_recomputes_pairs(self, tmp_path, rng):
+        meta = VideoMeta("v", "c", 0.4, 10.0, 4)
+        d = write_video(tmp_path, meta,
+                        [smooth_texture(rng, 32, 32) for _ in range(4)])
+        flow_dir = tmp_path / "fl"
+        flow_dir.mkdir()
+        constant = np.full((32, 32, 2), 4.0, dtype=np.float32)
+        for k in range(1, 4):
+            write_tensor_file(flow_dir / f"flow_{k:06d}.gebt",
+                              constant.shape, constant)
+        seq = FrameSequence(meta, d)
+        config = FlowConfig(averaging_window=9)
+        FlowStore(seq, flow_dir, config).compute_all()
+        on_demand = FlowStore(seq, None, config)
+        for k in range(1, 4):
+            _, data = read_tensor_file(flow_dir / f"flow_{k:06d}.gebt")
+            assert data.tobytes() == \
+                on_demand.pair_flow(k).astype(np.float32).tobytes()
+
+    def test_partial_directory_resumed(self, tiny_video, tmp_path,
+                                       monkeypatch):
+        meta, d, _ = tiny_video
+        flow_dir = tmp_path / "fl"
+        config = FlowConfig(averaging_window=9)
+        FlowStore(FrameSequence(meta, d), flow_dir, config).compute_all()
+        complete = self.stored_bytes(flow_dir)
+        # a kept pair is reused as stored, not recomputed
+        marker = np.zeros((40, 40, 2), dtype=np.float32)
+        write_tensor_file(flow_dir / "flow_000001.gebt", marker.shape, marker)
+        for k in (3, 7, 8):
+            os.remove(flow_dir / f"flow_{k:06d}.gebt")
+        reads = self.count_reads(monkeypatch)
+        FlowStore(FrameSequence(meta, d), flow_dir, config).compute_all()
+        assert sorted(reads) == [f"{frame_name(i)}.pgm"
+                                 for i in (2, 3, 6, 7, 8)]
+        resumed = self.stored_bytes(flow_dir)
+        assert resumed.pop("flow_000001.gebt") != complete.pop("flow_000001.gebt")
+        assert resumed == complete
+
+    def test_interrupted_recompute_leaves_no_stale_pair(self, tiny_video,
+                                                        tmp_path, monkeypatch):
+        meta, d, _ = tiny_video
+        flow_dir = tmp_path / "fl"
+        seq = FrameSequence(meta, d)
+        FlowStore(seq, flow_dir, FlowConfig(averaging_window=9)).compute_all()
+
+        def crash(frames, config):
+            raise KeyboardInterrupt
+        monkeypatch.setattr(windows, "video_flow", crash)
+        with pytest.raises(KeyboardInterrupt):
+            FlowStore(seq, flow_dir, FlowConfig(averaging_window=11)).compute_all()
+        assert os.listdir(flow_dir) == ["flow_config.json"]
 
 
 def test_pnm_round_trip(tmp_path, rng):
