@@ -6,11 +6,12 @@ Library surface:
   ground-truth selection
 * :mod:`gebd.evaluation` - boundary matching and precision/recall/F1 metrics
 * :mod:`gebd.flow` - dense optical flow via polynomial expansion
-* :mod:`gebd.windows` - candidate timestamps and RGB/flow window extraction
+* :mod:`gebd.windows` - candidate timestamps, labels, RGB/flow window
+  extraction and per-frame feature tables
 * :mod:`gebd.classifier` - hand-crafted features and the logistic boundary
   classifier
 * :mod:`gebd.postprocess` - score smoothing and peak detection
-* :mod:`gebd.container` - "GEBT" binary tensor files
+* :mod:`gebd.container` - "GEBT" binary tensor files and atomic writes
 * :mod:`gebd.report` - SVG timelines and per-class bar charts
 * :mod:`gebd.synth` - synthetic desk-scale corpus generator
 * :mod:`gebd.pipeline` - staged, resumable end-to-end driver (also via the

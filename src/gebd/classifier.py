@@ -23,6 +23,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .container import atomic_open
 from .flow import flow_stats, to_gray
 from .postprocess import ScoreSequence
 
@@ -128,6 +129,28 @@ def window_features(rgb_window, flow_window) -> np.ndarray:
     feats = np.asarray(feats)
     m = n // 2
     return pc_concat(feats[:m], feats[m:])
+
+
+def window_inputs(table, indices) -> np.ndarray:
+    """Classifier inputs of many windows, gathered from a per-frame table.
+
+    ``table`` is (N, 2, FEATURE_DIM) from
+    :func:`gebd.windows.frame_feature_table`: row 0 of a frame is its static
+    slot (zero flow, zero difference), row 1 its moving slot.  ``indices``
+    is (W, 2m), each row the frame indices of one window.  A slot is moving
+    when its frame differs from the previous slot's, as in
+    :func:`gebd.windows.extract_window`; the result row equals
+    :func:`window_features` of that window's tensors bit for bit.
+    """
+    idx = np.asarray(indices, dtype=np.intp)
+    if idx.ndim != 2 or idx.shape[1] % 2 != 0:
+        raise ValueError(f"indices must be (W, 2m), got shape {idx.shape}")
+    moving = np.zeros(idx.shape, dtype=np.intp)
+    moving[:, 1:] = idx[:, 1:] != idx[:, :-1]
+    feats = table[idx, moving]
+    m = idx.shape[1] // 2
+    return np.concatenate([feats[:, :m].mean(axis=1), feats[:, m:].mean(axis=1)],
+                          axis=1)
 
 
 def bce_loss(X, y, weights, bias) -> float:
@@ -238,7 +261,7 @@ def save_model(path, model: LogisticModel) -> None:
         "feature_std": [float(v) for v in model.feature_std],
         "train_config": asdict(model.train_config) if model.train_config else None,
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         json.dump(doc, fh, indent=1)
 
 

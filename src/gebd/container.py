@@ -1,21 +1,24 @@
-"""Binary tensor container ("GEBT" format).
+"""Binary tensor container ("GEBT" format) and the atomic file writer.
 
 The on-disk layout is deliberately minimal so a hex dump is enough to audit
 a file:
 
     bytes 0..3   magic  b"GEBT"
     byte  4      format version (1)
-    byte  5      dtype code (1 = float32, little-endian)
+    byte  5      dtype code (1 = float32, 2 = float64, both little-endian)
     byte  6      ndim (1..5)
     next 4*ndim  dims, unsigned 32-bit little-endian, each >= 1
-    rest         row-major float32 little-endian payload, 4 * prod(dims) bytes
+    rest         row-major little-endian payload, itemsize * prod(dims) bytes
 
-There is exactly one dtype and no compression; every other binary artifact
-in the toolkit (flow fields, RGB/flow windows) goes through this module.
+There is no compression.  Flow fields are float32; per-frame feature tables
+are float64, so the classifier inputs built from them are exact.  Every
+binary artifact in the toolkit goes through this module, and every artifact,
+binary or text, is written through :func:`atomic_open`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import struct
 
@@ -24,6 +27,8 @@ import numpy as np
 MAGIC = b"GEBT"
 VERSION = 1
 DTYPE_F32 = 1
+DTYPE_F64 = 2
+_DTYPES = {DTYPE_F32: np.dtype("<f4"), DTYPE_F64: np.dtype("<f8")}
 MAX_NDIM = 5
 
 
@@ -31,14 +36,36 @@ class ContainerError(ValueError):
     """Raised for malformed or unsupported GEBT data."""
 
 
-def write_tensor(dims, data) -> bytes:
+@contextlib.contextmanager
+def atomic_open(path, mode="w"):
+    """Open a temp file that replaces ``path`` only when the block succeeds.
+
+    A write that raises removes the temp file and leaves any earlier
+    ``path`` as it was, so an interrupted run never leaves a truncated file
+    under the final name (whose fresh mtime would make it look current).
+    """
+    path = os.fspath(path)
+    tmp = f"{path}.tmp.{os.getpid()}"
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def write_tensor(dims, data, dtype: int = DTYPE_F32) -> bytes:
     """Serialize ``data`` (flat or shaped array) with shape ``dims`` to GEBT bytes."""
     dims = [int(d) for d in dims]
     if not 1 <= len(dims) <= MAX_NDIM:
         raise ContainerError(f"ndim must be in [1,{MAX_NDIM}], got {len(dims)}")
     if any(d < 1 for d in dims):
         raise ContainerError(f"every dim must be >= 1, got {dims}")
-    arr = np.asarray(data, dtype="<f4").reshape(-1)
+    if dtype not in _DTYPES:
+        raise ContainerError(f"unsupported dtype code {dtype}")
+    arr = np.asarray(data, dtype=_DTYPES[dtype]).reshape(-1)
     n = 1
     for d in dims:
         n *= d
@@ -46,23 +73,24 @@ def write_tensor(dims, data) -> bytes:
         raise ContainerError(
             f"data length mismatch: {arr.size} values for dims {dims} (need {n})"
         )
-    header = MAGIC + struct.pack("<BBB", VERSION, DTYPE_F32, len(dims))
+    header = MAGIC + struct.pack("<BBB", VERSION, dtype, len(dims))
     header += struct.pack("<" + "I" * len(dims), *dims)
     return header + arr.tobytes()
 
 
 def read_tensor(blob: bytes):
-    """Parse GEBT bytes; returns ``(dims, data)`` with ``data`` a flat float32 array.
+    """Parse GEBT bytes; returns ``(dims, data)`` with ``data`` a flat array.
 
-    Rejects bad magic, unknown version/dtype, out-of-range dims and any
-    payload length mismatch (including trailing bytes).
+    ``data`` has the stored dtype (float32 or float64).  Rejects bad magic,
+    unknown version/dtype, out-of-range dims and any payload length mismatch
+    (including trailing bytes).
     """
     if len(blob) < 7 or blob[:4] != MAGIC:
         raise ContainerError("not a GEBT file (bad magic)")
     version, dtype, ndim = struct.unpack("<BBB", blob[4:7])
     if version != VERSION:
         raise ContainerError(f"unsupported GEBT version {version}")
-    if dtype != DTYPE_F32:
+    if dtype not in _DTYPES:
         raise ContainerError(f"unsupported dtype code {dtype}")
     if not 1 <= ndim <= MAX_NDIM:
         raise ContainerError(f"ndim out of range: {ndim}")
@@ -76,21 +104,20 @@ def read_tensor(blob: bytes):
     for d in dims:
         n *= d
     payload = blob[dims_end:]
-    if len(payload) != 4 * n:
+    expected = _DTYPES[dtype].itemsize * n
+    if len(payload) != expected:
         raise ContainerError(
-            f"payload length mismatch: got {len(payload)} bytes, expected {4 * n}"
+            f"payload length mismatch: got {len(payload)} bytes, expected {expected}"
         )
-    data = np.frombuffer(payload, dtype="<f4").copy()
+    data = np.frombuffer(payload, dtype=_DTYPES[dtype]).copy()
     return dims, data
 
 
-def write_tensor_file(path, dims, data) -> None:
-    """Write a GEBT file atomically (temp file then rename)."""
-    blob = write_tensor(dims, data)
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
+def write_tensor_file(path, dims, data, dtype: int = DTYPE_F32) -> None:
+    """Write a GEBT file atomically (see :func:`atomic_open`)."""
+    blob = write_tensor(dims, data, dtype)
+    with atomic_open(path, "wb") as fh:
         fh.write(blob)
-    os.replace(tmp, path)
 
 
 def read_tensor_file(path):

@@ -28,6 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .container import atomic_open
+
 # Equal-cost tolerance: total costs are <= len(pairs) with each term in [0,1],
 # so 1e-9 absolute separates genuine ties from rounding noise.
 _COST_TOL = 1e-9
@@ -334,14 +336,14 @@ def evaluate_corpus(predictions, ground_truth, durations, classes=None,
 
 
 def write_global_csv(path, report: EvalReport) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write("threshold,precision,recall,f1\n")
         for r in report.global_prf:
             fh.write(f"{r.threshold:.6g},{r.precision:.6f},{r.recall:.6f},{r.f1:.6f}\n")
 
 
 def write_per_video_csv(path, report: EvalReport) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write("video_id,threshold,precision,recall,f1\n")
         for vid in sorted(report.per_video):
             for r in report.per_video[vid]:
@@ -354,7 +356,7 @@ def write_per_class_csv(path, report: EvalReport, classes) -> None:
     for vid in report.per_video:
         label = classes[vid]
         counts[label] = counts.get(label, 0) + 1
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write("class,mean_f1,n_videos\n")
         for label, mean_f1 in report.per_class:
             fh.write(f"{label},{mean_f1:.6f},{counts[label]}\n")

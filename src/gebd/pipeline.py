@@ -26,17 +26,17 @@ import numpy as np
 from . import __version__
 from .annotations import (attach_consistency, load_annotations, normalize_track,
                           per_video_rng, select_gt_highest, select_gt_weighted)
-from .classifier import (TrainConfig, load_model, save_model, score_sequence,
-                         train_logistic, window_features)
-from .container import read_tensor_file, write_tensor_file
+from .classifier import (FEATURE_DIM, TrainConfig, load_model, save_model,
+                         score_sequence, train_logistic, window_inputs)
+from .container import DTYPE_F64, atomic_open, read_tensor_file, write_tensor_file
 from .evaluation import (evaluate_corpus, write_global_csv, write_per_class_csv,
                          write_per_video_csv)
 from .flow import FlowConfig
 from .postprocess import DetectionConfig, ScoreSequence, scores_to_boundaries
 from .report import TimelineSpec, render_class_bars, render_timeline
 from .windows import (FLOW_SIDECAR, LABEL_BOUNDARY, FlowStore, FrameSequence,
-                      WindowSpec, candidate_timestamps, extract_window,
-                      label_windows)
+                      WindowSpec, candidate_timestamps, frame_feature_table,
+                      label_windows, window_frame_indices)
 
 DEFAULT_THRESHOLDS = tuple(round(0.05 * k, 2) for k in range(1, 11))
 
@@ -161,7 +161,7 @@ def load_config(path=None, **overrides) -> PipelineConfig:
 
 def write_boundary_csv(path, boundaries) -> None:
     """``video_id,timestamp`` rows; ``boundaries`` maps video_id -> timestamps."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write("video_id,timestamp\n")
         for vid in sorted(boundaries):
             for t in boundaries[vid]:
@@ -189,7 +189,7 @@ def read_boundary_csv(path) -> dict:
 
 
 def write_scores_csv(path, sequences) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write("video_id,t,score\n")
         for seq in sequences:
             for t, s in zip(seq.timestamps, seq.scores):
@@ -245,12 +245,15 @@ class Paths:
         return os.path.join(self.out, "flow", vid)
 
     @property
-    def windows_dir(self):
-        return os.path.join(self.out, "windows")
+    def features_dir(self):
+        return os.path.join(self.out, "features")
+
+    def feature_table(self, vid):
+        return os.path.join(self.out, "features", f"{vid}.gebt")
 
     @property
-    def windows_manifest(self):
-        return os.path.join(self.out, "windows", "manifest.csv")
+    def candidates_csv(self):
+        return os.path.join(self.out, "features", "candidates.csv")
 
     @property
     def model_json(self):
@@ -308,15 +311,9 @@ def _flow_files(paths: Paths, sets):
     return files
 
 
-def _window_files(paths: Paths, sets, config):
-    files = [paths.windows_manifest]
-    for aset in sets:
-        cands = candidate_timestamps(aset.meta, config.stride)
-        d = os.path.join(paths.windows_dir, aset.meta.video_id)
-        for i in range(len(cands)):
-            files.append(os.path.join(d, f"win_{i:05d}_rgb.gebt"))
-            files.append(os.path.join(d, f"win_{i:05d}_flow.gebt"))
-    return files
+def _feature_files(paths: Paths, sets):
+    return [paths.candidates_csv] + [paths.feature_table(a.meta.video_id)
+                                     for a in sets]
 
 
 def _is_fresh(inputs, outputs) -> bool:
@@ -351,38 +348,13 @@ def _flow_job(args):
 
 
 def _sample_job(args):
-    (meta, frame_dir, flow_dir, flow_cfg, spec, gt, out_dir) = args
+    (meta, frame_dir, flow_dir, flow_cfg, spec, gt, table_path) = args
     seq = FrameSequence(meta, frame_dir)
-    store = FlowStore(seq, flow_dir, flow_cfg)
+    table = frame_feature_table(seq, spec, FlowStore(seq, flow_dir, flow_cfg))
+    write_tensor_file(table_path, table.shape, table, DTYPE_F64)
     cands = candidate_timestamps(meta, spec.candidate_stride)
     labels = label_windows(cands, gt, spec.label_tolerance)
-    os.makedirs(out_dir, exist_ok=True)
-    cache = {}
-    rows = []
-    for i, (t, label) in enumerate(zip(cands, labels)):
-        rgb, flo = extract_window(seq, spec, t, store, frame_cache=cache)
-        rgb_path = os.path.join(out_dir, f"win_{i:05d}_rgb.gebt")
-        flow_path = os.path.join(out_dir, f"win_{i:05d}_flow.gebt")
-        write_tensor_file(rgb_path, rgb.shape, rgb)
-        write_tensor_file(flow_path, flo.shape, flo)
-        rows.append((meta.video_id, t, label, rgb_path, flow_path))
-    return rows
-
-
-def _features_for(manifest_rows):
-    X = []
-    for row in manifest_rows:
-        dims_r, rgb = read_tensor_file(row["rgb_path"])
-        dims_f, flo = read_tensor_file(row["flow_path"])
-        X.append(window_features(rgb.reshape(dims_r), flo.reshape(dims_f)))
-    return np.asarray(X)
-
-
-def _score_job(args):
-    vid, rows, model_path = args
-    model = load_model(model_path)
-    X = _features_for(rows)
-    return score_sequence(model, X, [r["t"] for r in rows], vid)
+    return [(meta.video_id, t, label) for t, label in zip(cands, labels)]
 
 
 class PipelineError(RuntimeError):
@@ -409,7 +381,7 @@ class Pipeline:
         for aset in self.sets:
             FrameSequence(aset.meta, self.paths.frames_dir(aset.meta.video_id))
             count += 1
-        with open(self.paths.validate_ok, "w", encoding="utf-8") as fh:
+        with atomic_open(self.paths.validate_ok) as fh:
             fh.write(f"videos={count}\n")
 
     def stage_consistency(self):
@@ -421,7 +393,7 @@ class Pipeline:
             for track in aset.tracks:
                 rows.append((aset.meta.video_id, track.annotator_id,
                              track.f1_consistency))
-        with open(self.paths.consistency_csv, "w", encoding="utf-8") as fh:
+        with atomic_open(self.paths.consistency_csv) as fh:
             fh.write("video_id,annotator_id,f1_consistency\n")
             for vid, aid, c in rows:
                 fh.write(f"{vid},{aid},{c!r}\n")
@@ -466,70 +438,74 @@ class Pipeline:
     def stage_sample(self):
         gt = read_boundary_csv(self.paths.gt_csv)
         spec = self.config.window_spec()
+        os.makedirs(self.paths.features_dir, exist_ok=True)
         jobs = []
         for aset in self.sets:
             vid = aset.meta.video_id
             jobs.append((aset.meta, self.paths.frames_dir(vid),
                          self.paths.flow_dir(vid), self.config.flow_config(),
-                         spec, gt.get(vid, []),
-                         os.path.join(self.paths.windows_dir, vid)))
+                         spec, gt.get(vid, []), self.paths.feature_table(vid)))
         all_rows = _map_videos(_sample_job, jobs, self.config.workers)
-        with open(self.paths.windows_manifest, "w", encoding="utf-8") as fh:
-            fh.write("video_id,t,label,rgb_path,flow_path\n")
+        with atomic_open(self.paths.candidates_csv) as fh:
+            fh.write("video_id,t,label\n")
             for rows in all_rows:
-                for vid, t, label, rgb_path, flow_path in rows:
-                    fh.write(f"{vid},{t!r},{label},"
-                             f"{os.path.relpath(rgb_path, self.paths.out)},"
-                             f"{os.path.relpath(flow_path, self.paths.out)}\n")
+                for vid, t, label in rows:
+                    fh.write(f"{vid},{t!r},{label}\n")
 
-    def _read_manifest(self):
-        rows = []
-        with open(self.paths.windows_manifest, "r", encoding="utf-8") as fh:
+    def _candidates(self):
+        """``(aset, timestamps, labels)`` per video, in video_id order."""
+        by_video = {}
+        with open(self.paths.candidates_csv, "r", encoding="utf-8") as fh:
             next(fh)
             for line in fh:
-                vid, t, label, rgb_path, flow_path = line.strip().split(",")
-                rows.append({
-                    "video_id": vid,
-                    "t": float(t),
-                    "label": label,
-                    "rgb_path": os.path.join(self.paths.out, rgb_path),
-                    "flow_path": os.path.join(self.paths.out, flow_path),
-                })
-        return rows
+                vid, t, label = line.strip().split(",")
+                by_video.setdefault(vid, []).append((float(t), label))
+        out = []
+        for aset in self.sets:
+            rows = by_video.get(aset.meta.video_id, [])
+            out.append((aset, [t for t, _ in rows], [lab for _, lab in rows]))
+        return out
+
+    def _inputs(self, aset, timestamps):
+        """Classifier inputs of one video's candidates, from its feature table."""
+        meta, m = aset.meta, self.config.m
+        path = self.paths.feature_table(meta.video_id)
+        dims, data = read_tensor_file(path)
+        if dims != [meta.num_frames, 2, FEATURE_DIM]:
+            raise ValueError(
+                f"{path}: expected dims {[meta.num_frames, 2, FEATURE_DIM]}, "
+                f"got {dims}")
+        indices = np.array([window_frame_indices(t, meta, m) for t in timestamps],
+                           dtype=np.intp).reshape(len(timestamps), 2 * m)
+        return window_inputs(data.reshape(dims), indices)
 
     def stage_train(self):
-        rows = self._read_manifest()
-        by_video = {}
-        for row in rows:
-            by_video.setdefault(row["video_id"], []).append(row)
-        selected = []
-        for vid in sorted(by_video):
-            vid_rows = by_video[vid]
-            pos = [r for r in vid_rows if r["label"] == LABEL_BOUNDARY]
-            neg = [r for r in vid_rows if r["label"] != LABEL_BOUNDARY]
+        X, y = [], []
+        for aset, timestamps, labels in self._candidates():
+            pos = [i for i, lab in enumerate(labels) if lab == LABEL_BOUNDARY]
+            neg = [i for i, lab in enumerate(labels) if lab != LABEL_BOUNDARY]
             keep = min(len(neg), int(round(self.config.bg_ratio * len(pos))))
-            rng = per_video_rng(self.config.seed, vid + "#subsample")
+            rng = per_video_rng(self.config.seed,
+                                aset.meta.video_id + "#subsample")
             idx = sorted(rng.choice(len(neg), size=keep, replace=False)) if keep else []
-            selected.extend(pos)
-            selected.extend(neg[i] for i in idx)
-        X = _features_for(selected)
-        y = np.array([1.0 if r["label"] == LABEL_BOUNDARY else 0.0
-                      for r in selected])
-        model, losses = train_logistic((X, y), self.config.train_config())
+            selected = pos + [neg[i] for i in idx]
+            X.append(self._inputs(aset, [timestamps[i] for i in selected]))
+            y.extend(1.0 if labels[i] == LABEL_BOUNDARY else 0.0 for i in selected)
+        model, losses = train_logistic((np.concatenate(X), np.array(y)),
+                                       self.config.train_config())
         save_model(self.paths.model_json, model)
-        with open(self.paths.loss_csv, "w", encoding="utf-8") as fh:
+        with atomic_open(self.paths.loss_csv) as fh:
             fh.write("epoch,mean_loss\n")
             for e, loss in enumerate(losses):
                 fh.write(f"{e},{loss!r}\n")
 
     def stage_score(self):
-        rows = self._read_manifest()
-        by_video = {}
-        for row in rows:
-            by_video.setdefault(row["video_id"], []).append(row)
-        jobs = [(vid, by_video[vid], self.paths.model_json)
-                for vid in sorted(by_video)]
-        sequences = _map_videos(_score_job, jobs, self.config.workers)
+        # one table read and one matrix product per video: too little work
+        # to pay for worker processes
+        model = load_model(self.paths.model_json)
+        sequences = [score_sequence(model, self._inputs(aset, timestamps),
+                                    timestamps, aset.meta.video_id)
+                     for aset, timestamps, _ in self._candidates()]
         write_scores_csv(self.paths.scores_csv, sequences)
 
     def stage_detect(self):
@@ -571,8 +547,8 @@ class Pipeline:
             svg = render_timeline(TimelineSpec(video_id=vid,
                                                duration=aset.meta.duration,
                                                tracks=tracks))
-            with open(os.path.join(self.paths.report_dir, f"timeline_{vid}.svg"),
-                      "w", encoding="utf-8") as fh:
+            with atomic_open(os.path.join(self.paths.report_dir,
+                                          f"timeline_{vid}.svg")) as fh:
                 fh.write(svg)
         per_class = []
         with open(self.paths.eval_per_class_csv, "r", encoding="utf-8") as fh:
@@ -585,17 +561,16 @@ class Pipeline:
         bottom = sorted(per_class, key=lambda lv: (lv[1], lv[0]))[:k]
         for name, rows, title in (("class_top.svg", top, "highest mean F1"),
                                   ("class_bottom.svg", bottom, "lowest mean F1")):
-            with open(os.path.join(self.paths.report_dir, name), "w",
-                      encoding="utf-8") as fh:
+            with atomic_open(os.path.join(self.paths.report_dir, name)) as fh:
                 fh.write(render_class_bars(rows, title))
 
     # --- driver -------------------------------------------------------------
 
     def stages(self):
-        p, cfg = self.paths, self.config
+        p = self.paths
         frame_files = _frame_files(p, self.sets)
         flow_files = _flow_files(p, self.sets)
-        window_files = _window_files(p, self.sets, cfg)
+        feature_files = _feature_files(p, self.sets)
         eval_csvs = [p.eval_global_csv, p.eval_per_video_csv, p.eval_per_class_csv]
         report_files = [os.path.join(p.report_dir, "class_top.svg"),
                         os.path.join(p.report_dir, "class_bottom.svg")]
@@ -610,10 +585,10 @@ class Pipeline:
              self.stage_select_gt),
             ("flow", [p.annotations] + frame_files, flow_files, self.stage_flow),
             ("sample", [p.annotations, p.gt_csv] + frame_files + flow_files,
-             window_files, self.stage_sample),
-            ("train", [p.gt_csv] + window_files, [p.model_json, p.loss_csv],
+             feature_files, self.stage_sample),
+            ("train", [p.gt_csv] + feature_files, [p.model_json, p.loss_csv],
              self.stage_train),
-            ("score", [p.model_json] + window_files, [p.scores_csv],
+            ("score", [p.model_json] + feature_files, [p.scores_csv],
              self.stage_score),
             ("detect", [p.scores_csv], [p.predictions_csv], self.stage_detect),
             ("eval", [p.predictions_csv, p.gt_csv, p.annotations], eval_csvs,
@@ -670,7 +645,7 @@ class Pipeline:
 
     def _write_manifest(self, outputs) -> None:
         self._outputs = outputs
-        with open(self.paths.manifest_json, "w", encoding="utf-8") as fh:
+        with atomic_open(self.paths.manifest_json) as fh:
             json.dump(self.manifest(), fh, indent=1, sort_keys=True)
 
 

@@ -1,18 +1,25 @@
-"""Temporal windows: candidate timestamps, frame windows, labels, tensors.
+"""Temporal windows: candidate timestamps, labels, per-frame feature tables.
 
 A candidate timestamp ``t`` is classified from the ``m`` frames before and
-the ``m`` frames after it.  This module turns a directory of per-frame
-images (``frame_%06d.pgm``/``.ppm``) plus a per-video flow store into the
-two window tensors
+the ``m`` frames after it.  Window frames are consecutive at native fps;
+candidates near the clip edges clamp-and-repeat frames so the candidate grid
+stays uniform.  Each candidate gets a boundary/background label from a
+ground-truth boundary list.
+
+:func:`extract_window` turns a directory of per-frame images
+(``frame_%06d.pgm``/``.ppm``) plus a per-video flow store into the two
+window tensors
 
     rgb  : (2m, 3, S, S)   frame intensities in [0,1]
     flow : (2m, 2, S, S)   (dx, dy) in resized-pixel units
 
-and assigns each candidate a boundary/background label from a ground-truth
-boundary list.  Window frames are consecutive at native fps; candidates
-near the clip edges clamp-and-repeat frames so the candidate grid stays
-uniform.  Flow slot ``k`` holds the flow between the frames at window
-positions ``k-1`` and ``k``; position 0 (and any clamped repeat) is zero.
+Flow slot ``k`` holds the flow between the frames at window positions
+``k-1`` and ``k``; position 0 (and any clamped repeat) is zero.  A slot's
+classifier features therefore depend only on its frame and on whether it
+is such a "static" slot or a "moving" one, so the pipeline does not
+materialize windows: :func:`frame_feature_table` computes both feature rows
+of every frame once per video, and
+:func:`gebd.classifier.window_inputs` gathers them per candidate.
 """
 
 from __future__ import annotations
@@ -25,7 +32,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .annotations import VideoMeta
-from .container import read_tensor_file, write_tensor_file
+from .classifier import FEATURE_DIM, frame_features
+from .container import atomic_open, read_tensor_file, write_tensor_file
 from .flow import (PAIR_CHUNK_PIXELS, FlowConfig, bilinear_resize,
                    farneback_flow, to_gray, video_flow)
 from .pnm import read_pnm
@@ -269,12 +277,8 @@ class FlowStore:
             carried = (run[-1], frames[-1])
 
     def _write_sidecar(self) -> None:
-        # atomic like write_tensor_file, so a crash never leaves a partial one
-        path = self._sidecar_path()
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w", encoding="utf-8") as fh:
+        with atomic_open(self._sidecar_path()) as fh:
             json.dump(asdict(self.config), fh, indent=1, sort_keys=True)
-        os.replace(tmp, path)
 
 
 def _consecutive_runs(ks, size: int):
@@ -304,14 +308,23 @@ def _resize_flow(flow: np.ndarray, side: int) -> np.ndarray:
     return out
 
 
+def _slot_rgb(frame: np.ndarray, side: int) -> np.ndarray:
+    return np.ascontiguousarray(
+        np.transpose(_resize_frame(frame, side), (2, 0, 1)), dtype=np.float32)
+
+
+def _slot_flow(pair: np.ndarray, side: int) -> np.ndarray:
+    return np.ascontiguousarray(
+        np.transpose(_resize_flow(pair, side), (2, 0, 1)), dtype=np.float32)
+
+
 def extract_window(seq: FrameSequence, spec: WindowSpec, t: float,
-                   flow_store: FlowStore, frame_cache=None):
+                   flow_store: FlowStore):
     """RGB and flow window tensors at candidate ``t``.
 
     Returns float32 arrays shaped (2m, 3, S, S) and (2m, 2, S, S).  Frames
     resize bilinearly to S x S; flow components scale by the spatial resize
-    ratio.  ``frame_cache`` (dict) avoids re-reading frames shared between
-    overlapping windows.
+    ratio.
     """
     spec.validate()
     indices = window_frame_indices(t, seq.meta, spec.m)
@@ -320,20 +333,50 @@ def extract_window(seq: FrameSequence, spec: WindowSpec, t: float,
     flo = np.zeros((2 * spec.m, 2, side, side), dtype=np.float32)
     shape = None
     for slot, idx in enumerate(indices):
-        if frame_cache is not None and idx in frame_cache:
-            frame = frame_cache[idx]
-        else:
-            frame = seq.frame(idx)
-            if frame_cache is not None:
-                frame_cache[idx] = frame
+        frame = seq.frame(idx)
         if shape is None:
             shape = frame.shape
         elif frame.shape != shape:
             raise ValueError(
                 f"{seq.meta.video_id}: frame {idx} has shape {frame.shape}, "
                 f"expected {shape}")
-        rgb[slot] = np.transpose(_resize_frame(frame, side), (2, 0, 1))
+        rgb[slot] = _slot_rgb(frame, side)
         if slot > 0 and indices[slot] != indices[slot - 1]:
-            pair = flow_store.pair_flow(idx)
-            flo[slot] = np.transpose(_resize_flow(pair, side), (2, 0, 1))
+            flo[slot] = _slot_flow(flow_store.pair_flow(idx), side)
     return rgb, flo
+
+
+def frame_feature_table(seq: FrameSequence, spec: WindowSpec,
+                        flow_store: FlowStore) -> np.ndarray:
+    """Both classifier feature rows of every frame, shaped (N, 2, FEATURE_DIM).
+
+    ``table[i, 0]`` is frame ``i`` as a static window slot (zero flow, zero
+    difference); ``table[i, 1]`` is frame ``i`` as a moving slot (flow pair
+    ``i`` and the difference from frame ``i-1``), which for frame 0 equals
+    the static row.  Frames and flow are resized and rounded to float32 as
+    in :func:`extract_window`, so :func:`gebd.classifier.window_inputs` on
+    this table equals ``window_features(*extract_window(...))`` bit for bit.
+    Each frame and each flow pair is read once.
+    """
+    spec.validate()
+    side = spec.image_side
+    table = np.empty((seq.meta.num_frames, 2, FEATURE_DIM))
+    zero_flow = np.zeros((2, side, side), dtype=np.float32)
+    shape = prev = None
+    for i in range(seq.meta.num_frames):
+        frame = seq.frame(i)
+        if shape is None:
+            shape = frame.shape
+        elif frame.shape != shape:
+            raise ValueError(
+                f"{seq.meta.video_id}: frame {i} has shape {frame.shape}, "
+                f"expected {shape}")
+        rgb = _slot_rgb(frame, side)
+        table[i, 0] = frame_features(rgb, zero_flow, rgb)
+        if prev is None:
+            table[i, 1] = table[i, 0]
+        else:
+            table[i, 1] = frame_features(
+                rgb, _slot_flow(flow_store.pair_flow(i), side), prev)
+        prev = rgb
+    return table

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from gebd.container import (ContainerError, read_tensor, read_tensor_file,
-                            write_tensor, write_tensor_file)
+from gebd.container import (DTYPE_F64, ContainerError, atomic_open,
+                            read_tensor, read_tensor_file, write_tensor,
+                            write_tensor_file)
 
 
 def test_header_layout_small_vector():
@@ -86,3 +87,35 @@ def test_file_round_trip(tmp_path):
     assert dims == [3, 4]
     assert out.tobytes() == data.tobytes()
     assert not list(tmp_path.glob("*.tmp.*"))  # atomic writer cleaned up
+
+
+def test_float64_round_trip_exact(tmp_path):
+    data = np.array([0.1, 1 / 3, -2.5e-300, 1e300])
+    blob = write_tensor([2, 2], data, DTYPE_F64)
+    assert blob[5] == DTYPE_F64
+    assert len(blob) == 7 + 8 + 8 * 4
+    dims, out = read_tensor(blob)
+    assert dims == [2, 2] and out.dtype == np.float64
+    assert out.tobytes() == data.tobytes()
+    with pytest.raises(ContainerError, match="payload length mismatch"):
+        read_tensor(blob[:-4])  # a float32-sized payload does not parse
+    path = tmp_path / "t.gebt"
+    write_tensor_file(path, [4], data, DTYPE_F64)
+    assert read_tensor_file(path)[1].tobytes() == data.tobytes()
+
+
+def test_unknown_dtype_not_written():
+    with pytest.raises(ContainerError, match="dtype"):
+        write_tensor([1], [1.0], dtype=7)
+
+
+def test_atomic_open_failure_keeps_previous_file(tmp_path):
+    path = tmp_path / "out.csv"
+    with atomic_open(path) as fh:
+        fh.write("old\n")
+    with pytest.raises(RuntimeError):
+        with atomic_open(path) as fh:
+            fh.write("new, partial")
+            raise RuntimeError("crash mid-write")
+    assert path.read_text() == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]

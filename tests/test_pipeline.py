@@ -2,14 +2,18 @@ import json
 import os
 import shutil
 
+import numpy as np
 import pytest
 
 from gebd.annotations import load_annotations
+from gebd.container import DTYPE_F64, read_tensor_file, write_tensor_file
 from gebd.evaluation import evaluate_corpus
+from gebd import pipeline
 from gebd.pipeline import (PipelineConfig, PipelineError, Pipeline,
                            parse_config_text, parse_mode, parse_thresholds,
                            read_boundary_csv, read_scores_csv, run_pipeline,
-                           write_boundary_csv)
+                           write_boundary_csv, write_scores_csv)
+from gebd.postprocess import ScoreSequence
 from gebd.synth import generate_corpus
 
 CFG = dict(seed=11, workers=1, image_side=32, m=3)
@@ -58,6 +62,20 @@ class TestCsvFormats:
         data = {"v2": [1.5, 2.25], "v1": [0.125]}
         write_boundary_csv(path, data)
         assert read_boundary_csv(path) == data
+
+    def test_interrupted_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        first = ScoreSequence("v1", [0.5, 1.0], [0.25, 0.75])
+        write_scores_csv(path, [first])
+        before = path.read_bytes()
+
+        def crashing():
+            yield ScoreSequence("v1", [0.5], [0.5])
+            raise KeyboardInterrupt
+        with pytest.raises(KeyboardInterrupt):
+            write_scores_csv(path, crashing())
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["scores.csv"]
 
     def test_boundary_unsorted_rejected(self, tmp_path):
         path = tmp_path / "b.csv"
@@ -133,6 +151,37 @@ class TestResumption:
         assert state["flow"] and state["sample"] and state["train"]
         assert not state["score"] and not state["detect"] and not state["eval"]
 
+    def test_train_and_score_read_one_table_per_video(self, corpus, tmp_path,
+                                                      monkeypatch):
+        out = tmp_path / "run"
+        run_pipeline(corpus, out, PipelineConfig(**CFG))
+        before = (out / "scores.csv").read_bytes()
+        os.remove(out / "model.json")
+        reads = []
+
+        def counting(path):
+            reads.append(os.path.relpath(path, out))
+            return read_tensor_file(path)
+        monkeypatch.setattr(pipeline, "read_tensor_file", counting)
+        manifest = run_pipeline(corpus, out, PipelineConfig(**CFG))
+        ran = [s["name"] for s in manifest["stages"] if not s["skipped"]]
+        assert ran == ["train", "score", "detect", "eval", "report"]
+        tables = sorted(os.path.join("features", n)
+                        for n in os.listdir(out / "features")
+                        if n.endswith(".gebt"))
+        assert len(tables) == 3
+        assert sorted(reads) == sorted(tables * 2)
+        assert (out / "scores.csv").read_bytes() == before
+
+    def test_table_of_wrong_shape_named(self, corpus, tmp_path):
+        out = tmp_path / "run"
+        run_pipeline(corpus, out, PipelineConfig(**CFG))
+        table = sorted((out / "features").glob("*.gebt"))[0]
+        write_tensor_file(table, [2, 2, 27], np.zeros(108), DTYPE_F64)
+        os.remove(out / "model.json")
+        with pytest.raises(PipelineError, match=f"{table.name}: expected dims"):
+            run_pipeline(corpus, out, PipelineConfig(**CFG))
+
     def test_stage_failure_recorded(self, corpus, tmp_path, monkeypatch):
         out = tmp_path / "run"
         config = PipelineConfig(**CFG)
@@ -162,17 +211,20 @@ class TestWorkerInvariance:
             run_pipeline(corpus, out, PipelineConfig(**cfg))
             outs.append(out)
         for name in ("scores.csv", "predictions.csv", "eval_global.csv",
-                     "gt.csv", "windows/manifest.csv"):
+                     "gt.csv"):
             a = (outs[0] / name).read_bytes()
             b = (outs[1] / name).read_bytes()
             assert a == b, f"{name} differs between worker counts"
-        # window tensors byte-identical too
-        vid_dir = sorted(os.listdir(outs[0] / "windows"))[0]
-        if vid_dir != "manifest.csv":
-            sample = sorted(os.listdir(outs[0] / "windows" / vid_dir))[:4]
-            for name in sample:
-                assert (outs[0] / "windows" / vid_dir / name).read_bytes() == \
-                    (outs[1] / "windows" / vid_dir / name).read_bytes()
+        # every per-video feature table and the candidate/label list
+        vids = sorted(a.meta.video_id
+                      for a in load_annotations(corpus / "annotations.json"))
+        names = sorted(os.listdir(outs[0] / "features"))
+        assert names == ["candidates.csv"] + [f"{v}.gebt" for v in vids]
+        assert sorted(os.listdir(outs[1] / "features")) == names
+        for name in names:
+            assert (outs[0] / "features" / name).read_bytes() == \
+                (outs[1] / "features" / name).read_bytes(), \
+                f"features/{name} differs between worker counts"
 
 
 class TestGtPolicies:

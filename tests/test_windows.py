@@ -10,10 +10,11 @@ from gebd import windows
 from gebd.container import read_tensor_file, write_tensor_file
 from gebd.flow import FlowConfig, bilinear_resize
 from gebd.pnm import read_pnm, write_pnm
+from gebd.classifier import FEATURE_DIM, window_features, window_inputs
 from gebd.windows import (LABEL_BACKGROUND, LABEL_BOUNDARY, FlowStore,
                           FrameSequence, WindowSpec, candidate_timestamps,
-                          extract_window, frame_name, label_windows,
-                          window_frame_indices)
+                          extract_window, frame_feature_table, frame_name,
+                          label_windows, window_frame_indices)
 
 from conftest import smooth_texture
 
@@ -341,6 +342,71 @@ class TestFlowStore:
         with pytest.raises(KeyboardInterrupt):
             FlowStore(seq, flow_dir, FlowConfig(averaging_window=11)).compute_all()
         assert os.listdir(flow_dir) == ["flow_config.json"]
+
+
+class TestFrameFeatureTable:
+    @pytest.fixture
+    def stored(self, tiny_video, tmp_path):
+        meta, d, _ = tiny_video
+        seq = FrameSequence(meta, d)
+        store = FlowStore(seq, tmp_path / "fl", FlowConfig(averaging_window=9))
+        store.compute_all()
+        return seq, store
+
+    # clip start (clamped), middle, and clamped end of the 20-frame clip
+    @pytest.mark.parametrize("t", [0.0, 1.0, 1.95])
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    def test_inputs_equal_window_features(self, stored, m, t):
+        seq, store = stored
+        spec = WindowSpec(m=m, image_side=32)
+        table = frame_feature_table(seq, spec, store)
+        assert table.shape == (20, 2, FEATURE_DIM)
+        got = window_inputs(table, [window_frame_indices(t, seq.meta, m)])
+        want = window_features(*extract_window(seq, spec, t, store))
+        assert got.shape == (1, 2 * FEATURE_DIM)
+        assert np.array_equal(got[0], want)
+
+    def test_batched_rows_equal_single_windows(self, stored):
+        seq, store = stored
+        spec = WindowSpec(m=3, image_side=32, candidate_stride=0.15)
+        table = frame_feature_table(seq, spec, store)
+        cands = candidate_timestamps(seq.meta, spec.candidate_stride)
+        got = window_inputs(table, [window_frame_indices(t, seq.meta, 3)
+                                    for t in cands])
+        for row, t in zip(got, cands):
+            assert np.array_equal(
+                row, window_features(*extract_window(seq, spec, t, store)))
+
+    def test_static_and_moving_rows(self, stored):
+        seq, store = stored
+        table = frame_feature_table(seq, WindowSpec(m=2, image_side=32), store)
+        assert np.array_equal(table[0, 1], table[0, 0])
+        assert np.all(table[:, 0, :2] == 0.0) and np.all(table[:, 0, 26] == 0.0)
+        assert np.all(table[1:, 1, 26] > 0.0)  # textures differ frame to frame
+        # both rows of a frame share its intensity histogram
+        assert np.array_equal(table[:, 0, 10:26], table[:, 1, 10:26])
+
+    def test_reads_each_frame_and_pair_once(self, stored, monkeypatch):
+        seq, store = stored
+        reads = TestFlowStore.count_reads(monkeypatch)
+        pairs = []
+
+        def counting(path):
+            pairs.append(os.path.basename(path))
+            return read_tensor_file(path)
+        monkeypatch.setattr(windows, "read_tensor_file", counting)
+        frame_feature_table(seq, WindowSpec(m=5, image_side=32), store)
+        assert sorted(reads) == [f"{frame_name(i)}.pgm" for i in range(20)]
+        assert sorted(pairs) == [f"flow_{k:06d}.gebt" for k in range(1, 20)]
+
+    def test_mismatched_frame_shape_named(self, tmp_path, rng):
+        meta = VideoMeta("odd", "c", 0.3, 10.0, 3)
+        frames = [smooth_texture(rng, 32, 32) for _ in range(2)]
+        d = write_video(tmp_path, meta, frames + [smooth_texture(rng, 24, 24)])
+        seq = FrameSequence(meta, d)
+        with pytest.raises(ValueError, match="frame 2 has shape"):
+            frame_feature_table(seq, WindowSpec(m=1, image_side=32),
+                                FlowStore(seq, None))
 
 
 def test_pnm_round_trip(tmp_path, rng):
