@@ -30,6 +30,7 @@ from .annotations import (  # noqa: F401
     load_annotations,
     normalize_track,
     parse_annotations,
+    select_gt,
     select_gt_highest,
     select_gt_weighted,
     serialize_annotations,

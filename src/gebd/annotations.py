@@ -334,3 +334,13 @@ def select_gt_weighted(aset: AnnotationSet, seed: int) -> BoundaryList:
             pick = i
             break
     return normalize_track(aset.tracks[pick], aset.meta)
+
+
+def select_gt(aset: AnnotationSet, policy: str, default_seed: int) -> BoundaryList:
+    """GT under ``highest`` or ``weighted[:<seed>]`` (no seed: ``default_seed``)."""
+    if policy == "highest":
+        return select_gt_highest(aset)
+    name, colon, seed = policy.partition(":")
+    if name == "weighted":
+        return select_gt_weighted(aset, int(seed) if colon else default_seed)
+    raise ValueError(f"unknown gt policy {policy!r}")

@@ -20,8 +20,7 @@ import os
 import sys
 
 from .annotations import (AnnotationParseError, AnnotationValidationError,
-                          attach_consistency, load_annotations,
-                          select_gt_highest, select_gt_weighted)
+                          attach_consistency, load_annotations, select_gt)
 from .evaluation import (evaluate_corpus, write_global_csv, write_per_class_csv,
                          write_per_video_csv)
 from .pipeline import (load_config, parse_mode, parse_thresholds,
@@ -80,16 +79,7 @@ def _select_gt(sets, policy, consistency_threshold, default_seed):
     for aset in sets:
         if any(t.f1_consistency is None for t in aset.tracks):
             attach_consistency(aset, consistency_threshold)
-        if policy == "highest":
-            chosen = select_gt_highest(aset)
-        elif policy.startswith("weighted"):
-            seed = default_seed
-            if ":" in policy:
-                seed = int(policy.split(":", 1)[1])
-            chosen = select_gt_weighted(aset, seed)
-        else:
-            raise ValueError(f"unknown gt policy {policy!r}")
-        gt[aset.meta.video_id] = chosen.timestamps
+        gt[aset.meta.video_id] = select_gt(aset, policy, default_seed).timestamps
     return gt
 
 

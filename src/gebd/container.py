@@ -42,7 +42,7 @@ def atomic_open(path, mode="w"):
 
     A write that raises removes the temp file and leaves any earlier
     ``path`` as it was, so an interrupted run never leaves a truncated file
-    under the final name (whose fresh mtime would make it look current).
+    under the final name.
     """
     path = os.fspath(path)
     tmp = f"{path}.tmp.{os.getpid()}"

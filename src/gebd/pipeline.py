@@ -1,10 +1,17 @@
-"""Staged end-to-end pipeline with freshness-based resumption.
+"""Staged end-to-end pipeline with config-stamped resumption.
 
 Stages run in a fixed order - validate, consistency, select-gt, flow,
-sample, train, score, detect, eval, report - each declaring its input and
-output files.  A stage is skipped when every output exists and is at least
-as new as every input, so rerunning after a partial failure (or after
-deleting one artifact) redoes only the stale suffix of the chain.  Flow
+sample, train, score, detect, eval, report.  Each declares what it reads:
+earlier stages or the external inputs ``annotations`` and ``frames``, and
+the :class:`PipelineConfig` keys it uses.  Its stamp is a sha256 of the
+tool version, its name, those key values and its dependencies' stamps; the
+``annotations`` stamp digests the file's bytes and the ``frames`` stamp
+each frame file's name, size and mtime.  A stage is skipped only when its
+stamp equals the one ``manifest.json`` records, its outputs exist and no
+dependency ran in this invocation, so a changed key reruns exactly the
+stages that read it and those downstream.  A stage's recorded stamp is
+dropped from the manifest on disk before it starts and written back only
+after its outputs exist, so an interrupted stage never looks fresh.  Flow
 extraction dominates runtime and is computed once, offline, per consecutive
 frame pair.
 
@@ -17,6 +24,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -25,7 +33,7 @@ import numpy as np
 
 from . import __version__
 from .annotations import (attach_consistency, load_annotations, normalize_track,
-                          per_video_rng, select_gt_highest, select_gt_weighted)
+                          per_video_rng, select_gt)
 from .classifier import (FEATURE_DIM, TrainConfig, load_model, save_model,
                          score_sequence, train_logistic, window_inputs)
 from .container import DTYPE_F64, atomic_open, read_tensor_file, write_tensor_file
@@ -102,13 +110,6 @@ class PipelineConfig:
                                min_separation=self.min_separation)
 
 
-_BOOL_KEYS = {"use_file_consistency"}
-_INT_KEYS = {"seed", "workers", "m", "image_side", "pyramid_levels", "iterations",
-             "poly_window", "averaging_window", "decay_every", "epochs",
-             "batch_size"}
-_STR_KEYS = {"gt_policy", "mode", "match_policy"}
-
-
 def parse_config_text(text: str) -> dict:
     """Flat key=value lines; '#' starts a comment; values typed per key."""
     out = {}
@@ -119,15 +120,17 @@ def parse_config_text(text: str) -> dict:
         if "=" not in line:
             raise ValueError(f"config line {lineno}: expected key=value, got {raw!r}")
         key, value = (s.strip() for s in line.split("=", 1))
-        if key not in PipelineConfig.__dataclass_fields__:
+        field = PipelineConfig.__dataclass_fields__.get(key)
+        if field is None:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
-        if key == "thresholds":
+        kind = field.type  # a string, under postponed annotations
+        if kind == "tuple":
             out[key] = parse_thresholds(value)
-        elif key in _BOOL_KEYS:
+        elif kind == "bool":
             out[key] = value.lower() in ("1", "true", "yes")
-        elif key in _INT_KEYS:
+        elif kind == "int":
             out[key] = int(value)
-        elif key in _STR_KEYS:
+        elif kind == "str":
             out[key] = value
         else:
             out[key] = float(value)
@@ -217,10 +220,29 @@ def read_scores_csv(path) -> list:
 # ---------------------------------------------------------------------------
 # stage plumbing
 
+def _out_path(*parts):
+    return property(lambda self: os.path.join(self.out, *parts))
+
+
 @dataclass
 class Paths:
     corpus: str
     out: str
+
+    validate_ok = _out_path("validate.ok")
+    consistency_csv = _out_path("consistency.csv")
+    gt_csv = _out_path("gt.csv")
+    features_dir = _out_path("features")
+    candidates_csv = _out_path("features", "candidates.csv")
+    model_json = _out_path("model.json")
+    loss_csv = _out_path("train_loss.csv")
+    scores_csv = _out_path("scores.csv")
+    predictions_csv = _out_path("predictions.csv")
+    eval_global_csv = _out_path("eval_global.csv")
+    eval_per_video_csv = _out_path("eval_per_video.csv")
+    eval_per_class_csv = _out_path("eval_per_class.csv")
+    report_dir = _out_path("report")
+    manifest_json = _out_path("manifest.json")
 
     @property
     def annotations(self):
@@ -229,105 +251,48 @@ class Paths:
     def frames_dir(self, vid):
         return os.path.join(self.corpus, "frames", vid)
 
-    @property
-    def validate_ok(self):
-        return os.path.join(self.out, "validate.ok")
-
-    @property
-    def consistency_csv(self):
-        return os.path.join(self.out, "consistency.csv")
-
-    @property
-    def gt_csv(self):
-        return os.path.join(self.out, "gt.csv")
-
     def flow_dir(self, vid):
         return os.path.join(self.out, "flow", vid)
-
-    @property
-    def features_dir(self):
-        return os.path.join(self.out, "features")
 
     def feature_table(self, vid):
         return os.path.join(self.out, "features", f"{vid}.gebt")
 
-    @property
-    def candidates_csv(self):
-        return os.path.join(self.out, "features", "candidates.csv")
 
-    @property
-    def model_json(self):
-        return os.path.join(self.out, "model.json")
-
-    @property
-    def loss_csv(self):
-        return os.path.join(self.out, "train_loss.csv")
-
-    @property
-    def scores_csv(self):
-        return os.path.join(self.out, "scores.csv")
-
-    @property
-    def predictions_csv(self):
-        return os.path.join(self.out, "predictions.csv")
-
-    @property
-    def eval_global_csv(self):
-        return os.path.join(self.out, "eval_global.csv")
-
-    @property
-    def eval_per_video_csv(self):
-        return os.path.join(self.out, "eval_per_video.csv")
-
-    @property
-    def eval_per_class_csv(self):
-        return os.path.join(self.out, "eval_per_class.csv")
-
-    @property
-    def report_dir(self):
-        return os.path.join(self.out, "report")
-
-    @property
-    def manifest_json(self):
-        return os.path.join(self.out, "manifest.json")
+def _sha256(data: bytes) -> str:
+    # imported here: OpenSSL's hash module adds about 3.5 MB to the resident
+    # size of every process that imports this module, `gebd eval` included
+    import hashlib
+    return hashlib.sha256(data).hexdigest()
 
 
-def _frame_files(paths: Paths, sets):
-    files = []
+def _digest(value) -> str:
+    return _sha256(json.dumps(value, sort_keys=True).encode("utf-8"))
+
+
+def _frames_stamp(paths: Paths, sets) -> str:
+    """Digest of every frame file's (name, size, mtime_ns), per video."""
+    listing = []
     for aset in sets:
-        d = paths.frames_dir(aset.meta.video_id)
-        if os.path.isdir(d):
-            files.extend(os.path.join(d, n) for n in sorted(os.listdir(d)))
-    return files
+        vid = aset.meta.video_id
+        try:
+            with os.scandir(paths.frames_dir(vid)) as it:
+                files = sorted((e.name, e.stat().st_size, e.stat().st_mtime_ns)
+                               for e in it)
+        except OSError:  # stage validate names the problem
+            files = None
+        listing.append((vid, files))
+    return _digest(listing)
 
 
-def _flow_files(paths: Paths, sets):
-    files = []
-    for aset in sets:
-        d = paths.flow_dir(aset.meta.video_id)
-        for k in range(1, aset.meta.num_frames):
-            files.append(os.path.join(d, f"flow_{k:06d}.gebt"))
-        files.append(os.path.join(d, FLOW_SIDECAR))
-    return files
-
-
-def _feature_files(paths: Paths, sets):
-    return [paths.candidates_csv] + [paths.feature_table(a.meta.video_id)
-                                     for a in sets]
-
-
-def _is_fresh(inputs, outputs) -> bool:
-    if not outputs:
-        return False
-    out_times = []
-    for path in outputs:
-        if not os.path.exists(path):
-            return False
-        out_times.append(os.path.getmtime(path))
-    in_times = [os.path.getmtime(p) for p in inputs if os.path.exists(p)]
-    if len(in_times) != len(inputs):
-        return False
-    return not in_times or min(out_times) >= max(in_times)
+def _freshness(deps, outputs, stamp, recorded, ran) -> str:
+    """``fresh``, or why a stage must run."""
+    if ran.intersection(deps):
+        return "upstream-ran"
+    if recorded != stamp:
+        return "stamp-mismatch"
+    if not all(os.path.exists(f) for f in outputs):
+        return "missing-output"
+    return "fresh"
 
 
 def _map_videos(fn, items, workers):
@@ -373,6 +338,7 @@ class Pipeline:
         self.sets.sort(key=lambda a: a.meta.video_id)
         self.stage_log = []
         self._outputs = {}
+        self._stamps = {}
 
     # --- individual stages -------------------------------------------------
 
@@ -410,22 +376,12 @@ class Pipeline:
                 track.f1_consistency = values[(aset.meta.video_id,
                                                track.annotator_id)]
 
-    def _select_gt(self, aset):
-        policy = self.config.gt_policy
-        if policy == "highest":
-            return select_gt_highest(aset)
-        if policy.startswith("weighted"):
-            seed = self.config.seed
-            if ":" in policy:
-                seed = int(policy.split(":", 1)[1])
-            return select_gt_weighted(aset, seed)
-        raise ValueError(f"unknown gt policy {policy!r}")
-
     def stage_select_gt(self):
         self._load_consistency()
         gt = {}
         for aset in self.sets:
-            gt[aset.meta.video_id] = self._select_gt(aset).timestamps
+            gt[aset.meta.video_id] = select_gt(aset, self.config.gt_policy,
+                                               self.config.seed).timestamps
         write_boundary_csv(self.paths.gt_csv, gt)
 
     def stage_flow(self):
@@ -436,6 +392,8 @@ class Pipeline:
         _map_videos(_flow_job, jobs, self.config.workers)
 
     def stage_sample(self):
+        # window tensors written by older versions; nothing reads them
+        shutil.rmtree(os.path.join(self.paths.out, "windows"), ignore_errors=True)
         gt = read_boundary_csv(self.paths.gt_csv)
         spec = self.config.window_spec()
         os.makedirs(self.paths.features_dir, exist_ok=True)
@@ -567,63 +525,92 @@ class Pipeline:
     # --- driver -------------------------------------------------------------
 
     def stages(self):
+        """``(name, deps, keys, outputs, body)`` of every stage, in run order.
+
+        ``deps`` are earlier stages or the external inputs ``annotations``
+        and ``frames``; ``keys`` are the config fields the stage reads.
+        ``workers`` changes no result, so no stage reads it.
+        """
         p = self.paths
-        frame_files = _frame_files(p, self.sets)
-        flow_files = _flow_files(p, self.sets)
-        feature_files = _feature_files(p, self.sets)
-        eval_csvs = [p.eval_global_csv, p.eval_per_video_csv, p.eval_per_class_csv]
-        report_files = [os.path.join(p.report_dir, "class_top.svg"),
-                        os.path.join(p.report_dir, "class_bottom.svg")]
-        report_files += [os.path.join(p.report_dir,
-                                      f"timeline_{a.meta.video_id}.svg")
-                         for a in self.sets]
-        return [
-            ("validate", [p.annotations], [p.validate_ok], self.stage_validate),
-            ("consistency", [p.annotations], [p.consistency_csv],
-             self.stage_consistency),
-            ("select-gt", [p.annotations, p.consistency_csv], [p.gt_csv],
-             self.stage_select_gt),
-            ("flow", [p.annotations] + frame_files, flow_files, self.stage_flow),
-            ("sample", [p.annotations, p.gt_csv] + frame_files + flow_files,
-             feature_files, self.stage_sample),
-            ("train", [p.gt_csv] + feature_files, [p.model_json, p.loss_csv],
-             self.stage_train),
-            ("score", [p.model_json] + feature_files, [p.scores_csv],
-             self.stage_score),
-            ("detect", [p.scores_csv], [p.predictions_csv], self.stage_detect),
-            ("eval", [p.predictions_csv, p.gt_csv, p.annotations], eval_csvs,
-             self.stage_eval),
-            ("report", eval_csvs + [p.predictions_csv, p.annotations],
-             report_files, self.stage_report),
+        vids = [a.meta.video_id for a in self.sets]
+        table = [
+            ("validate", ("annotations", "frames"), (), [p.validate_ok]),
+            ("consistency", ("annotations",),
+             ("consistency_threshold", "use_file_consistency"),
+             [p.consistency_csv]),
+            ("select-gt", ("annotations", "consistency"), ("gt_policy", "seed"),
+             [p.gt_csv]),
+            ("flow", ("annotations", "frames"),
+             ("pyramid_levels", "pyramid_scale", "iterations", "poly_window",
+              "poly_sigma", "averaging_window"),
+             [os.path.join(p.flow_dir(v), FLOW_SIDECAR) for v in vids]),
+            ("sample", ("annotations", "frames", "select-gt", "flow"),
+             ("stride", "image_side", "label_tolerance"),
+             [p.candidates_csv] + [p.feature_table(v) for v in vids]),
+            ("train", ("annotations", "sample"),
+             ("m", "bg_ratio", "seed", "lr", "decay_factor", "decay_every",
+              "epochs", "batch_size"), [p.model_json, p.loss_csv]),
+            ("score", ("annotations", "sample", "train"), ("m",), [p.scores_csv]),
+            ("detect", ("score",),
+             ("smooth_sigma", "score_threshold", "min_separation"),
+             [p.predictions_csv]),
+            ("eval", ("annotations", "select-gt", "detect"),
+             ("threshold", "thresholds", "mode", "match_policy"),
+             [p.eval_global_csv, p.eval_per_video_csv, p.eval_per_class_csv]),
+            ("report", ("annotations", "detect", "eval"), (),
+             [os.path.join(p.report_dir, n) for n in
+              ["class_top.svg", "class_bottom.svg"]
+              + [f"timeline_{v}.svg" for v in vids]]),
         ]
+        return [(name, deps, keys, outs,
+                 getattr(self, "stage_" + name.replace("-", "_")))
+                for name, deps, keys, outs in table]
+
+    def _recorded_stamps(self) -> dict:
+        try:
+            with open(self.paths.manifest_json, "r", encoding="utf-8") as fh:
+                return dict(json.load(fh).get("stamps", {}))
+        except (OSError, ValueError):
+            return {}
 
     def run(self) -> dict:
         os.makedirs(self.paths.out, exist_ok=True)
-        outputs = {}
+        self._stamps = self._recorded_stamps()
+        with open(self.paths.annotations, "rb") as fh:
+            stamps = {"annotations": _sha256(fh.read())}
+        stamps["frames"] = _frames_stamp(self.paths, self.sets)
+        ran = set()
         try:
-            for name, inputs, outs, body in self.stages():
+            for name, deps, keys, outs, body in self.stages():
+                stamps[name] = _digest(
+                    [__version__, name,
+                     {k: getattr(self.config, k) for k in keys},
+                     [stamps[d] for d in deps]])
+                reason = _freshness(deps, outs, stamps[name],
+                                    self._stamps.get(name), ran)
+                entry = {"name": name, "seconds": 0.0,
+                         "skipped": reason == "fresh", "reason": reason}
+                self.stage_log.append(entry)
+                self._outputs[name] = outs
+                if reason == "fresh":
+                    continue
+                ran.add(name)
+                self._stamps.pop(name, None)
+                self._write_manifest()
                 start = time.time()
-                if _is_fresh(inputs, outs):
-                    self.stage_log.append(
-                        {"name": name, "seconds": 0.0, "skipped": True})
-                else:
-                    try:
-                        body()
-                    except Exception as e:
-                        self.stage_log.append(
-                            {"name": name, "seconds": round(time.time() - start, 3),
-                             "skipped": False, "failed": str(e)})
-                        raise PipelineError(name, e) from e
+                try:
+                    body()
                     missing = [f for f in outs if not os.path.exists(f)]
                     if missing:
-                        raise PipelineError(
-                            name, f"did not produce {missing[:3]}")
-                    self.stage_log.append(
-                        {"name": name, "seconds": round(time.time() - start, 3),
-                         "skipped": False})
-                outputs[name] = outs
+                        raise RuntimeError(f"did not produce {missing[:3]}")
+                except Exception as e:
+                    entry["failed"] = str(e)
+                    raise PipelineError(name, e) from e
+                finally:
+                    entry["seconds"] = round(time.time() - start, 3)
+                self._stamps[name] = stamps[name]
         finally:
-            self._write_manifest(outputs)
+            self._write_manifest()
         return self.manifest()
 
     def manifest(self) -> dict:
@@ -640,11 +627,11 @@ class Pipeline:
                                for a in self.sets],
             },
             "stages": self.stage_log,
-            "outputs": {name: files for name, files in self._outputs.items()},
+            "outputs": self._outputs,
+            "stamps": self._stamps,
         }
 
-    def _write_manifest(self, outputs) -> None:
-        self._outputs = outputs
+    def _write_manifest(self) -> None:
         with atomic_open(self.paths.manifest_json) as fh:
             json.dump(self.manifest(), fh, indent=1, sort_keys=True)
 

@@ -35,7 +35,7 @@ from .annotations import VideoMeta
 from .classifier import FEATURE_DIM, frame_features
 from .container import atomic_open, read_tensor_file, write_tensor_file
 from .flow import (PAIR_CHUNK_PIXELS, FlowConfig, bilinear_resize,
-                   farneback_flow, to_gray, video_flow)
+                   farneback_flow, flow_stats, to_gray, video_flow)
 from .pnm import read_pnm
 
 logger = logging.getLogger(__name__)
@@ -356,12 +356,16 @@ def frame_feature_table(seq: FrameSequence, spec: WindowSpec,
     the static row.  Frames and flow are resized and rounded to float32 as
     in :func:`extract_window`, so :func:`gebd.classifier.window_inputs` on
     this table equals ``window_features(*extract_window(...))`` bit for bit.
-    Each frame and each flow pair is read once.
+    Each frame and each flow pair is read once, and each frame's features
+    are computed once: the static row is the moving row with the flow
+    columns of a zero field and a zero difference.
     """
     spec.validate()
     side = spec.image_side
     table = np.empty((seq.meta.num_frames, 2, FEATURE_DIM))
     zero_flow = np.zeros((2, side, side), dtype=np.float32)
+    mean_mag, max_mag, angle_hist = flow_stats(np.zeros((side, side, 2)))
+    still = np.concatenate([[mean_mag, max_mag], angle_hist])
     shape = prev = None
     for i in range(seq.meta.num_frames):
         frame = seq.frame(i)
@@ -372,11 +376,10 @@ def frame_feature_table(seq: FrameSequence, spec: WindowSpec,
                 f"{seq.meta.video_id}: frame {i} has shape {frame.shape}, "
                 f"expected {shape}")
         rgb = _slot_rgb(frame, side)
-        table[i, 0] = frame_features(rgb, zero_flow, rgb)
-        if prev is None:
-            table[i, 1] = table[i, 0]
-        else:
-            table[i, 1] = frame_features(
-                rgb, _slot_flow(flow_store.pair_flow(i), side), prev)
+        flow = _slot_flow(flow_store.pair_flow(i), side) if i else zero_flow
+        table[i, 1] = frame_features(rgb, flow, prev if i else rgb)
+        table[i, 0] = table[i, 1]
+        table[i, 0, :len(still)] = still  # flow columns
+        table[i, 0, -1] = 0.0  # difference column
         prev = rgb
     return table

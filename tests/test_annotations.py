@@ -8,7 +8,7 @@ from gebd.annotations import (AnnotationParseError, AnnotationSet,
                               RawBoundary, VideoMeta, attach_consistency,
                               compute_f1_consistency, fnv1a64, normalize_track,
                               pairwise_f1, parse_annotations, per_video_rng,
-                              select_gt_highest, select_gt_weighted,
+                              select_gt, select_gt_highest, select_gt_weighted,
                               serialize_annotations)
 
 from conftest import enumerate_matchings
@@ -220,6 +220,19 @@ class TestSelectGT:
         aset = make_set([[1.0], [2.0]], consistencies=[0.5, 0.5])
         picks = {select_gt_weighted(aset, 42).timestamps[0] for _ in range(5)}
         assert len(picks) == 1
+
+    def test_policy_dispatch(self):
+        aset = make_set([[1.0], [2.0], [3.0]], video_id="v9",
+                        consistencies=[0.2, 0.5, 0.3])
+        assert select_gt(aset, "highest", 0) == select_gt_highest(aset)
+        for seed in range(20):
+            assert select_gt(aset, "weighted", seed) == \
+                select_gt_weighted(aset, seed)
+            assert select_gt(aset, f"weighted:{seed}", 99) == \
+                select_gt_weighted(aset, seed)
+        for policy in ("lowest", "weightedx", ""):
+            with pytest.raises(ValueError, match="unknown gt policy"):
+                select_gt(aset, policy, 0)
 
     def test_weighted_all_zero_rejected(self):
         aset = make_set([[1.0], [2.0]], consistencies=[0.0, 0.0])

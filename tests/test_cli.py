@@ -150,6 +150,16 @@ class TestEval:
             "--gt-policy", "weighted:5", "--out", str(tmp_path / "eval"))
         assert code == 0
         assert 0.0 <= float(values["f1"]) <= 1.0
+        # one policy parser: eval and the pipeline reject a policy alike
+        message = "unknown gt policy 'bogus'"
+        code, _, err = run_cli(
+            capsys, "eval", "--predictions", str(pred_csv),
+            "--annotations", str(corpus / "annotations.json"),
+            "--gt-policy", "bogus", "--out", str(tmp_path / "eval2"))
+        assert code == 1 and message in err
+        code, _, err = run_cli(capsys, "pipeline", str(corpus), "--gt-policy",
+                               "bogus", "--out", str(tmp_path / "run"))
+        assert code == 1 and f"stage 'select-gt' failed: {message}" in err
 
 
 class TestPipelineCommand:

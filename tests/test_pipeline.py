@@ -201,6 +201,135 @@ class TestResumption:
         assert not state["flow"]
 
 
+STAGE_NAMES = ["validate", "consistency", "select-gt", "flow", "sample",
+               "train", "score", "detect", "eval", "report"]
+
+
+def ran_stages(manifest):
+    return [s["name"] for s in manifest["stages"] if not s["skipped"]]
+
+
+class TestStageStamps:
+    @pytest.fixture
+    def copied_run(self, finished_run, tmp_path):
+        corpus, out, _ = finished_run
+        copy = tmp_path / "run"
+        shutil.copytree(out, copy)
+        return corpus, copy
+
+    def test_copied_run_stays_fresh(self, copied_run):
+        corpus, out = copied_run
+        manifest = run_pipeline(corpus, out, PipelineConfig(**CFG))
+        assert ran_stages(manifest) == []
+        assert {s["reason"] for s in manifest["stages"]} == {"fresh"}
+
+    def test_workers_change_reruns_nothing(self, copied_run):
+        corpus, out = copied_run
+        manifest = run_pipeline(corpus, out,
+                                PipelineConfig(**dict(CFG, workers=2)))
+        assert ran_stages(manifest) == []
+
+    def test_detect_key_reruns_detect_eval_report(self, copied_run):
+        corpus, out = copied_run
+        before = (out / "predictions.csv").read_bytes()
+        manifest = run_pipeline(
+            corpus, out, PipelineConfig(**dict(CFG, smooth_sigma=4.0,
+                                               score_threshold=0.9)))
+        assert ran_stages(manifest) == ["detect", "eval", "report"]
+        reasons = {s["name"]: s["reason"] for s in manifest["stages"]}
+        assert reasons["score"] == "fresh"
+        assert reasons["detect"] == "stamp-mismatch"
+        assert reasons["eval"] == reasons["report"] == "upstream-ran"
+        assert (out / "predictions.csv").read_bytes() != before
+        # the new config is now the recorded one
+        manifest = run_pipeline(
+            corpus, out, PipelineConfig(**dict(CFG, smooth_sigma=4.0,
+                                               score_threshold=0.9)))
+        assert ran_stages(manifest) == []
+
+    def test_flow_key_reruns_flow_onward(self, copied_run):
+        corpus, out = copied_run
+        manifest = run_pipeline(corpus, out,
+                                PipelineConfig(**dict(CFG, poly_sigma=1.5)))
+        assert ran_stages(manifest) == STAGE_NAMES[3:]
+        sidecars = sorted((out / "flow").glob("*/flow_config.json"))
+        assert len(sidecars) == 3
+        assert all(json.loads(p.read_text())["poly_sigma"] == 1.5
+                   for p in sidecars)
+
+    def test_image_side_reruns_sample_onward(self, copied_run):
+        corpus, out = copied_run
+        tables = sorted((out / "features").glob("*.gebt"))
+        before = [t.read_bytes() for t in tables]
+        manifest = run_pipeline(corpus, out,
+                                PipelineConfig(**dict(CFG, image_side=48)))
+        assert ran_stages(manifest) == STAGE_NAMES[4:]
+        after = [t.read_bytes() for t in tables]
+        assert all(a != b for a, b in zip(after, before))
+
+    def test_interrupted_stage_reruns(self, copied_run, monkeypatch):
+        corpus, out = copied_run
+        os.remove(out / "predictions.csv")
+        pipe = Pipeline(corpus, out, PipelineConfig(**CFG))
+
+        def write_then_crash():
+            Pipeline.stage_detect(pipe)
+            raise RuntimeError("killed")
+        monkeypatch.setattr(pipe, "stage_detect", write_then_crash)
+        with pytest.raises(PipelineError, match="killed"):
+            pipe.run()
+        assert (out / "predictions.csv").exists()
+        on_disk = json.load(open(out / "manifest.json"))
+        assert "detect" not in on_disk["stamps"]
+        assert "score" in on_disk["stamps"]
+        manifest = run_pipeline(corpus, out, PipelineConfig(**CFG))
+        assert ran_stages(manifest) == ["detect", "eval", "report"]
+        assert manifest["stages"][STAGE_NAMES.index("detect")]["reason"] == \
+            "stamp-mismatch"
+
+    def test_stamp_dropped_while_stage_runs(self, copied_run, monkeypatch):
+        corpus, out = copied_run
+        os.remove(out / "scores.csv")
+        pipe = Pipeline(corpus, out, PipelineConfig(**CFG))
+        seen = []
+
+        def score():
+            seen.append(json.load(open(out / "manifest.json"))["stamps"])
+            Pipeline.stage_score(pipe)
+        monkeypatch.setattr(pipe, "stage_score", score)
+        manifest = pipe.run()
+        assert "score" not in seen[0] and "train" in seen[0]
+        assert manifest["stages"][STAGE_NAMES.index("score")]["reason"] == \
+            "missing-output"
+        assert set(manifest["stamps"]) == set(STAGE_NAMES)
+
+    def test_every_config_key_declared(self, finished_run):
+        corpus, out, _ = finished_run
+        stages = Pipeline(corpus, out, PipelineConfig(**CFG)).stages()
+        assert [s[0] for s in stages] == STAGE_NAMES
+        declared = set()
+        for name, deps, keys, _, _ in stages:
+            declared.update(keys)
+            earlier = STAGE_NAMES[:STAGE_NAMES.index(name)]
+            assert set(deps) <= set(earlier) | {"annotations", "frames"}
+        fields = set(PipelineConfig.__dataclass_fields__)
+        assert declared == fields - {"workers"}
+
+    def test_stale_windows_tree_removed(self, copied_run):
+        corpus, out = copied_run
+        # an output directory from before feature tables: window tensors,
+        # and a manifest without stamps
+        stale = out / "windows" / "v000"
+        stale.mkdir(parents=True)
+        write_tensor_file(stale / "win_000000_rgb.gebt", [2], np.zeros(2))
+        doc = json.load(open(out / "manifest.json"))
+        del doc["stamps"]
+        (out / "manifest.json").write_text(json.dumps(doc))
+        manifest = run_pipeline(corpus, out, PipelineConfig(**CFG))
+        assert "sample" in ran_stages(manifest)
+        assert not (out / "windows").exists()
+
+
 class TestWorkerInvariance:
     def test_two_workers_match_single_worker_bytes(self, corpus, tmp_path):
         outs = []
