@@ -128,9 +128,9 @@ _PIPELINE_OVERRIDES = (
 
 def cmd_pipeline(args) -> int:
     overrides = {name: getattr(args, name) for name in _PIPELINE_OVERRIDES}
-    if args.thresholds is not None:
-        overrides["thresholds"] = parse_thresholds(args.thresholds)
     try:
+        if args.thresholds is not None:
+            overrides["thresholds"] = parse_thresholds(args.thresholds)
         config = load_config(args.config, **overrides)
         out_dir = args.out or os.path.join(args.corpus, "run")
         run_pipeline(args.corpus, out_dir, config)

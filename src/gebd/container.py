@@ -10,17 +10,20 @@ a file:
     next 4*ndim  dims, unsigned 32-bit little-endian, each >= 1
     rest         row-major little-endian payload, itemsize * prod(dims) bytes
 
-There is no compression.  Flow fields are float32; per-frame feature tables
-are float64, so the classifier inputs built from them are exact.  Every
-binary artifact in the toolkit goes through this module, and every artifact,
-binary or text, is written through :func:`atomic_open`.
+There is no compression.  Per-video flow tensors are float32 and are written
+chunk by chunk; per-frame feature tables are float64, so the classifier
+inputs built from them are exact.  Every binary artifact in the toolkit goes
+through this module, and every artifact, binary or text, is written through
+:func:`atomic_open`.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import struct
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -56,8 +59,12 @@ def atomic_open(path, mode="w"):
         raise
 
 
-def write_tensor(dims, data, dtype: int = DTYPE_F32) -> bytes:
-    """Serialize ``data`` (flat or shaped array) with shape ``dims`` to GEBT bytes."""
+def _encoded(dims, data, dtype: int):
+    """GEBT bytes in pieces: the header, then each chunk's values.
+
+    ``data`` is an array, or an iterator of arrays whose values, in order,
+    fill ``dims`` row-major; raises after the last one if they do not.
+    """
     dims = [int(d) for d in dims]
     if not 1 <= len(dims) <= MAX_NDIM:
         raise ContainerError(f"ndim must be in [1,{MAX_NDIM}], got {len(dims)}")
@@ -65,25 +72,22 @@ def write_tensor(dims, data, dtype: int = DTYPE_F32) -> bytes:
         raise ContainerError(f"every dim must be >= 1, got {dims}")
     if dtype not in _DTYPES:
         raise ContainerError(f"unsupported dtype code {dtype}")
-    arr = np.asarray(data, dtype=_DTYPES[dtype]).reshape(-1)
-    n = 1
-    for d in dims:
-        n *= d
-    if arr.size != n:
+    yield (MAGIC + struct.pack("<BBB", VERSION, dtype, len(dims))
+           + struct.pack("<" + "I" * len(dims), *dims))
+    n, written = math.prod(dims), 0
+    for chunk in data if isinstance(data, Iterator) else [data]:
+        written += np.size(chunk)
+        yield np.asarray(chunk, dtype=_DTYPES[dtype]).tobytes()
+        del chunk  # freed before the iterator computes the next chunk
+    if written != n:
         raise ContainerError(
-            f"data length mismatch: {arr.size} values for dims {dims} (need {n})"
-        )
-    header = MAGIC + struct.pack("<BBB", VERSION, dtype, len(dims))
-    header += struct.pack("<" + "I" * len(dims), *dims)
-    return header + arr.tobytes()
+            f"data length mismatch: {written} values for dims {dims} (need {n})")
 
 
-def read_tensor(blob: bytes):
-    """Parse GEBT bytes; returns ``(dims, data)`` with ``data`` a flat array.
+def _parse_header(blob: bytes, size: int):
+    """``(dims, dtype, payload offset)`` of a GEBT file of ``size`` bytes.
 
-    ``data`` has the stored dtype (float32 or float64).  Rejects bad magic,
-    unknown version/dtype, out-of-range dims and any payload length mismatch
-    (including trailing bytes).
+    ``blob`` holds the file's first bytes, at least the whole header.
     """
     if len(blob) < 7 or blob[:4] != MAGIC:
         raise ContainerError("not a GEBT file (bad magic)")
@@ -100,27 +104,49 @@ def read_tensor(blob: bytes):
     dims = list(struct.unpack("<" + "I" * ndim, blob[7:dims_end]))
     if any(d < 1 for d in dims):
         raise ContainerError(f"every dim must be >= 1, got {dims}")
-    n = 1
-    for d in dims:
-        n *= d
-    payload = blob[dims_end:]
-    expected = _DTYPES[dtype].itemsize * n
-    if len(payload) != expected:
-        raise ContainerError(
-            f"payload length mismatch: got {len(payload)} bytes, expected {expected}"
-        )
-    data = np.frombuffer(payload, dtype=_DTYPES[dtype]).copy()
-    return dims, data
+    expected = _DTYPES[dtype].itemsize * math.prod(dims)
+    if size - dims_end != expected:
+        raise ContainerError(f"payload length mismatch: got {size - dims_end} "
+                             f"bytes, expected {expected}")
+    return dims, _DTYPES[dtype], dims_end
+
+
+def write_tensor(dims, data, dtype: int = DTYPE_F32) -> bytes:
+    """Serialize ``data`` (flat or shaped array) with shape ``dims`` to GEBT bytes."""
+    return b"".join(_encoded(dims, data, dtype))
+
+
+def read_tensor(blob: bytes):
+    """Parse GEBT bytes; returns ``(dims, data)`` with ``data`` a flat array.
+
+    ``data`` has the stored dtype (float32 or float64).  Rejects bad magic,
+    unknown version/dtype, out-of-range dims and any payload length mismatch
+    (including trailing bytes).
+    """
+    dims, dtype, offset = _parse_header(blob, len(blob))
+    return dims, np.frombuffer(blob, dtype=dtype, offset=offset).copy()
 
 
 def write_tensor_file(path, dims, data, dtype: int = DTYPE_F32) -> None:
-    """Write a GEBT file atomically (see :func:`atomic_open`)."""
-    blob = write_tensor(dims, data, dtype)
+    """Write a GEBT file atomically (see :func:`atomic_open`).
+
+    ``data`` may be an iterator of chunks (see :func:`_encoded`), so a tensor
+    need never be whole in memory; a chunk that raises leaves no file.
+    """
     with atomic_open(path, "wb") as fh:
-        fh.write(blob)
+        for piece in _encoded(dims, data, dtype):
+            fh.write(piece)
+            del piece  # not held while the next chunk is computed
 
 
 def read_tensor_file(path):
-    """Read a GEBT file; returns ``(dims, data)`` like :func:`read_tensor`."""
+    """Read a GEBT file; returns ``(dims, data)`` like :func:`read_tensor`.
+
+    The header is checked against the file size before the payload is read
+    straight into the returned array.
+    """
     with open(path, "rb") as fh:
-        return read_tensor(fh.read())
+        dims, dtype, offset = _parse_header(fh.read(7 + 4 * MAX_NDIM),
+                                            os.fstat(fh.fileno()).st_size)
+        fh.seek(offset)
+        return dims, np.fromfile(fh, dtype=dtype, count=math.prod(dims))

@@ -12,8 +12,10 @@ dependency ran in this invocation, so a changed key reruns exactly the
 stages that read it and those downstream.  A stage's recorded stamp is
 dropped from the manifest on disk before it starts and written back only
 after its outputs exist, so an interrupted stage never looks fresh.  Flow
-extraction dominates runtime and is computed once, offline, per consecutive
-frame pair.
+extraction dominates runtime.  It is computed once, offline, into one
+``flow/<video_id>.gebt`` tensor per video, whose row ``i`` is the flow into
+frame ``i``; the flow stage's stamp alone says whether those files are
+current, so a flow stage that was interrupted recomputes every video.
 
 Per-video work inside a stage can fan out over worker processes; every
 worker writes its own files and aggregation orders by video_id, so results
@@ -22,7 +24,9 @@ are identical for any worker count.
 
 from __future__ import annotations
 
+import itertools
 import json
+import operator
 import os
 import shutil
 import time
@@ -42,8 +46,8 @@ from .evaluation import (evaluate_corpus, write_global_csv, write_per_class_csv,
 from .flow import FlowConfig
 from .postprocess import DetectionConfig, ScoreSequence, scores_to_boundaries
 from .report import TimelineSpec, render_class_bars, render_timeline
-from .windows import (FLOW_SIDECAR, LABEL_BOUNDARY, FlowStore, FrameSequence,
-                      WindowSpec, candidate_timestamps, frame_feature_table,
+from .windows import (LABEL_BOUNDARY, FrameSequence, WindowSpec,
+                      candidate_timestamps, flow_chunks, frame_feature_table,
                       label_windows, window_frame_indices)
 
 DEFAULT_THRESHOLDS = tuple(round(0.05 * k, 2) for k in range(1, 11))
@@ -86,6 +90,14 @@ class PipelineConfig:
     mode: str = "relative"  # "relative" | "window:<seconds>"
     match_policy: str = "optimal"
 
+    def __post_init__(self):
+        # one type per field, so equal settings stamp alike (1 and 1.0 do not)
+        for name, field in self.__dataclass_fields__.items():
+            try:
+                setattr(self, name, _typed(field.type, getattr(self, name)))
+            except (TypeError, ValueError) as e:
+                raise ValueError(f"key {name!r}: {e}") from e
+
     def flow_config(self) -> FlowConfig:
         return FlowConfig(pyramid_levels=self.pyramid_levels,
                           pyramid_scale=self.pyramid_scale,
@@ -110,6 +122,26 @@ class PipelineConfig:
                                min_separation=self.min_separation)
 
 
+_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _typed(kind: str, value):
+    """``value`` as field type ``kind``; a string parses as in a config file."""
+    if kind == "tuple":
+        value = parse_thresholds(value) if isinstance(value, str) else value
+        return tuple(map(float, value))
+    if kind == "bool":
+        word = str(value).lower()  # True -> "true", 0 -> "0"
+        if word not in _BOOLS:
+            raise ValueError(f"expected one of 1/0/true/false/yes/no, got {value!r}")
+        return _BOOLS[word]
+    if kind == "int":  # a float is refused, not truncated
+        return int(value) if isinstance(value, str) else operator.index(value)
+    if kind == "float":
+        return float(value)
+    return str(value)
+
+
 def parse_config_text(text: str) -> dict:
     """Flat key=value lines; '#' starts a comment; values typed per key."""
     out = {}
@@ -123,17 +155,10 @@ def parse_config_text(text: str) -> dict:
         field = PipelineConfig.__dataclass_fields__.get(key)
         if field is None:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
-        kind = field.type  # a string, under postponed annotations
-        if kind == "tuple":
-            out[key] = parse_thresholds(value)
-        elif kind == "bool":
-            out[key] = value.lower() in ("1", "true", "yes")
-        elif kind == "int":
-            out[key] = int(value)
-        elif kind == "str":
-            out[key] = value
-        else:
-            out[key] = float(value)
+        try:
+            out[key] = _typed(field.type, value)
+        except ValueError as e:
+            raise ValueError(f"config line {lineno}: key {key!r}: {e}") from e
     return out
 
 
@@ -141,6 +166,8 @@ def parse_thresholds(text: str) -> tuple:
     """Either 'lo:step:hi' or a comma-separated ascending list."""
     if ":" in text:
         lo, step, hi = (float(v) for v in text.split(":"))
+        if not step > 0:
+            raise ValueError(f"thresholds step must be positive, got {step}")
         values = []
         t = lo
         while t <= hi + 1e-12:
@@ -251,8 +278,8 @@ class Paths:
     def frames_dir(self, vid):
         return os.path.join(self.corpus, "frames", vid)
 
-    def flow_dir(self, vid):
-        return os.path.join(self.out, "flow", vid)
+    def flow_file(self, vid):
+        return os.path.join(self.out, "flow", f"{vid}.gebt")
 
     def feature_table(self, vid):
         return os.path.join(self.out, "features", f"{vid}.gebt")
@@ -306,16 +333,25 @@ def _map_videos(fn, items, workers):
 # stage bodies (module level so worker processes can pickle them)
 
 def _flow_job(args):
-    meta, frame_dir, flow_dir, flow_cfg = args
-    store = FlowStore(FrameSequence(meta, frame_dir), flow_dir, flow_cfg)
-    store.compute_all()
+    meta, frame_dir, flow_path, flow_cfg = args
+    # per-pair flow files written by older versions; nothing reads them
+    shutil.rmtree(os.path.splitext(flow_path)[0], ignore_errors=True)
+    os.makedirs(os.path.dirname(flow_path), exist_ok=True)
+    chunks = flow_chunks(FrameSequence(meta, frame_dir), flow_cfg)
+    zero = next(chunks)  # row 0: its shape gives the frame size
+    write_tensor_file(flow_path, (meta.num_frames,) + zero.shape[1:],
+                      itertools.chain([zero], chunks))
     return meta.video_id
 
 
 def _sample_job(args):
-    (meta, frame_dir, flow_dir, flow_cfg, spec, gt, table_path) = args
+    meta, frame_dir, flow_path, spec, gt, table_path = args
+    dims, flow = read_tensor_file(flow_path)
+    if len(dims) != 4 or dims[0] != meta.num_frames or dims[3] != 2:
+        raise ValueError(f"{flow_path}: expected dims "
+                         f"[{meta.num_frames}, H, W, 2], got {dims}")
     seq = FrameSequence(meta, frame_dir)
-    table = frame_feature_table(seq, spec, FlowStore(seq, flow_dir, flow_cfg))
+    table = frame_feature_table(seq, spec, flow.reshape(dims))
     write_tensor_file(table_path, table.shape, table, DTYPE_F64)
     cands = candidate_timestamps(meta, spec.candidate_stride)
     labels = label_windows(cands, gt, spec.label_tolerance)
@@ -386,7 +422,7 @@ class Pipeline:
 
     def stage_flow(self):
         jobs = [(aset.meta, self.paths.frames_dir(aset.meta.video_id),
-                 self.paths.flow_dir(aset.meta.video_id),
+                 self.paths.flow_file(aset.meta.video_id),
                  self.config.flow_config())
                 for aset in self.sets]
         _map_videos(_flow_job, jobs, self.config.workers)
@@ -401,8 +437,8 @@ class Pipeline:
         for aset in self.sets:
             vid = aset.meta.video_id
             jobs.append((aset.meta, self.paths.frames_dir(vid),
-                         self.paths.flow_dir(vid), self.config.flow_config(),
-                         spec, gt.get(vid, []), self.paths.feature_table(vid)))
+                         self.paths.flow_file(vid), spec, gt.get(vid, []),
+                         self.paths.feature_table(vid)))
         all_rows = _map_videos(_sample_job, jobs, self.config.workers)
         with atomic_open(self.paths.candidates_csv) as fh:
             fh.write("video_id,t,label\n")
@@ -538,12 +574,14 @@ class Pipeline:
             ("consistency", ("annotations",),
              ("consistency_threshold", "use_file_consistency"),
              [p.consistency_csv]),
-            ("select-gt", ("annotations", "consistency"), ("gt_policy", "seed"),
-             [p.gt_csv]),
+            ("select-gt", ("annotations", "consistency"),
+             # only a bare "weighted" policy reads seed
+             ("gt_policy", "seed") if self.config.gt_policy == "weighted"
+             else ("gt_policy",), [p.gt_csv]),
             ("flow", ("annotations", "frames"),
              ("pyramid_levels", "pyramid_scale", "iterations", "poly_window",
               "poly_sigma", "averaging_window"),
-             [os.path.join(p.flow_dir(v), FLOW_SIDECAR) for v in vids]),
+             [p.flow_file(v) for v in vids]),
             ("sample", ("annotations", "frames", "select-gt", "flow"),
              ("stride", "image_side", "label_tolerance"),
              [p.candidates_csv] + [p.feature_table(v) for v in vids]),

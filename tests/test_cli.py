@@ -176,6 +176,19 @@ class TestPipelineCommand:
         assert manifest["config"]["image_side"] == 32
         assert [s["name"] for s in manifest["stages"]][-1] == "report"
 
+    def test_bad_config_value_exits_1(self, corpus, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed=11\nuse_file_consistency=ture\n")
+        out = tmp_path / "run"
+        code, _, err = run_cli(capsys, "pipeline", str(corpus),
+                               "--config", str(cfg), "--out", str(out))
+        assert code == 1
+        assert "config line 2: key 'use_file_consistency'" in err
+        assert not out.exists()
+        code, _, err = run_cli(capsys, "pipeline", str(corpus),
+                               "--thresholds", "0.1:0:0.5", "--out", str(out))
+        assert code == 1 and "step must be positive" in err
+
     def test_missing_corpus_exits_1(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "pipeline", str(tmp_path / "nope"))
         assert code == 1

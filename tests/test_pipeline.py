@@ -45,6 +45,32 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown key"):
             parse_config_text("bogus=1\n")
 
+    @pytest.mark.parametrize("text, key", [
+        ("m=abc", "m"), ("seed=1\nstride=fast", "stride"),
+        ("thresholds=0.1,abc", "thresholds"),
+        ("thresholds=0.1:0.1", "thresholds"),
+        ("thresholds=0.1:0:0.5", "thresholds"),
+        ("use_file_consistency=ture", "use_file_consistency")])
+    def test_bad_value_names_line_and_key(self, text, key):
+        line = text.count("\n") + 1
+        with pytest.raises(ValueError, match=f"config line {line}: key '{key}': "):
+            parse_config_text(text)
+
+    def test_bool_words(self):
+        for word, value in [("1", True), ("TRUE", True), ("Yes", True),
+                            ("0", False), ("false", False), ("NO", False)]:
+            assert parse_config_text(f"use_file_consistency={word}") == \
+                {"use_file_consistency": value}
+
+    def test_values_typed_by_field(self):
+        config = PipelineConfig(smooth_sigma=1, m="3", thresholds=[0.5, 1],
+                                use_file_consistency=1)
+        assert type(config.smooth_sigma) is float and config.m == 3
+        assert config.thresholds == (0.5, 1.0)
+        assert config.use_file_consistency is True
+        with pytest.raises(ValueError, match="key 'm': "):
+            PipelineConfig(m=2.5)  # refused, not truncated
+
     def test_thresholds_forms(self):
         assert parse_thresholds("0.05:0.05:0.2") == (0.05, 0.1, 0.15, 0.2)
         assert parse_thresholds("0.1,0.3") == (0.1, 0.3)
@@ -182,6 +208,15 @@ class TestResumption:
         with pytest.raises(PipelineError, match=f"{table.name}: expected dims"):
             run_pipeline(corpus, out, PipelineConfig(**CFG))
 
+    def test_flow_of_wrong_shape_named(self, corpus, tmp_path):
+        out = tmp_path / "run"
+        run_pipeline(corpus, out, PipelineConfig(**CFG))
+        flow = sorted((out / "flow").glob("*.gebt"))[0]
+        write_tensor_file(flow, [2, 48, 48, 2], np.zeros(2 * 48 * 48 * 2))
+        os.remove(out / "features" / flow.name)
+        with pytest.raises(PipelineError, match=f"{flow.name}: expected dims"):
+            run_pipeline(corpus, out, PipelineConfig(**CFG))
+
     def test_stage_failure_recorded(self, corpus, tmp_path, monkeypatch):
         out = tmp_path / "run"
         config = PipelineConfig(**CFG)
@@ -199,6 +234,11 @@ class TestResumption:
         state = {s["name"]: s["skipped"] for s in manifest["stages"]}
         assert state["validate"] and state["consistency"]
         assert not state["flow"]
+
+
+def video_ids(corpus):
+    return sorted(a.meta.video_id
+                  for a in load_annotations(corpus / "annotations.json"))
 
 
 STAGE_NAMES = ["validate", "consistency", "select-gt", "flow", "sample",
@@ -249,13 +289,38 @@ class TestStageStamps:
 
     def test_flow_key_reruns_flow_onward(self, copied_run):
         corpus, out = copied_run
+        flows = sorted((out / "flow").glob("*.gebt"))
+        before = [f.read_bytes() for f in flows]
         manifest = run_pipeline(corpus, out,
                                 PipelineConfig(**dict(CFG, poly_sigma=1.5)))
         assert ran_stages(manifest) == STAGE_NAMES[3:]
-        sidecars = sorted((out / "flow").glob("*/flow_config.json"))
-        assert len(sidecars) == 3
-        assert all(json.loads(p.read_text())["poly_sigma"] == 1.5
-                   for p in sidecars)
+        assert len(flows) == 3
+        assert all(f.read_bytes() != b for f, b in zip(flows, before))
+        assert not list(out.rglob("flow_config.json"))
+
+    def test_int_for_float_key_reruns_nothing(self, copied_run):
+        corpus, out = copied_run
+        manifest = run_pipeline(corpus, out,
+                                PipelineConfig(**dict(CFG, smooth_sigma=1)))
+        assert ran_stages(manifest) == []
+
+    def test_seed_under_highest_reruns_train_onward(self, copied_run):
+        corpus, out = copied_run
+        manifest = run_pipeline(corpus, out, PipelineConfig(**dict(CFG, seed=12)))
+        assert ran_stages(manifest) == STAGE_NAMES[5:]
+
+    def test_seed_under_bare_weighted_reruns_select_gt_onward(self, corpus,
+                                                               tmp_path):
+        out = tmp_path / "run"
+        cfg = dict(CFG, gt_policy="weighted")
+        run_pipeline(corpus, out, PipelineConfig(**cfg))
+        manifest = run_pipeline(corpus, out, PipelineConfig(**dict(cfg, seed=12)))
+        assert ran_stages(manifest) == ["select-gt"] + STAGE_NAMES[4:]
+        # a policy with its own seed does not read the config's
+        cfg["gt_policy"] = "weighted:3"
+        run_pipeline(corpus, out, PipelineConfig(**cfg))
+        manifest = run_pipeline(corpus, out, PipelineConfig(**dict(cfg, seed=12)))
+        assert ran_stages(manifest) == STAGE_NAMES[5:]
 
     def test_image_side_reruns_sample_onward(self, copied_run):
         corpus, out = copied_run
@@ -329,6 +394,22 @@ class TestStageStamps:
         assert "sample" in ran_stages(manifest)
         assert not (out / "windows").exists()
 
+    def test_stale_flow_dirs_removed(self, copied_run):
+        corpus, out = copied_run
+        # an output directory from before flow tensors: one file per frame
+        # pair and a config sidecar per video, and no flow/<video_id>.gebt
+        for flow in sorted((out / "flow").glob("*.gebt")):
+            stale = out / "flow" / flow.stem
+            stale.mkdir()
+            write_tensor_file(stale / "flow_000001.gebt", [2], np.zeros(2))
+            (stale / "flow_config.json").write_text("{}")
+            flow.unlink()
+        manifest = run_pipeline(corpus, out, PipelineConfig(**CFG))
+        reasons = {s["name"]: s["reason"] for s in manifest["stages"]}
+        assert reasons["flow"] == "missing-output"
+        assert sorted(p.name for p in (out / "flow").iterdir()) == \
+            sorted(f"{v}.gebt" for v in video_ids(corpus))
+
 
 class TestWorkerInvariance:
     def test_two_workers_match_single_worker_bytes(self, corpus, tmp_path):
@@ -344,16 +425,18 @@ class TestWorkerInvariance:
             a = (outs[0] / name).read_bytes()
             b = (outs[1] / name).read_bytes()
             assert a == b, f"{name} differs between worker counts"
-        # every per-video feature table and the candidate/label list
-        vids = sorted(a.meta.video_id
-                      for a in load_annotations(corpus / "annotations.json"))
-        names = sorted(os.listdir(outs[0] / "features"))
-        assert names == ["candidates.csv"] + [f"{v}.gebt" for v in vids]
-        assert sorted(os.listdir(outs[1] / "features")) == names
-        for name in names:
-            assert (outs[0] / "features" / name).read_bytes() == \
-                (outs[1] / "features" / name).read_bytes(), \
-                f"features/{name} differs between worker counts"
+        # every per-video flow tensor and feature table, and the
+        # candidate/label list
+        vids = video_ids(corpus)
+        for sub, names in (("flow", [f"{v}.gebt" for v in vids]),
+                           ("features", ["candidates.csv"]
+                            + [f"{v}.gebt" for v in vids])):
+            assert sorted(os.listdir(outs[0] / sub)) == names
+            assert sorted(os.listdir(outs[1] / sub)) == names
+            for name in names:
+                assert (outs[0] / sub / name).read_bytes() == \
+                    (outs[1] / sub / name).read_bytes(), \
+                    f"{sub}/{name} differs between worker counts"
 
 
 class TestGtPolicies:

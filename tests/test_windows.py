@@ -1,4 +1,3 @@
-import json
 import logging
 import os
 
@@ -7,13 +6,13 @@ import pytest
 
 from gebd.annotations import VideoMeta
 from gebd import windows
-from gebd.container import read_tensor_file, write_tensor_file
-from gebd.flow import FlowConfig, bilinear_resize
+from gebd.container import write_tensor_file
+from gebd.flow import FlowConfig, bilinear_resize, farneback_flow, to_gray
 from gebd.pnm import read_pnm, write_pnm
 from gebd.classifier import FEATURE_DIM, window_features, window_inputs
-from gebd.windows import (LABEL_BACKGROUND, LABEL_BOUNDARY, FlowStore,
-                          FrameSequence, WindowSpec, candidate_timestamps,
-                          extract_window, frame_feature_table, frame_name,
+from gebd.windows import (LABEL_BACKGROUND, LABEL_BOUNDARY, FrameSequence,
+                          WindowSpec, candidate_timestamps, extract_window,
+                          flow_chunks, frame_feature_table, frame_name,
                           label_windows, window_frame_indices)
 
 from conftest import smooth_texture
@@ -148,13 +147,17 @@ class TestFrameSequence:
         assert frame[..., 0] == pytest.approx(frame[..., 2])
 
 
+def flow_tensor(seq, config=FlowConfig(averaging_window=9)):
+    """The video's [N, H, W, 2] flow, rounded to float32 as the flow stage stores it."""
+    return np.concatenate(list(flow_chunks(seq, config))).astype(np.float32)
+
+
 class TestExtractWindow:
     def test_full_resolution_shapes(self, tiny_video):
         meta, d, _ = tiny_video
         seq = FrameSequence(meta, d)
-        store = FlowStore(seq, None, FlowConfig(averaging_window=9))
         spec = WindowSpec(m=5, image_side=224)
-        rgb, flo = extract_window(seq, spec, 1.0, store)
+        rgb, flo = extract_window(seq, spec, 1.0, flow_tensor(seq))
         assert rgb.shape == (10, 3, 224, 224)
         assert flo.shape == (10, 2, 224, 224)
         assert rgb.dtype == np.float32 and flo.dtype == np.float32
@@ -163,15 +166,15 @@ class TestExtractWindow:
         meta = VideoMeta("flat", "c", 1.5, 10.0, 15)
         d = write_video(tmp_path, meta, [np.full((40, 40), 0.5)] * 15)
         seq = FrameSequence(meta, d)
-        store = FlowStore(seq, None, FlowConfig(averaging_window=9))
-        _, flo = extract_window(seq, WindowSpec(m=3, image_side=32), 0.7, store)
+        _, flo = extract_window(seq, WindowSpec(m=3, image_side=32), 0.7,
+                                flow_tensor(seq))
         assert np.abs(flo).max() < 1e-3
 
     def test_first_slot_and_clamped_repeats_zero(self, tiny_video):
         meta, d, _ = tiny_video
         seq = FrameSequence(meta, d)
-        store = FlowStore(seq, None, FlowConfig(averaging_window=9))
-        _, flo = extract_window(seq, WindowSpec(m=3, image_side=32), 0.0, store)
+        _, flo = extract_window(seq, WindowSpec(m=3, image_side=32), 0.0,
+                                flow_tensor(seq))
         # indices clamp to [0,0,0, 0,1,2]: slots 0..3 carry no pair flow
         assert np.abs(flo[:4]).max() == 0.0
         assert np.abs(flo[4:]).max() > 0.0
@@ -181,205 +184,131 @@ class TestExtractWindow:
         d = write_video(tmp_path, meta,
                         [smooth_texture(rng, 64, 64) for _ in range(10)])
         seq = FrameSequence(meta, d)
-        flow_dir = tmp_path / "flow"
-        flow_dir.mkdir()
-        constant = np.zeros((64, 64, 2), dtype=np.float32)
-        constant[..., 0] = 4.0
-        for k in range(1, 10):
-            write_tensor_file(flow_dir / f"flow_{k:06d}.gebt",
-                              constant.shape, constant)
-        store = FlowStore(seq, flow_dir)
-        _, flo = extract_window(seq, WindowSpec(m=2, image_side=32), 0.5, store)
+        constant = np.zeros((10, 64, 64, 2), dtype=np.float32)
+        constant[1:, ..., 0] = 4.0
+        _, flo = extract_window(seq, WindowSpec(m=2, image_side=32), 0.5,
+                                constant)
         assert flo[1, 0] == pytest.approx(np.full((32, 32), 2.0))
         assert flo[1, 1] == pytest.approx(np.zeros((32, 32)))
 
     def test_deterministic_bytes(self, tiny_video):
         meta, d, _ = tiny_video
         seq = FrameSequence(meta, d)
-        store = FlowStore(seq, None, FlowConfig(averaging_window=9))
+        flow = flow_tensor(seq)
         spec = WindowSpec(m=2, image_side=48)
-        a = extract_window(seq, spec, 1.1, store)
-        b = extract_window(seq, spec, 1.1, store)
+        a = extract_window(seq, spec, 1.1, flow)
+        b = extract_window(seq, spec, 1.1, flow)
         assert a[0].tobytes() == b[0].tobytes()
         assert a[1].tobytes() == b[1].tobytes()
 
     def test_resize_consistency(self, tiny_video):
         meta, d, _ = tiny_video
         seq = FrameSequence(meta, d)
-        store = FlowStore(seq, None, FlowConfig(averaging_window=9))
-        big, _ = extract_window(seq, WindowSpec(m=2, image_side=64), 1.0, store)
-        small, _ = extract_window(seq, WindowSpec(m=2, image_side=32), 1.0, store)
+        flow = flow_tensor(seq)
+        big, _ = extract_window(seq, WindowSpec(m=2, image_side=64), 1.0, flow)
+        small, _ = extract_window(seq, WindowSpec(m=2, image_side=32), 1.0, flow)
         for slot in range(4):
             down = np.stack([bilinear_resize(big[slot, ch], 32, 32)
                              for ch in range(3)])
             assert np.abs(down - small[slot]).mean() < 2 / 255
 
 
-class TestFlowStore:
-    def test_cache_round_trip(self, tiny_video, tmp_path):
-        meta, d, _ = tiny_video
-        seq = FrameSequence(meta, d)
-        store = FlowStore(seq, tmp_path / "fl", FlowConfig(averaging_window=9))
-        first = store.pair_flow(3)
-        assert (tmp_path / "fl" / "flow_000003.gebt").exists()
-        again = store.pair_flow(3)
-        assert first.astype(np.float32).tobytes() == \
-            again.astype(np.float32).tobytes()
+def count_reads(monkeypatch):
+    reads = []
 
-    def test_compute_all_writes_sidecar(self, tmp_path, rng):
-        meta = VideoMeta("v", "c", 0.5, 10.0, 5)
-        d = write_video(tmp_path, meta,
-                        [smooth_texture(rng, 32, 32) for _ in range(5)])
-        store = FlowStore(FrameSequence(meta, d), tmp_path / "fl",
-                          FlowConfig(averaging_window=9))
-        store.compute_all()
-        names = sorted(os.listdir(tmp_path / "fl"))
-        assert names == ["flow_000001.gebt", "flow_000002.gebt",
-                         "flow_000003.gebt", "flow_000004.gebt",
-                         "flow_config.json"]
+    def counting(path):
+        reads.append(os.path.basename(path))
+        return read_pnm(path)
+    monkeypatch.setattr(windows, "read_pnm", counting)
+    return reads
 
-    @staticmethod
-    def stored_bytes(flow_dir):
-        return {name: (flow_dir / name).read_bytes()
-                for name in sorted(os.listdir(flow_dir))
-                if name.endswith(".gebt")}
 
-    @staticmethod
-    def count_reads(monkeypatch):
-        reads = []
+class TestFlowChunks:
+    CONFIG = FlowConfig(averaging_window=9)
 
-        def counting(path):
-            reads.append(os.path.basename(path))
-            return read_pnm(path)
-        monkeypatch.setattr(windows, "read_pnm", counting)
-        return reads
-
-    def test_compute_all_reads_each_frame_once(self, tiny_video, tmp_path,
-                                               monkeypatch):
-        meta, d, _ = tiny_video
-        config = FlowConfig(averaging_window=9)
+    def test_chunks_read_each_frame_once_and_equal_per_pair(
+            self, tiny_video, monkeypatch):
+        meta, d, frames = tiny_video
         # chunks of 3 pairs, so 19 pairs end in a short chunk
         monkeypatch.setattr(windows, "PAIR_CHUNK_PIXELS", 3 * 40 * 40)
-        reads = self.count_reads(monkeypatch)
-        store = FlowStore(FrameSequence(meta, d), tmp_path / "fl", config)
-        store.compute_all()
+        reads = count_reads(monkeypatch)
+        chunks = list(flow_chunks(FrameSequence(meta, d), self.CONFIG))
         assert sorted(reads) == [f"{frame_name(i)}.pgm" for i in range(20)]
-        on_demand = FlowStore(FrameSequence(meta, d), None, config)
+        assert [len(c) for c in chunks] == [1, 3, 3, 3, 3, 3, 3, 1]
+        flow = np.concatenate(chunks)
+        assert flow.shape == (20, 40, 40, 2)
+        assert not flow[0].any()
+        seq = FrameSequence(meta, d)
         for k in range(1, 20):
-            dims, data = read_tensor_file(tmp_path / "fl" / f"flow_{k:06d}.gebt")
-            assert dims == [40, 40, 2]
-            assert data.tobytes() == \
-                on_demand.pair_flow(k).astype(np.float32).tobytes()
+            want = farneback_flow(to_gray(seq.frame(k - 1)),
+                                  to_gray(seq.frame(k)), self.CONFIG)
+            assert flow[k].tobytes() == want.tobytes()
 
-    def test_changed_config_recomputes_pairs(self, tiny_video, tmp_path):
-        meta, d, _ = tiny_video
-        flow_dir = tmp_path / "fl"
+    def test_one_frame_video(self, tmp_path, rng):
+        meta = VideoMeta("still", "c", 0.1, 10.0, 1)
+        d = write_video(tmp_path, meta, [smooth_texture(rng, 32, 32)])
         seq = FrameSequence(meta, d)
-        FlowStore(seq, flow_dir, FlowConfig(averaging_window=9)).compute_all()
-        old = self.stored_bytes(flow_dir)
-        other = FlowConfig(averaging_window=11)
-        # on-demand reads ignore pairs stored under another config
-        fresh = FlowStore(seq, None, other).pair_flow(4)
-        assert np.array_equal(FlowStore(seq, flow_dir, other).pair_flow(4), fresh)
-        FlowStore(seq, flow_dir, other).compute_all()
-        new = self.stored_bytes(flow_dir)
-        assert new.keys() == old.keys()
-        assert all(new[name] != old[name] for name in old)
-        _, data = read_tensor_file(flow_dir / "flow_000004.gebt")
-        assert data.tobytes() == fresh.astype(np.float32).tobytes()
-        with open(flow_dir / "flow_config.json", encoding="utf-8") as fh:
-            assert json.load(fh)["averaging_window"] == 11
+        flow = flow_tensor(seq, self.CONFIG)
+        assert flow.shape == (1, 32, 32, 2) and not flow.any()
+        spec = WindowSpec(m=2, image_side=32)
+        table = frame_feature_table(seq, spec, flow)
+        assert table.shape == (1, 2, FEATURE_DIM)
+        assert np.array_equal(table[0, 0], table[0, 1])
+        got = window_inputs(table, [window_frame_indices(0.05, meta, 2)])
+        assert np.array_equal(
+            got[0], window_features(*extract_window(seq, spec, 0.05, flow)))
 
-    def test_missing_sidecar_recomputes_pairs(self, tmp_path, rng):
-        meta = VideoMeta("v", "c", 0.4, 10.0, 4)
-        d = write_video(tmp_path, meta,
-                        [smooth_texture(rng, 32, 32) for _ in range(4)])
-        flow_dir = tmp_path / "fl"
-        flow_dir.mkdir()
-        constant = np.full((32, 32, 2), 4.0, dtype=np.float32)
-        for k in range(1, 4):
-            write_tensor_file(flow_dir / f"flow_{k:06d}.gebt",
-                              constant.shape, constant)
-        seq = FrameSequence(meta, d)
-        config = FlowConfig(averaging_window=9)
-        FlowStore(seq, flow_dir, config).compute_all()
-        on_demand = FlowStore(seq, None, config)
-        for k in range(1, 4):
-            _, data = read_tensor_file(flow_dir / f"flow_{k:06d}.gebt")
-            assert data.tobytes() == \
-                on_demand.pair_flow(k).astype(np.float32).tobytes()
-
-    def test_partial_directory_resumed(self, tiny_video, tmp_path,
-                                       monkeypatch):
+    def test_interrupted_write_leaves_no_file(self, tiny_video, tmp_path,
+                                              monkeypatch):
         meta, d, _ = tiny_video
-        flow_dir = tmp_path / "fl"
-        config = FlowConfig(averaging_window=9)
-        FlowStore(FrameSequence(meta, d), flow_dir, config).compute_all()
-        complete = self.stored_bytes(flow_dir)
-        # a kept pair is reused as stored, not recomputed
-        marker = np.zeros((40, 40, 2), dtype=np.float32)
-        write_tensor_file(flow_dir / "flow_000001.gebt", marker.shape, marker)
-        for k in (3, 7, 8):
-            os.remove(flow_dir / f"flow_{k:06d}.gebt")
-        reads = self.count_reads(monkeypatch)
-        FlowStore(FrameSequence(meta, d), flow_dir, config).compute_all()
-        assert sorted(reads) == [f"{frame_name(i)}.pgm"
-                                 for i in (2, 3, 6, 7, 8)]
-        resumed = self.stored_bytes(flow_dir)
-        assert resumed.pop("flow_000001.gebt") != complete.pop("flow_000001.gebt")
-        assert resumed == complete
-
-    def test_interrupted_recompute_leaves_no_stale_pair(self, tiny_video,
-                                                        tmp_path, monkeypatch):
-        meta, d, _ = tiny_video
-        flow_dir = tmp_path / "fl"
-        seq = FrameSequence(meta, d)
-        FlowStore(seq, flow_dir, FlowConfig(averaging_window=9)).compute_all()
+        (tmp_path / "flow").mkdir()
+        path = tmp_path / "flow" / "tiny.gebt"
+        path.write_bytes(b"previous")
 
         def crash(frames, config):
             raise KeyboardInterrupt
         monkeypatch.setattr(windows, "video_flow", crash)
         with pytest.raises(KeyboardInterrupt):
-            FlowStore(seq, flow_dir, FlowConfig(averaging_window=11)).compute_all()
-        assert os.listdir(flow_dir) == ["flow_config.json"]
+            write_tensor_file(path, [20, 40, 40, 2],
+                              flow_chunks(FrameSequence(meta, d), self.CONFIG))
+        assert os.listdir(tmp_path / "flow") == ["tiny.gebt"]
+        assert path.read_bytes() == b"previous"
 
 
 class TestFrameFeatureTable:
     @pytest.fixture
-    def stored(self, tiny_video, tmp_path):
+    def stored(self, tiny_video):
         meta, d, _ = tiny_video
         seq = FrameSequence(meta, d)
-        store = FlowStore(seq, tmp_path / "fl", FlowConfig(averaging_window=9))
-        store.compute_all()
-        return seq, store
+        return seq, flow_tensor(seq)
 
     # clip start (clamped), middle, and clamped end of the 20-frame clip
     @pytest.mark.parametrize("t", [0.0, 1.0, 1.95])
     @pytest.mark.parametrize("m", [1, 2, 5])
     def test_inputs_equal_window_features(self, stored, m, t):
-        seq, store = stored
+        seq, flow = stored
         spec = WindowSpec(m=m, image_side=32)
-        table = frame_feature_table(seq, spec, store)
+        table = frame_feature_table(seq, spec, flow)
         assert table.shape == (20, 2, FEATURE_DIM)
         got = window_inputs(table, [window_frame_indices(t, seq.meta, m)])
-        want = window_features(*extract_window(seq, spec, t, store))
+        want = window_features(*extract_window(seq, spec, t, flow))
         assert got.shape == (1, 2 * FEATURE_DIM)
         assert np.array_equal(got[0], want)
 
     def test_batched_rows_equal_single_windows(self, stored):
-        seq, store = stored
+        seq, flow = stored
         spec = WindowSpec(m=3, image_side=32, candidate_stride=0.15)
-        table = frame_feature_table(seq, spec, store)
+        table = frame_feature_table(seq, spec, flow)
         cands = candidate_timestamps(seq.meta, spec.candidate_stride)
         got = window_inputs(table, [window_frame_indices(t, seq.meta, 3)
                                     for t in cands])
         for row, t in zip(got, cands):
             assert np.array_equal(
-                row, window_features(*extract_window(seq, spec, t, store)))
+                row, window_features(*extract_window(seq, spec, t, flow)))
 
     def test_static_and_moving_rows(self, stored):
-        seq, store = stored
-        table = frame_feature_table(seq, WindowSpec(m=2, image_side=32), store)
+        seq, flow = stored
+        table = frame_feature_table(seq, WindowSpec(m=2, image_side=32), flow)
         assert np.array_equal(table[0, 1], table[0, 0])
         assert np.all(table[:, 0, :2] == 0.0) and np.all(table[:, 0, 26] == 0.0)
         assert np.all(table[1:, 1, 26] > 0.0)  # textures differ frame to frame
@@ -387,17 +316,17 @@ class TestFrameFeatureTable:
         assert np.array_equal(table[:, 0, 10:26], table[:, 1, 10:26])
 
     def test_reads_each_frame_and_pair_once(self, stored, monkeypatch):
-        seq, store = stored
-        reads = TestFlowStore.count_reads(monkeypatch)
-        pairs = []
+        seq, flow = stored
+        reads = count_reads(monkeypatch)
+        rows = []
 
-        def counting(path):
-            pairs.append(os.path.basename(path))
-            return read_tensor_file(path)
-        monkeypatch.setattr(windows, "read_tensor_file", counting)
-        frame_feature_table(seq, WindowSpec(m=5, image_side=32), store)
+        class CountingRows:
+            def __getitem__(self, i):
+                rows.append(i)
+                return flow[i]
+        frame_feature_table(seq, WindowSpec(m=5, image_side=32), CountingRows())
         assert sorted(reads) == [f"{frame_name(i)}.pgm" for i in range(20)]
-        assert sorted(pairs) == [f"flow_{k:06d}.gebt" for k in range(1, 20)]
+        assert sorted(rows) == list(range(20))
 
     def test_mismatched_frame_shape_named(self, tmp_path, rng):
         meta = VideoMeta("odd", "c", 0.3, 10.0, 3)
@@ -406,7 +335,9 @@ class TestFrameFeatureTable:
         seq = FrameSequence(meta, d)
         with pytest.raises(ValueError, match="frame 2 has shape"):
             frame_feature_table(seq, WindowSpec(m=1, image_side=32),
-                                FlowStore(seq, None))
+                                np.zeros((3, 32, 32, 2)))
+        with pytest.raises(ValueError, match="frame 2 has shape"):
+            list(flow_chunks(FrameSequence(meta, d)))
 
 
 def test_pnm_round_trip(tmp_path, rng):
