@@ -2,8 +2,9 @@
 """Walkthrough: the whole pipeline on a generated corpus.
 
 Generates a few synthetic moving-rectangle videos with planted boundaries,
-runs every stage (flow, windows, training, scoring, detection, evaluation,
-reports), and prints the headline numbers.  Roughly ten seconds of compute;
+runs every stage (flow and per-frame features, candidate sampling,
+training, scoring, detection, evaluation, reports), and prints the
+headline numbers.  Roughly ten seconds of compute;
 artifacts land in ./demo_run so you can inspect the CSVs and SVGs.
 
 The same flow is available from the shell:

@@ -49,8 +49,9 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive")
         if not 0 < self.decay_factor <= 1:
             raise ValueError("decay_factor must be in (0,1]")
-        if self.decay_every < 1 or self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("decay_every, epochs and batch_size must be >= 1")
+        for name in ("decay_every", "epochs", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
 
 
 @dataclass

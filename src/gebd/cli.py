@@ -8,7 +8,7 @@ Subcommands::
     gebd pipeline  run the staged end-to-end pipeline on a corpus
 
 Standard output carries only machine-parseable ``key=value`` lines;
-diagnostics go to standard error.  Exit codes: 0 success, 1 parse or
+diagnostics go to standard error.  Exit codes: 0 success, 1 usage, parse or
 validation failure, 2 video_id mismatch between files.
 """
 
@@ -123,14 +123,12 @@ _PIPELINE_OVERRIDES = (
     "bg_ratio", "label_tolerance", "consistency_threshold",
     "use_file_consistency", "pyramid_levels", "pyramid_scale", "iterations",
     "poly_window", "poly_sigma", "averaging_window", "lr", "decay_factor",
-    "decay_every", "epochs", "batch_size", "match_policy")
+    "decay_every", "epochs", "batch_size", "match_policy", "thresholds")
 
 
 def cmd_pipeline(args) -> int:
     overrides = {name: getattr(args, name) for name in _PIPELINE_OVERRIDES}
     try:
-        if args.thresholds is not None:
-            overrides["thresholds"] = parse_thresholds(args.thresholds)
         config = load_config(args.config, **overrides)
         out_dir = args.out or os.path.join(args.corpus, "run")
         run_pipeline(args.corpus, out_dir, config)
@@ -233,7 +231,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:  # argparse exits 2 on a usage error; 2 is a mismatch here
+        return EXIT_INVALID if e.code == 2 else e.code
     return args.func(args)
 
 

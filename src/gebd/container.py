@@ -10,11 +10,10 @@ a file:
     next 4*ndim  dims, unsigned 32-bit little-endian, each >= 1
     rest         row-major little-endian payload, itemsize * prod(dims) bytes
 
-There is no compression.  Per-video flow tensors are float32 and are written
-chunk by chunk; per-frame feature tables are float64, so the classifier
-inputs built from them are exact.  Every binary artifact in the toolkit goes
-through this module, and every artifact, binary or text, is written through
-:func:`atomic_open`.
+There is no compression.  Per-frame feature tables are float64, so the
+classifier inputs built from them are exact.  Every binary artifact in the
+toolkit goes through this module, and every artifact, binary or text, is
+written through :func:`atomic_open`.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ import contextlib
 import math
 import os
 import struct
-from collections.abc import Iterator
 
 import numpy as np
 
@@ -59,31 +57,6 @@ def atomic_open(path, mode="w"):
         raise
 
 
-def _encoded(dims, data, dtype: int):
-    """GEBT bytes in pieces: the header, then each chunk's values.
-
-    ``data`` is an array, or an iterator of arrays whose values, in order,
-    fill ``dims`` row-major; raises after the last one if they do not.
-    """
-    dims = [int(d) for d in dims]
-    if not 1 <= len(dims) <= MAX_NDIM:
-        raise ContainerError(f"ndim must be in [1,{MAX_NDIM}], got {len(dims)}")
-    if any(d < 1 for d in dims):
-        raise ContainerError(f"every dim must be >= 1, got {dims}")
-    if dtype not in _DTYPES:
-        raise ContainerError(f"unsupported dtype code {dtype}")
-    yield (MAGIC + struct.pack("<BBB", VERSION, dtype, len(dims))
-           + struct.pack("<" + "I" * len(dims), *dims))
-    n, written = math.prod(dims), 0
-    for chunk in data if isinstance(data, Iterator) else [data]:
-        written += np.size(chunk)
-        yield np.asarray(chunk, dtype=_DTYPES[dtype]).tobytes()
-        del chunk  # freed before the iterator computes the next chunk
-    if written != n:
-        raise ContainerError(
-            f"data length mismatch: {written} values for dims {dims} (need {n})")
-
-
 def _parse_header(blob: bytes, size: int):
     """``(dims, dtype, payload offset)`` of a GEBT file of ``size`` bytes.
 
@@ -113,7 +86,20 @@ def _parse_header(blob: bytes, size: int):
 
 def write_tensor(dims, data, dtype: int = DTYPE_F32) -> bytes:
     """Serialize ``data`` (flat or shaped array) with shape ``dims`` to GEBT bytes."""
-    return b"".join(_encoded(dims, data, dtype))
+    dims = [int(d) for d in dims]
+    if not 1 <= len(dims) <= MAX_NDIM:
+        raise ContainerError(f"ndim must be in [1,{MAX_NDIM}], got {len(dims)}")
+    if any(d < 1 for d in dims):
+        raise ContainerError(f"every dim must be >= 1, got {dims}")
+    if dtype not in _DTYPES:
+        raise ContainerError(f"unsupported dtype code {dtype}")
+    n = math.prod(dims)
+    if np.size(data) != n:
+        raise ContainerError(f"data length mismatch: {np.size(data)} values "
+                             f"for dims {dims} (need {n})")
+    return (MAGIC + struct.pack("<BBB", VERSION, dtype, len(dims))
+            + struct.pack("<" + "I" * len(dims), *dims)
+            + np.asarray(data, dtype=_DTYPES[dtype]).tobytes())
 
 
 def read_tensor(blob: bytes):
@@ -128,15 +114,9 @@ def read_tensor(blob: bytes):
 
 
 def write_tensor_file(path, dims, data, dtype: int = DTYPE_F32) -> None:
-    """Write a GEBT file atomically (see :func:`atomic_open`).
-
-    ``data`` may be an iterator of chunks (see :func:`_encoded`), so a tensor
-    need never be whole in memory; a chunk that raises leaves no file.
-    """
+    """Write a GEBT file atomically (see :func:`atomic_open`)."""
     with atomic_open(path, "wb") as fh:
-        for piece in _encoded(dims, data, dtype):
-            fh.write(piece)
-            del piece  # not held while the next chunk is computed
+        fh.write(write_tensor(dims, data, dtype))
 
 
 def read_tensor_file(path):

@@ -24,6 +24,7 @@ Two pairing policies are provided:
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -357,6 +358,7 @@ def write_per_class_csv(path, report: EvalReport, classes) -> None:
         label = classes[vid]
         counts[label] = counts.get(label, 0) + 1
     with atomic_open(path) as fh:
-        fh.write("class,mean_f1,n_videos\n")
+        writer = csv.writer(fh, lineterminator="\n")  # quotes a label with a comma
+        writer.writerow(["class", "mean_f1", "n_videos"])
         for label, mean_f1 in report.per_class:
-            fh.write(f"{label},{mean_f1:.6f},{counts[label]}\n")
+            writer.writerow([label, f"{mean_f1:.6f}", counts[label]])

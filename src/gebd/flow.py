@@ -21,7 +21,7 @@ expansion once, and refines all ``N - 1`` consecutive pairs together, so
 every numpy call covers the whole stack.  Callers bound memory by passing
 chunks of about :data:`PAIR_CHUNK_PIXELS` frame pixels, each chunk sharing
 its first frame with the previous chunk's last, as
-:func:`gebd.windows.flow_chunks` does to stream a video's flow to disk.
+:func:`gebd.windows.frame_feature_table` does.
 :func:`farneback_flow` is the two-frame case of the same code.  The
 pyramid, expansion and refinement functions accept leading batch axes in
 front of ``(H, W)``.

@@ -12,10 +12,11 @@ dependency ran in this invocation, so a changed key reruns exactly the
 stages that read it and those downstream.  A stage's recorded stamp is
 dropped from the manifest on disk before it starts and written back only
 after its outputs exist, so an interrupted stage never looks fresh.  Flow
-extraction dominates runtime.  It is computed once, offline, into one
-``flow/<video_id>.gebt`` tensor per video, whose row ``i`` is the flow into
-frame ``i``; the flow stage's stamp alone says whether those files are
-current, so a flow stage that was interrupted recomputes every video.
+extraction dominates runtime.  The flow stage reads each frame once,
+computes the flow into it and writes the video's per-frame feature table,
+``features/<video_id>.gebt``; no flow is stored.  Its stamp alone says
+whether those tables are current, so a flow stage that was interrupted
+recomputes every video.  Sample only lists candidates and their labels.
 
 Per-video work inside a stage can fan out over worker processes; every
 worker writes its own files and aggregation orders by video_id, so results
@@ -24,7 +25,7 @@ are identical for any worker count.
 
 from __future__ import annotations
 
-import itertools
+import csv
 import json
 import operator
 import os
@@ -41,14 +42,14 @@ from .annotations import (attach_consistency, load_annotations, normalize_track,
 from .classifier import (FEATURE_DIM, TrainConfig, load_model, save_model,
                          score_sequence, train_logistic, window_inputs)
 from .container import DTYPE_F64, atomic_open, read_tensor_file, write_tensor_file
-from .evaluation import (evaluate_corpus, write_global_csv, write_per_class_csv,
-                         write_per_video_csv)
+from .evaluation import (POLICIES, evaluate_corpus, write_global_csv,
+                         write_per_class_csv, write_per_video_csv)
 from .flow import FlowConfig
 from .postprocess import DetectionConfig, ScoreSequence, scores_to_boundaries
 from .report import TimelineSpec, render_class_bars, render_timeline
 from .windows import (LABEL_BOUNDARY, FrameSequence, WindowSpec,
-                      candidate_timestamps, flow_chunks, frame_feature_table,
-                      label_windows, window_frame_indices)
+                      candidate_timestamps, frame_feature_table, label_windows,
+                      window_frame_indices)
 
 DEFAULT_THRESHOLDS = tuple(round(0.05 * k, 2) for k in range(1, 11))
 
@@ -97,6 +98,23 @@ class PipelineConfig:
                 setattr(self, name, _typed(field.type, getattr(self, name)))
             except (TypeError, ValueError) as e:
                 raise ValueError(f"key {name!r}: {e}") from e
+        # the stages' own checks, so a bad value fails before stage 1;
+        # gt_policy is left to select-gt, which parses it
+        for validate in (self.flow_config().validate, self.window_spec().validate,
+                         self.train_config().validate,
+                         self.detection_config().validate):
+            try:
+                validate()
+            except ValueError as e:  # each message starts with its field's name
+                word = str(e).split()[0]
+                raise ValueError(f"key {_CONFIG_KEYS.get(word, word)!r}: {e}") from e
+        try:
+            parse_mode(self.mode)
+        except ValueError as e:
+            raise ValueError(f"key 'mode': {e}") from e
+        if self.match_policy not in POLICIES:
+            raise ValueError(f"key 'match_policy': unknown policy "
+                             f"{self.match_policy!r}, expected one of {POLICIES}")
 
     def flow_config(self) -> FlowConfig:
         return FlowConfig(pyramid_levels=self.pyramid_levels,
@@ -122,14 +140,21 @@ class PipelineConfig:
                                min_separation=self.min_separation)
 
 
+# library field names that differ from the config key that sets them
+_CONFIG_KEYS = {"iterations_per_level": "iterations",
+                "candidate_stride": "stride", "learning_rate": "lr"}
+
 _BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
 def _typed(kind: str, value):
     """``value`` as field type ``kind``; a string parses as in a config file."""
-    if kind == "tuple":
-        value = parse_thresholds(value) if isinstance(value, str) else value
-        return tuple(map(float, value))
+    if kind == "tuple":  # thresholds, the one tuple field
+        value = tuple(map(float, parse_thresholds(value) if isinstance(value, str)
+                          else value))
+        if not value or any(b <= a for a, b in zip(value, value[1:])):
+            raise ValueError(f"expected a strictly ascending list, got {value}")
+        return value
     if kind == "bool":
         word = str(value).lower()  # True -> "true", 0 -> "0"
         if word not in _BOOLS:
@@ -278,9 +303,6 @@ class Paths:
     def frames_dir(self, vid):
         return os.path.join(self.corpus, "frames", vid)
 
-    def flow_file(self, vid):
-        return os.path.join(self.out, "flow", f"{vid}.gebt")
-
     def feature_table(self, vid):
         return os.path.join(self.out, "features", f"{vid}.gebt")
 
@@ -333,29 +355,10 @@ def _map_videos(fn, items, workers):
 # stage bodies (module level so worker processes can pickle them)
 
 def _flow_job(args):
-    meta, frame_dir, flow_path, flow_cfg = args
-    # per-pair flow files written by older versions; nothing reads them
-    shutil.rmtree(os.path.splitext(flow_path)[0], ignore_errors=True)
-    os.makedirs(os.path.dirname(flow_path), exist_ok=True)
-    chunks = flow_chunks(FrameSequence(meta, frame_dir), flow_cfg)
-    zero = next(chunks)  # row 0: its shape gives the frame size
-    write_tensor_file(flow_path, (meta.num_frames,) + zero.shape[1:],
-                      itertools.chain([zero], chunks))
-    return meta.video_id
-
-
-def _sample_job(args):
-    meta, frame_dir, flow_path, spec, gt, table_path = args
-    dims, flow = read_tensor_file(flow_path)
-    if len(dims) != 4 or dims[0] != meta.num_frames or dims[3] != 2:
-        raise ValueError(f"{flow_path}: expected dims "
-                         f"[{meta.num_frames}, H, W, 2], got {dims}")
-    seq = FrameSequence(meta, frame_dir)
-    table = frame_feature_table(seq, spec, flow.reshape(dims))
+    meta, frame_dir, table_path, spec, flow_cfg = args
+    table = frame_feature_table(FrameSequence(meta, frame_dir), spec, flow_cfg)
     write_tensor_file(table_path, table.shape, table, DTYPE_F64)
-    cands = candidate_timestamps(meta, spec.candidate_stride)
-    labels = label_windows(cands, gt, spec.label_tolerance)
-    return [(meta.video_id, t, label) for t, label in zip(cands, labels)]
+    return meta.video_id
 
 
 class PipelineError(RuntimeError):
@@ -421,29 +424,27 @@ class Pipeline:
         write_boundary_csv(self.paths.gt_csv, gt)
 
     def stage_flow(self):
+        # flow and window tensors written by older versions; nothing reads them
+        for stale in ("flow", "windows"):
+            shutil.rmtree(os.path.join(self.paths.out, stale), ignore_errors=True)
+        os.makedirs(self.paths.features_dir, exist_ok=True)
+        spec, flow_cfg = self.config.window_spec(), self.config.flow_config()
         jobs = [(aset.meta, self.paths.frames_dir(aset.meta.video_id),
-                 self.paths.flow_file(aset.meta.video_id),
-                 self.config.flow_config())
+                 self.paths.feature_table(aset.meta.video_id), spec, flow_cfg)
                 for aset in self.sets]
         _map_videos(_flow_job, jobs, self.config.workers)
 
     def stage_sample(self):
-        # window tensors written by older versions; nothing reads them
-        shutil.rmtree(os.path.join(self.paths.out, "windows"), ignore_errors=True)
         gt = read_boundary_csv(self.paths.gt_csv)
         spec = self.config.window_spec()
-        os.makedirs(self.paths.features_dir, exist_ok=True)
-        jobs = []
-        for aset in self.sets:
-            vid = aset.meta.video_id
-            jobs.append((aset.meta, self.paths.frames_dir(vid),
-                         self.paths.flow_file(vid), spec, gt.get(vid, []),
-                         self.paths.feature_table(vid)))
-        all_rows = _map_videos(_sample_job, jobs, self.config.workers)
         with atomic_open(self.paths.candidates_csv) as fh:
             fh.write("video_id,t,label\n")
-            for rows in all_rows:
-                for vid, t, label in rows:
+            for aset in self.sets:
+                vid = aset.meta.video_id
+                cands = candidate_timestamps(aset.meta, spec.candidate_stride)
+                labels = label_windows(cands, gt.get(vid, []),
+                                       spec.label_tolerance)
+                for t, label in zip(cands, labels):
                     fh.write(f"{vid},{t!r},{label}\n")
 
     def _candidates(self):
@@ -509,7 +510,7 @@ class Pipeline:
                  for seq in sequences}
         write_boundary_csv(self.paths.predictions_csv, preds)
 
-    def _eval_report(self):
+    def stage_eval(self):
         preds = read_boundary_csv(self.paths.predictions_csv)
         gt = read_boundary_csv(self.paths.gt_csv)
         for aset in self.sets:  # videos whose GT is empty still count
@@ -517,14 +518,11 @@ class Pipeline:
         durations = {a.meta.video_id: a.meta.duration for a in self.sets}
         classes = {a.meta.video_id: a.meta.class_label for a in self.sets}
         mode, window = parse_mode(self.config.mode)
-        return evaluate_corpus(
+        report = evaluate_corpus(
             preds, gt, durations, classes,
             thresholds=self.config.thresholds,
             primary_threshold=self.config.threshold,
-            mode=mode, window=window, policy=self.config.match_policy), classes
-
-    def stage_eval(self):
-        report, classes = self._eval_report()
+            mode=mode, window=window, policy=self.config.match_policy)
         write_global_csv(self.paths.eval_global_csv, report)
         write_per_video_csv(self.paths.eval_per_video_csv, report)
         write_per_class_csv(self.paths.eval_per_class_csv, report, classes)
@@ -544,12 +542,11 @@ class Pipeline:
             with atomic_open(os.path.join(self.paths.report_dir,
                                           f"timeline_{vid}.svg")) as fh:
                 fh.write(svg)
-        per_class = []
-        with open(self.paths.eval_per_class_csv, "r", encoding="utf-8") as fh:
-            next(fh)
-            for line in fh:
-                label, mean_f1, _ = line.strip().split(",")
-                per_class.append((label, float(mean_f1)))
+        with open(self.paths.eval_per_class_csv, "r", encoding="utf-8",
+                  newline="") as fh:
+            rows = csv.reader(fh)
+            next(rows)
+            per_class = [(label, float(mean_f1)) for label, mean_f1, _ in rows]
         k = min(10, len(per_class))
         top = per_class[:k]
         bottom = sorted(per_class, key=lambda lv: (lv[1], lv[0]))[:k]
@@ -580,15 +577,15 @@ class Pipeline:
              else ("gt_policy",), [p.gt_csv]),
             ("flow", ("annotations", "frames"),
              ("pyramid_levels", "pyramid_scale", "iterations", "poly_window",
-              "poly_sigma", "averaging_window"),
-             [p.flow_file(v) for v in vids]),
-            ("sample", ("annotations", "frames", "select-gt", "flow"),
-             ("stride", "image_side", "label_tolerance"),
-             [p.candidates_csv] + [p.feature_table(v) for v in vids]),
-            ("train", ("annotations", "sample"),
+              "poly_sigma", "averaging_window", "image_side"),
+             [p.feature_table(v) for v in vids]),
+            ("sample", ("annotations", "select-gt"),
+             ("stride", "label_tolerance"), [p.candidates_csv]),
+            ("train", ("annotations", "flow", "sample"),
              ("m", "bg_ratio", "seed", "lr", "decay_factor", "decay_every",
               "epochs", "batch_size"), [p.model_json, p.loss_csv]),
-            ("score", ("annotations", "sample", "train"), ("m",), [p.scores_csv]),
+            ("score", ("annotations", "flow", "sample", "train"), ("m",),
+             [p.scores_csv]),
             ("detect", ("score",),
              ("smooth_sigma", "score_threshold", "min_separation"),
              [p.predictions_csv]),
@@ -679,7 +676,10 @@ def parse_mode(text: str):
     if text == "relative":
         return "relative", None
     if text.startswith("window:"):
-        return "absolute_window", float(text.split(":", 1)[1])
+        window = float(text.split(":", 1)[1])
+        if not window > 0:
+            raise ValueError(f"evaluation window must be positive, got {text!r}")
+        return "absolute_window", window
     raise ValueError(f"unknown evaluation mode {text!r}")
 
 

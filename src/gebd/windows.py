@@ -6,10 +6,9 @@ candidates near the clip edges clamp-and-repeat frames so the candidate grid
 stays uniform.  Each candidate gets a boundary/background label from a
 ground-truth boundary list.
 
-:func:`flow_chunks` yields a video's flow as one ``[N, H, W, 2]`` tensor,
-row ``i`` being the flow into frame ``i`` and row 0 zero, in chunks of
-bounded size.  :func:`extract_window` turns a directory of per-frame images
-(``frame_%06d.pgm``/``.ppm``) plus that tensor into the two window tensors
+:func:`extract_window` turns a directory of per-frame images
+(``frame_%06d.pgm``/``.ppm``) and the video's ``[N, H, W, 2]`` flow (row
+``i`` the flow into frame ``i``, row 0 zero) into two window tensors
 
     rgb  : (2m, 3, S, S)   frame intensities in [0,1]
     flow : (2m, 2, S, S)   (dx, dy) in resized-pixel units
@@ -17,9 +16,9 @@ bounded size.  :func:`extract_window` turns a directory of per-frame images
 Flow slot ``k`` holds the flow between the frames at window positions
 ``k-1`` and ``k``; position 0 (and any clamped repeat) is zero.  A slot's
 classifier features therefore depend only on its frame and on whether it
-is such a "static" slot or a "moving" one, so the pipeline does not
-materialize windows: :func:`frame_feature_table` computes both feature rows
-of every frame once per video, and
+is such a "static" slot or a "moving" one, so the pipeline materializes
+neither windows nor flow: :func:`frame_feature_table` computes both feature
+rows of every frame in one pass over the video, and
 :func:`gebd.classifier.window_inputs` gathers them per candidate.
 """
 
@@ -167,26 +166,6 @@ def label_windows(candidates, gt_timestamps, tolerance: float):
     return labels
 
 
-def flow_chunks(seq: FrameSequence, config: FlowConfig = FlowConfig()):
-    """Rows of the video's ``[N, H, W, 2]`` flow tensor, a chunk at a time.
-
-    Row ``i`` is the flow from frame ``i-1`` into frame ``i``, and row 0 is
-    zero, so rows index frames as the feature table does.  The first chunk
-    is row 0 alone; each later one is a :func:`video_flow` call over about
-    ``PAIR_CHUNK_PIXELS`` frame pixels, whose first frame is the previous
-    chunk's last, so each frame is read once and memory stays bounded.
-    """
-    prev = to_gray(seq.frame(0))
-    yield np.zeros((1,) + prev.shape + (2,))
-    step = max(1, PAIR_CHUNK_PIXELS // prev.size)
-    n = seq.meta.num_frames
-    for start in range(1, n, step):
-        frames = [prev] + [to_gray(seq.frame(i))
-                           for i in range(start, min(start + step, n))]
-        yield video_flow(np.stack(frames), config)
-        prev = frames[-1]
-
-
 def _slot_rgb(frame: np.ndarray, side: int) -> np.ndarray:
     """An (H, W, 3) frame as a (3, S, S) float32 window slot."""
     if frame.shape[:2] != (side, side):
@@ -210,10 +189,10 @@ def extract_window(seq: FrameSequence, spec: WindowSpec, t: float,
                    flow: np.ndarray):
     """RGB and flow window tensors at candidate ``t``.
 
-    ``flow`` is the video's ``[N, H, W, 2]`` flow tensor (see
-    :func:`flow_chunks`).  Returns float32 arrays shaped (2m, 3, S, S) and
-    (2m, 2, S, S).  Frames resize bilinearly to S x S; flow components scale
-    by the spatial resize ratio.
+    ``flow`` is the video's ``[N, H, W, 2]`` flow, row ``i`` being the flow
+    from frame ``i-1`` into frame ``i`` and row 0 zero.  Returns float32
+    arrays shaped (2m, 3, S, S) and (2m, 2, S, S).  Frames resize bilinearly
+    to S x S; flow components scale by the spatial resize ratio.
     """
     spec.validate()
     indices = window_frame_indices(t, seq.meta, spec.m)
@@ -228,32 +207,44 @@ def extract_window(seq: FrameSequence, spec: WindowSpec, t: float,
 
 
 def frame_feature_table(seq: FrameSequence, spec: WindowSpec,
-                        flow: np.ndarray) -> np.ndarray:
+                        flow_config: FlowConfig = FlowConfig()) -> np.ndarray:
     """Both classifier feature rows of every frame, shaped (N, 2, FEATURE_DIM).
 
-    ``flow`` is the video's ``[N, H, W, 2]`` flow tensor.  ``table[i, 0]``
-    is frame ``i`` as a static window slot (zero flow, zero difference);
-    ``table[i, 1]`` is frame ``i`` as a moving slot (flow row ``i`` and the
-    difference from frame ``i-1``), which for frame 0 equals the static
-    row.  Frames and flow are resized and rounded to float32 as in
-    :func:`extract_window`, so :func:`gebd.classifier.window_inputs` on
-    this table equals ``window_features(*extract_window(...))`` bit for bit.
-    Each frame is read once, and each frame's features are computed once:
-    the static row is the moving row with the flow columns of a zero field
-    and a zero difference.
+    ``table[i, 0]`` is frame ``i`` as a static window slot (zero flow, zero
+    difference); ``table[i, 1]`` is frame ``i`` as a moving slot (the flow
+    from frame ``i-1`` into it, the difference from frame ``i-1``), which for
+    frame 0 equals the static row.  Each frame is read once.  Flow comes
+    from :func:`video_flow` on chunks of about ``PAIR_CHUNK_PIXELS`` frame
+    pixels, each starting at the previous chunk's last frame, rounded to
+    float32 as :func:`extract_window` expects; a chunk's rows are filled
+    before the next is read, so memory does not grow with video length.
+    :func:`gebd.classifier.window_inputs` on this table equals
+    ``window_features(*extract_window(...))`` bit for bit.
     """
     spec.validate()
-    side = spec.image_side
-    table = np.empty((seq.meta.num_frames, 2, FEATURE_DIM))
-    mean_mag, max_mag, angle_hist = flow_stats(np.zeros((side, side, 2)))
-    still = np.concatenate([[mean_mag, max_mag], angle_hist])
-    prev = None
-    for i in range(seq.meta.num_frames):
-        rgb = _slot_rgb(seq.frame(i), side)
-        table[i, 1] = frame_features(rgb, _slot_flow(flow[i], side),
-                                     rgb if prev is None else prev)
-        table[i, 0] = table[i, 1]
-        table[i, 0, :len(still)] = still  # flow columns
-        table[i, 0, -1] = 0.0  # difference column
-        prev = rgb
+    side, n = spec.image_side, seq.meta.num_frames
+    table = np.empty((n, 2, FEATURE_DIM))
+    still = np.hstack(flow_stats(np.zeros((side, side, 2))))  # of zero flow
+
+    def read(i):  # keeps no full-size RGB frame
+        frame = seq.frame(i)
+        return to_gray(frame), _slot_rgb(frame, side)
+
+    gray, prev = read(0)
+    grays, slots = [gray], [prev]  # frame 0 is a chunk of its own: no flow into it
+    flow = np.zeros((1,) + gray.shape + (2,), dtype=np.float32)
+    step = max(1, PAIR_CHUNK_PIXELS // gray.size)
+    for start in [0, *range(1, n, step)]:
+        if start:  # frames start-1 .. end-1 give the flow into start .. end-1
+            views = [read(i) for i in range(start, min(start + step, n))]
+            grays = [grays[-1]] + [g for g, _ in views]
+            slots = [rgb for _, rgb in views]
+            del flow, row  # the last chunk's flow is not held through the next
+            flow = video_flow(np.stack(grays), flow_config).astype(np.float32)
+        for i, rgb, row in zip(range(start, n), slots, flow):
+            table[i, 1] = frame_features(rgb, _slot_flow(row, side), prev)
+            table[i, 0] = table[i, 1]
+            table[i, 0, :len(still)] = still  # flow columns
+            table[i, 0, -1] = 0.0  # difference column
+            prev = rgb
     return table

@@ -189,6 +189,36 @@ class TestPipelineCommand:
                                "--thresholds", "0.1:0:0.5", "--out", str(out))
         assert code == 1 and "step must be positive" in err
 
+    @pytest.mark.parametrize("flags, key", [
+        (["--thresholds", "0.3,0.1"], "thresholds"),
+        (["--mode", "bogus"], "mode"),
+        (["--mode", "window:0"], "mode"),
+        (["--poly-window", "4"], "poly_window"),
+        (["--iterations", "0"], "iterations"),
+        (["--stride", "0"], "stride"),
+        (["--image-side", "16"], "image_side"),
+        (["--lr", "0"], "lr"),
+        (["--epochs", "0"], "epochs"),
+        (["--smooth-sigma", "-1"], "smooth_sigma"),
+        (["--config", "match_policy=bogus"], "match_policy")])
+    def test_bad_value_fails_before_any_stage(self, corpus, tmp_path, capsys,
+                                              flags, key):
+        if flags[0] == "--config":
+            (tmp_path / "run.cfg").write_text(flags[1] + "\n")
+            flags = ["--config", str(tmp_path / "run.cfg")]
+        out = tmp_path / "run"
+        code, _, err = run_cli(capsys, "pipeline", str(corpus), "--out",
+                               str(out), *flags)
+        assert code == 1 and f"key '{key}': " in err
+        assert not out.exists()
+
+    def test_usage_error_exits_1(self, corpus, capsys):
+        for flags in (["--match-policy", "bogus"], ["--no-such-flag"]):
+            code, _, err = run_cli(capsys, "pipeline", str(corpus), *flags)
+            assert code == 1 and "error: " in err
+        code, _, _ = run_cli(capsys, "--help")
+        assert code == 0
+
     def test_missing_corpus_exits_1(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "pipeline", str(tmp_path / "nope"))
         assert code == 1

@@ -121,23 +121,6 @@ def test_atomic_open_failure_keeps_previous_file(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
 
 
-def test_chunked_write_equals_whole(tmp_path):
-    data = np.arange(24, dtype=np.float64).reshape(4, 3, 2)
-    write_tensor_file(tmp_path / "whole.gebt", data.shape, data)
-    write_tensor_file(tmp_path / "chunks.gebt", data.shape,
-                      iter([data[:1], data[1:3], data[3:]]))
-    assert (tmp_path / "chunks.gebt").read_bytes() == \
-        (tmp_path / "whole.gebt").read_bytes()
-
-
-def test_chunked_write_of_wrong_length_leaves_no_file(tmp_path):
-    path = tmp_path / "t.gebt"
-    for chunks in ([np.zeros(4)], [np.zeros(4), np.zeros(3)]):
-        with pytest.raises(ContainerError, match="length mismatch"):
-            write_tensor_file(path, [2, 3], iter(chunks))
-    assert list(tmp_path.iterdir()) == []
-
-
 def test_file_header_checked_against_size(tmp_path):
     path = tmp_path / "t.gebt"
     write_tensor_file(path, [2, 2], np.zeros(4))

@@ -1,10 +1,15 @@
+import builtins
+import csv
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import gebd
 from gebd.annotations import load_annotations
 from gebd.container import DTYPE_F64, read_tensor_file, write_tensor_file
 from gebd.evaluation import evaluate_corpus
@@ -14,7 +19,10 @@ from gebd.pipeline import (PipelineConfig, PipelineError, Pipeline,
                            read_boundary_csv, read_scores_csv, run_pipeline,
                            write_boundary_csv, write_scores_csv)
 from gebd.postprocess import ScoreSequence
+from gebd.pnm import write_pnm
 from gebd.synth import generate_corpus
+
+from conftest import smooth_texture
 
 CFG = dict(seed=11, workers=1, image_side=32, m=3)
 
@@ -208,15 +216,6 @@ class TestResumption:
         with pytest.raises(PipelineError, match=f"{table.name}: expected dims"):
             run_pipeline(corpus, out, PipelineConfig(**CFG))
 
-    def test_flow_of_wrong_shape_named(self, corpus, tmp_path):
-        out = tmp_path / "run"
-        run_pipeline(corpus, out, PipelineConfig(**CFG))
-        flow = sorted((out / "flow").glob("*.gebt"))[0]
-        write_tensor_file(flow, [2, 48, 48, 2], np.zeros(2 * 48 * 48 * 2))
-        os.remove(out / "features" / flow.name)
-        with pytest.raises(PipelineError, match=f"{flow.name}: expected dims"):
-            run_pipeline(corpus, out, PipelineConfig(**CFG))
-
     def test_stage_failure_recorded(self, corpus, tmp_path, monkeypatch):
         out = tmp_path / "run"
         config = PipelineConfig(**CFG)
@@ -287,16 +286,20 @@ class TestStageStamps:
                                                score_threshold=0.9)))
         assert ran_stages(manifest) == []
 
+    def assert_flow_reran(self, corpus, out, **change):
+        tables = sorted((out / "features").glob("*.gebt"))
+        before = [t.read_bytes() for t in tables]
+        candidates = (out / "features" / "candidates.csv").read_bytes()
+        manifest = run_pipeline(corpus, out, PipelineConfig(**dict(CFG, **change)))
+        # flow writes the feature tables; sample reads no flow key
+        assert ran_stages(manifest) == ["flow"] + STAGE_NAMES[5:]
+        assert len(tables) == 3
+        assert all(t.read_bytes() != b for t, b in zip(tables, before))
+        assert (out / "features" / "candidates.csv").read_bytes() == candidates
+        assert not (out / "flow").exists()
+
     def test_flow_key_reruns_flow_onward(self, copied_run):
-        corpus, out = copied_run
-        flows = sorted((out / "flow").glob("*.gebt"))
-        before = [f.read_bytes() for f in flows]
-        manifest = run_pipeline(corpus, out,
-                                PipelineConfig(**dict(CFG, poly_sigma=1.5)))
-        assert ran_stages(manifest) == STAGE_NAMES[3:]
-        assert len(flows) == 3
-        assert all(f.read_bytes() != b for f, b in zip(flows, before))
-        assert not list(out.rglob("flow_config.json"))
+        self.assert_flow_reran(*copied_run, poly_sigma=1.5)
 
     def test_int_for_float_key_reruns_nothing(self, copied_run):
         corpus, out = copied_run
@@ -323,14 +326,15 @@ class TestStageStamps:
         assert ran_stages(manifest) == STAGE_NAMES[5:]
 
     def test_image_side_reruns_sample_onward(self, copied_run):
+        # the flow stage computes the features, so image_side reruns flow
+        # onward, but not sample
+        self.assert_flow_reran(*copied_run, image_side=48)
+
+    def test_sample_key_reruns_sample_onward(self, copied_run):
         corpus, out = copied_run
-        tables = sorted((out / "features").glob("*.gebt"))
-        before = [t.read_bytes() for t in tables]
         manifest = run_pipeline(corpus, out,
-                                PipelineConfig(**dict(CFG, image_side=48)))
+                                PipelineConfig(**dict(CFG, stride=0.5)))
         assert ran_stages(manifest) == STAGE_NAMES[4:]
-        after = [t.read_bytes() for t in tables]
-        assert all(a != b for a, b in zip(after, before))
 
     def test_interrupted_stage_reruns(self, copied_run, monkeypatch):
         corpus, out = copied_run
@@ -380,6 +384,34 @@ class TestStageStamps:
         fields = set(PipelineConfig.__dataclass_fields__)
         assert declared == fields - {"workers"}
 
+    def test_each_stage_reads_only_its_deps_outputs(self, corpus, tmp_path,
+                                                    monkeypatch):
+        out = tmp_path / "run"
+        pipe = Pipeline(corpus, out, PipelineConfig(**CFG))
+        reads = []
+        real_open = builtins.open
+
+        def recording(file, mode="r", *args, **kwargs):
+            path = os.path.abspath(file) if isinstance(file, (str, os.PathLike)) \
+                else ""
+            if (path.startswith(str(out) + os.sep) and pipe.stage_log
+                    and not set(mode) & set("wax+")):
+                reads.append((pipe.stage_log[-1]["name"], path))
+            return real_open(file, mode, *args, **kwargs)
+        monkeypatch.setattr(builtins, "open", recording)
+        pipe.run()
+        monkeypatch.undo()
+        stages = pipe.stages()
+        outputs = {name: {os.path.abspath(f) for f in outs}
+                   for name, _, _, outs, _ in stages}
+        deps = {name: d for name, d, *_ in stages}
+        assert {name for name, _ in reads} == \
+            set(STAGE_NAMES) - {"validate", "consistency", "flow"}
+        for name, path in reads:
+            allowed = set().union(*(outputs.get(d, ()) for d in deps[name]))
+            assert path in allowed, \
+                f"stage {name!r} reads {path}, the output of no stage it declares"
+
     def test_stale_windows_tree_removed(self, copied_run):
         corpus, out = copied_run
         # an output directory from before feature tables: window tensors,
@@ -396,19 +428,19 @@ class TestStageStamps:
 
     def test_stale_flow_dirs_removed(self, copied_run):
         corpus, out = copied_run
-        # an output directory from before flow tensors: one file per frame
-        # pair and a config sidecar per video, and no flow/<video_id>.gebt
-        for flow in sorted((out / "flow").glob("*.gebt")):
-            stale = out / "flow" / flow.stem
-            stale.mkdir()
+        # flow written by older versions: a tensor per video, or one file per
+        # frame pair and a config sidecar per video
+        for vid in video_ids(corpus):
+            stale = out / "flow" / vid
+            stale.mkdir(parents=True)
+            write_tensor_file(out / "flow" / f"{vid}.gebt", [2], np.zeros(2))
             write_tensor_file(stale / "flow_000001.gebt", [2], np.zeros(2))
             (stale / "flow_config.json").write_text("{}")
-            flow.unlink()
+        os.remove(sorted((out / "features").glob("*.gebt"))[0])
         manifest = run_pipeline(corpus, out, PipelineConfig(**CFG))
         reasons = {s["name"]: s["reason"] for s in manifest["stages"]}
         assert reasons["flow"] == "missing-output"
-        assert sorted(p.name for p in (out / "flow").iterdir()) == \
-            sorted(f"{v}.gebt" for v in video_ids(corpus))
+        assert not (out / "flow").exists()
 
 
 class TestWorkerInvariance:
@@ -425,18 +457,16 @@ class TestWorkerInvariance:
             a = (outs[0] / name).read_bytes()
             b = (outs[1] / name).read_bytes()
             assert a == b, f"{name} differs between worker counts"
-        # every per-video flow tensor and feature table, and the
-        # candidate/label list
-        vids = video_ids(corpus)
-        for sub, names in (("flow", [f"{v}.gebt" for v in vids]),
-                           ("features", ["candidates.csv"]
-                            + [f"{v}.gebt" for v in vids])):
-            assert sorted(os.listdir(outs[0] / sub)) == names
-            assert sorted(os.listdir(outs[1] / sub)) == names
-            for name in names:
-                assert (outs[0] / sub / name).read_bytes() == \
-                    (outs[1] / sub / name).read_bytes(), \
-                    f"{sub}/{name} differs between worker counts"
+        # every per-video feature table, and the candidate/label list; no
+        # flow is stored
+        names = ["candidates.csv"] + [f"{v}.gebt" for v in video_ids(corpus)]
+        for out in outs:
+            assert sorted(os.listdir(out / "features")) == names
+            assert not (out / "flow").exists()
+        for name in names:
+            assert (outs[0] / "features" / name).read_bytes() == \
+                (outs[1] / "features" / name).read_bytes(), \
+                f"features/{name} differs between worker counts"
 
 
 class TestGtPolicies:
@@ -448,6 +478,57 @@ class TestGtPolicies:
         assert os.path.exists(out / "gt.csv")
         gt = read_boundary_csv(out / "gt.csv")
         assert len(gt) == 3
+
+
+def test_class_label_with_comma(corpus, tmp_path):
+    corpus2 = tmp_path / "corpus2"
+    shutil.copytree(corpus, corpus2)
+    doc = json.load(open(corpus2 / "annotations.json"))
+    doc[0]["class_label"] = 'tying knot, not on a "tie"'
+    (corpus2 / "annotations.json").write_text(json.dumps(doc))
+    out = tmp_path / "run"
+    run_pipeline(corpus2, out, PipelineConfig(**CFG))
+    with open(out / "eval_per_class.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["class", "mean_f1", "n_videos"]
+    assert all(len(row) == 3 for row in rows)
+    assert 'tying knot, not on a "tie"' in [row[0] for row in rows]
+    assert (out / "report" / "class_top.svg").exists()
+
+
+FLOW_JOB = """
+import resource, sys
+from gebd.annotations import VideoMeta
+from gebd.flow import FlowConfig
+from gebd.pipeline import _flow_job
+from gebd.windows import WindowSpec
+frame_dir, n, table = sys.argv[1], int(sys.argv[2]), sys.argv[3]
+_flow_job((VideoMeta("v", "c", n / 10.0, 10.0, n), frame_dir, table,
+           WindowSpec(image_side=32), FlowConfig()))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_flow_job_memory_does_not_grow_with_video_length(tmp_path, rng):
+    for i in range(600):
+        frame = smooth_texture(rng, 32, 32)
+        for n in (100, 600):
+            if i < n:
+                (tmp_path / f"f{n}").mkdir(exist_ok=True)
+                write_pnm(tmp_path / f"f{n}" / f"frame_{i:06d}.pgm", frame)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(gebd.__file__))]
+        + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    peak_kb = {}
+    for n in (100, 600):
+        done = subprocess.run(
+            [sys.executable, "-c", FLOW_JOB, str(tmp_path / f"f{n}"), str(n),
+             str(tmp_path / f"t{n}.gebt")],
+            capture_output=True, text=True, env=env, check=True)
+        peak_kb[n] = int(done.stdout.split()[-1])
+        assert read_tensor_file(tmp_path / f"t{n}.gebt")[0] == [n, 2, 27]
+    # the 600-frame table itself is 0.26 MB; a flow tensor would be 4.9 MB
+    assert peak_kb[600] - peak_kb[100] < 1024, peak_kb
 
 
 class TestConsistencySource:

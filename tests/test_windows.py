@@ -6,14 +6,14 @@ import pytest
 
 from gebd.annotations import VideoMeta
 from gebd import windows
-from gebd.container import write_tensor_file
-from gebd.flow import FlowConfig, bilinear_resize, farneback_flow, to_gray
+from gebd.flow import (FlowConfig, bilinear_resize, farneback_flow, to_gray,
+                       video_flow)
 from gebd.pnm import read_pnm, write_pnm
 from gebd.classifier import FEATURE_DIM, window_features, window_inputs
 from gebd.windows import (LABEL_BACKGROUND, LABEL_BOUNDARY, FrameSequence,
                           WindowSpec, candidate_timestamps, extract_window,
-                          flow_chunks, frame_feature_table, frame_name,
-                          label_windows, window_frame_indices)
+                          frame_feature_table, frame_name, label_windows,
+                          window_frame_indices)
 
 from conftest import smooth_texture
 
@@ -147,9 +147,20 @@ class TestFrameSequence:
         assert frame[..., 0] == pytest.approx(frame[..., 2])
 
 
-def flow_tensor(seq, config=FlowConfig(averaging_window=9)):
-    """The video's [N, H, W, 2] flow, rounded to float32 as the flow stage stores it."""
-    return np.concatenate(list(flow_chunks(seq, config))).astype(np.float32)
+FLOW_CONFIG = FlowConfig(averaging_window=9)
+
+
+def flow_tensor(seq, config=FLOW_CONFIG):
+    """The video's [N, H, W, 2] flow from one video_flow call over every frame.
+
+    Row 0 is zero; rows are rounded to float32 as frame_feature_table
+    rounds them.
+    """
+    grays = np.stack([to_gray(seq.frame(i)) for i in range(seq.meta.num_frames)])
+    flow = np.zeros((1,) + grays.shape[1:] + (2,))
+    if len(grays) > 1:
+        flow = np.concatenate([flow, video_flow(grays, config)])
+    return flow.astype(np.float32)
 
 
 class TestExtractWindow:
@@ -223,58 +234,6 @@ def count_reads(monkeypatch):
     return reads
 
 
-class TestFlowChunks:
-    CONFIG = FlowConfig(averaging_window=9)
-
-    def test_chunks_read_each_frame_once_and_equal_per_pair(
-            self, tiny_video, monkeypatch):
-        meta, d, frames = tiny_video
-        # chunks of 3 pairs, so 19 pairs end in a short chunk
-        monkeypatch.setattr(windows, "PAIR_CHUNK_PIXELS", 3 * 40 * 40)
-        reads = count_reads(monkeypatch)
-        chunks = list(flow_chunks(FrameSequence(meta, d), self.CONFIG))
-        assert sorted(reads) == [f"{frame_name(i)}.pgm" for i in range(20)]
-        assert [len(c) for c in chunks] == [1, 3, 3, 3, 3, 3, 3, 1]
-        flow = np.concatenate(chunks)
-        assert flow.shape == (20, 40, 40, 2)
-        assert not flow[0].any()
-        seq = FrameSequence(meta, d)
-        for k in range(1, 20):
-            want = farneback_flow(to_gray(seq.frame(k - 1)),
-                                  to_gray(seq.frame(k)), self.CONFIG)
-            assert flow[k].tobytes() == want.tobytes()
-
-    def test_one_frame_video(self, tmp_path, rng):
-        meta = VideoMeta("still", "c", 0.1, 10.0, 1)
-        d = write_video(tmp_path, meta, [smooth_texture(rng, 32, 32)])
-        seq = FrameSequence(meta, d)
-        flow = flow_tensor(seq, self.CONFIG)
-        assert flow.shape == (1, 32, 32, 2) and not flow.any()
-        spec = WindowSpec(m=2, image_side=32)
-        table = frame_feature_table(seq, spec, flow)
-        assert table.shape == (1, 2, FEATURE_DIM)
-        assert np.array_equal(table[0, 0], table[0, 1])
-        got = window_inputs(table, [window_frame_indices(0.05, meta, 2)])
-        assert np.array_equal(
-            got[0], window_features(*extract_window(seq, spec, 0.05, flow)))
-
-    def test_interrupted_write_leaves_no_file(self, tiny_video, tmp_path,
-                                              monkeypatch):
-        meta, d, _ = tiny_video
-        (tmp_path / "flow").mkdir()
-        path = tmp_path / "flow" / "tiny.gebt"
-        path.write_bytes(b"previous")
-
-        def crash(frames, config):
-            raise KeyboardInterrupt
-        monkeypatch.setattr(windows, "video_flow", crash)
-        with pytest.raises(KeyboardInterrupt):
-            write_tensor_file(path, [20, 40, 40, 2],
-                              flow_chunks(FrameSequence(meta, d), self.CONFIG))
-        assert os.listdir(tmp_path / "flow") == ["tiny.gebt"]
-        assert path.read_bytes() == b"previous"
-
-
 class TestFrameFeatureTable:
     @pytest.fixture
     def stored(self, tiny_video):
@@ -288,7 +247,7 @@ class TestFrameFeatureTable:
     def test_inputs_equal_window_features(self, stored, m, t):
         seq, flow = stored
         spec = WindowSpec(m=m, image_side=32)
-        table = frame_feature_table(seq, spec, flow)
+        table = frame_feature_table(seq, spec, FLOW_CONFIG)
         assert table.shape == (20, 2, FEATURE_DIM)
         got = window_inputs(table, [window_frame_indices(t, seq.meta, m)])
         want = window_features(*extract_window(seq, spec, t, flow))
@@ -298,7 +257,7 @@ class TestFrameFeatureTable:
     def test_batched_rows_equal_single_windows(self, stored):
         seq, flow = stored
         spec = WindowSpec(m=3, image_side=32, candidate_stride=0.15)
-        table = frame_feature_table(seq, spec, flow)
+        table = frame_feature_table(seq, spec, FLOW_CONFIG)
         cands = candidate_timestamps(seq.meta, spec.candidate_stride)
         got = window_inputs(table, [window_frame_indices(t, seq.meta, 3)
                                     for t in cands])
@@ -307,8 +266,9 @@ class TestFrameFeatureTable:
                 row, window_features(*extract_window(seq, spec, t, flow)))
 
     def test_static_and_moving_rows(self, stored):
-        seq, flow = stored
-        table = frame_feature_table(seq, WindowSpec(m=2, image_side=32), flow)
+        seq, _ = stored
+        table = frame_feature_table(seq, WindowSpec(m=2, image_side=32),
+                                    FLOW_CONFIG)
         assert np.array_equal(table[0, 1], table[0, 0])
         assert np.all(table[:, 0, :2] == 0.0) and np.all(table[:, 0, 26] == 0.0)
         assert np.all(table[1:, 1, 26] > 0.0)  # textures differ frame to frame
@@ -316,17 +276,57 @@ class TestFrameFeatureTable:
         assert np.array_equal(table[:, 0, 10:26], table[:, 1, 10:26])
 
     def test_reads_each_frame_and_pair_once(self, stored, monkeypatch):
-        seq, flow = stored
+        seq, _ = stored
+        # chunks of 3 pairs, so 19 pairs end in a short chunk
+        monkeypatch.setattr(windows, "PAIR_CHUNK_PIXELS", 3 * 40 * 40)
         reads = count_reads(monkeypatch)
-        rows = []
+        chunks = []
 
-        class CountingRows:
-            def __getitem__(self, i):
-                rows.append(i)
-                return flow[i]
-        frame_feature_table(seq, WindowSpec(m=5, image_side=32), CountingRows())
+        def recording(frames, config):
+            chunks.append(video_flow(frames, config))
+            return chunks[-1]
+        monkeypatch.setattr(windows, "video_flow", recording)
+        frame_feature_table(seq, WindowSpec(m=5, image_side=32), FLOW_CONFIG)
         assert sorted(reads) == [f"{frame_name(i)}.pgm" for i in range(20)]
-        assert sorted(rows) == list(range(20))
+        assert [len(c) for c in chunks] == [3, 3, 3, 3, 3, 3, 1]
+        # each chunk starts at the previous chunk's last frame
+        for k, pair in enumerate(np.concatenate(chunks), start=1):
+            want = farneback_flow(to_gray(seq.frame(k - 1)),
+                                  to_gray(seq.frame(k)), FLOW_CONFIG)
+            assert pair.tobytes() == want.tobytes()
+
+    def test_small_chunks_equal_per_pair_flow(self, stored, monkeypatch):
+        seq, _ = stored
+        spec = WindowSpec(m=1, image_side=32)
+        whole = frame_feature_table(seq, spec, FLOW_CONFIG)  # one chunk
+        monkeypatch.setattr(windows, "PAIR_CHUNK_PIXELS", 3 * 40 * 40)
+        table = frame_feature_table(seq, spec, FLOW_CONFIG)
+        assert np.array_equal(table, whole)
+        per_pair = np.zeros((20, 40, 40, 2), dtype=np.float32)
+        for k in range(1, 20):
+            per_pair[k] = farneback_flow(to_gray(seq.frame(k - 1)),
+                                         to_gray(seq.frame(k)), FLOW_CONFIG)
+        # a window at frame k reads frame k-1's static row and frame k's
+        # moving row, so these cover every moving row
+        for k in range(20):
+            t = k / seq.meta.fps
+            got = window_inputs(table, [window_frame_indices(t, seq.meta, 1)])
+            want = window_features(*extract_window(seq, spec, t, per_pair))
+            assert np.array_equal(got[0], want)
+
+    def test_one_frame_video(self, tmp_path, rng):
+        meta = VideoMeta("still", "c", 0.1, 10.0, 1)
+        d = write_video(tmp_path, meta, [smooth_texture(rng, 32, 32)])
+        seq = FrameSequence(meta, d)
+        flow = flow_tensor(seq)
+        assert flow.shape == (1, 32, 32, 2) and not flow.any()
+        spec = WindowSpec(m=2, image_side=32)
+        table = frame_feature_table(seq, spec, FLOW_CONFIG)
+        assert table.shape == (1, 2, FEATURE_DIM)
+        assert np.array_equal(table[0, 0], table[0, 1])
+        got = window_inputs(table, [window_frame_indices(0.05, meta, 2)])
+        assert np.array_equal(
+            got[0], window_features(*extract_window(seq, spec, 0.05, flow)))
 
     def test_mismatched_frame_shape_named(self, tmp_path, rng):
         meta = VideoMeta("odd", "c", 0.3, 10.0, 3)
@@ -334,10 +334,7 @@ class TestFrameFeatureTable:
         d = write_video(tmp_path, meta, frames + [smooth_texture(rng, 24, 24)])
         seq = FrameSequence(meta, d)
         with pytest.raises(ValueError, match="frame 2 has shape"):
-            frame_feature_table(seq, WindowSpec(m=1, image_side=32),
-                                np.zeros((3, 32, 32, 2)))
-        with pytest.raises(ValueError, match="frame 2 has shape"):
-            list(flow_chunks(FrameSequence(meta, d)))
+            frame_feature_table(seq, WindowSpec(m=1, image_side=32))
 
 
 def test_pnm_round_trip(tmp_path, rng):
