@@ -234,6 +234,32 @@ def count_reads(monkeypatch):
     return reads
 
 
+class TestFlowChunks:
+    """The flow inside :func:`frame_feature_table` is computed in chunks."""
+
+    def test_chunks_read_each_frame_once_and_equal_per_pair(
+            self, tiny_video, monkeypatch):
+        meta, d, _ = tiny_video
+        seq = FrameSequence(meta, d)
+        # chunks of 3 pairs, so 19 pairs end in a short chunk
+        monkeypatch.setattr(windows, "PAIR_CHUNK_PIXELS", 3 * 40 * 40)
+        reads = count_reads(monkeypatch)
+        chunks = []
+
+        def recording(frames, config):
+            chunks.append(video_flow(frames, config))
+            return chunks[-1]
+        monkeypatch.setattr(windows, "video_flow", recording)
+        frame_feature_table(seq, WindowSpec(m=5, image_side=32), FLOW_CONFIG)
+        assert sorted(reads) == [f"{frame_name(i)}.pgm" for i in range(20)]
+        assert [len(c) for c in chunks] == [3, 3, 3, 3, 3, 3, 1]
+        # each chunk starts at the previous chunk's last frame
+        for k, pair in enumerate(np.concatenate(chunks), start=1):
+            want = farneback_flow(to_gray(seq.frame(k - 1)),
+                                  to_gray(seq.frame(k)), FLOW_CONFIG)
+            assert pair.tobytes() == want.tobytes()
+
+
 class TestFrameFeatureTable:
     @pytest.fixture
     def stored(self, tiny_video):
@@ -277,23 +303,16 @@ class TestFrameFeatureTable:
 
     def test_reads_each_frame_and_pair_once(self, stored, monkeypatch):
         seq, _ = stored
-        # chunks of 3 pairs, so 19 pairs end in a short chunk
-        monkeypatch.setattr(windows, "PAIR_CHUNK_PIXELS", 3 * 40 * 40)
         reads = count_reads(monkeypatch)
-        chunks = []
+        pairs = []
 
         def recording(frames, config):
-            chunks.append(video_flow(frames, config))
-            return chunks[-1]
+            pairs.append(len(frames) - 1)
+            return video_flow(frames, config)
         monkeypatch.setattr(windows, "video_flow", recording)
         frame_feature_table(seq, WindowSpec(m=5, image_side=32), FLOW_CONFIG)
         assert sorted(reads) == [f"{frame_name(i)}.pgm" for i in range(20)]
-        assert [len(c) for c in chunks] == [3, 3, 3, 3, 3, 3, 1]
-        # each chunk starts at the previous chunk's last frame
-        for k, pair in enumerate(np.concatenate(chunks), start=1):
-            want = farneback_flow(to_gray(seq.frame(k - 1)),
-                                  to_gray(seq.frame(k)), FLOW_CONFIG)
-            assert pair.tobytes() == want.tobytes()
+        assert sum(pairs) == 19
 
     def test_small_chunks_equal_per_pair_flow(self, stored, monkeypatch):
         seq, _ = stored
