@@ -145,6 +145,8 @@ def parse_annotations(text: str) -> list:
         vid = entry.get("video_id")
         if not isinstance(vid, str) or not vid:
             raise AnnotationValidationError("entry missing field video_id")
+        if "/" in vid or "\0" in vid or vid in (".", ".."):  # it names files
+            raise AnnotationValidationError(f"video_id {vid!r} is not a file name")
         for key in ("class_label", "duration", "fps", "num_frames", "annotators"):
             if key not in entry:
                 raise AnnotationValidationError(f"{vid}: missing field {key}")

@@ -21,10 +21,11 @@ import sys
 
 from .annotations import (AnnotationParseError, AnnotationValidationError,
                           attach_consistency, load_annotations, select_gt)
-from .evaluation import (evaluate_corpus, write_global_csv, write_per_class_csv,
-                         write_per_video_csv)
-from .pipeline import (load_config, parse_mode, parse_thresholds,
-                       read_boundary_csv, run_pipeline)
+from .container import read_csv
+from .evaluation import (GLOBAL_HEADER, evaluate_corpus, write_global_csv,
+                         write_per_class_csv, write_per_video_csv)
+from .pipeline import (PipelineConfig, load_config, parse_mode,
+                       parse_thresholds, read_boundary_csv, run_pipeline)
 from .synth import generate_corpus
 from .windows import FrameSequence
 
@@ -117,17 +118,9 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-_PIPELINE_OVERRIDES = (
-    "seed", "workers", "m", "stride", "image_side", "threshold", "mode",
-    "gt_policy", "smooth_sigma", "score_threshold", "min_separation",
-    "bg_ratio", "label_tolerance", "consistency_threshold",
-    "use_file_consistency", "pyramid_levels", "pyramid_scale", "iterations",
-    "poly_window", "poly_sigma", "averaging_window", "lr", "decay_factor",
-    "decay_every", "epochs", "batch_size", "match_policy", "thresholds")
-
-
 def cmd_pipeline(args) -> int:
-    overrides = {name: getattr(args, name) for name in _PIPELINE_OVERRIDES}
+    overrides = {name: getattr(args, name)
+                 for name in PipelineConfig.__dataclass_fields__}
     try:
         config = load_config(args.config, **overrides)
         out_dir = args.out or os.path.join(args.corpus, "run")
@@ -137,14 +130,14 @@ def cmd_pipeline(args) -> int:
     except (AnnotationParseError, AnnotationValidationError, ValueError,
             OSError, RuntimeError) as e:
         return _fail(str(e))
-    with open(os.path.join(out_dir, "eval_global.csv"), encoding="utf-8") as fh:
-        next(fh)
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    primary = next((r for r in rows
-                    if abs(float(r[0]) - config.threshold) < 1e-12), rows[0])
-    _emit(threshold=primary[0], precision=primary[1], recall=primary[2],
-          f1=primary[3], manifest=os.path.join(out_dir, "manifest.json"),
-          out=out_dir)
+    _, window = parse_mode(config.mode)
+    cell = f"{config.threshold if window is None else window:.6g}"
+    path = os.path.join(out_dir, "eval_global.csv")
+    rows = [r for r in read_csv(path, GLOBAL_HEADER) if r[0] == cell]
+    if not rows:
+        return _fail(f"{path}: no row for threshold {cell}")
+    _emit(**dict(zip(GLOBAL_HEADER, rows[0])),
+          manifest=os.path.join(out_dir, "manifest.json"), out=out_dir)
     return EXIT_OK
 
 
@@ -190,40 +183,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("corpus", help="corpus root (frames/ + annotations.json)")
     p.add_argument("--config", help="key=value config file")
     p.add_argument("--out", help="output directory (default <corpus>/run)")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int)
-    # windows
-    p.add_argument("--m", type=int)
-    p.add_argument("--stride", type=float)
-    p.add_argument("--image-side", type=int)
-    p.add_argument("--label-tolerance", type=float)
-    p.add_argument("--bg-ratio", type=float)
-    # ground truth
-    p.add_argument("--gt-policy")
-    p.add_argument("--consistency-threshold", type=float)
-    p.add_argument("--use-file-consistency", action="store_const", const=True)
-    # optical flow
-    p.add_argument("--pyramid-levels", type=int)
-    p.add_argument("--pyramid-scale", type=float)
-    p.add_argument("--iterations", type=int)
-    p.add_argument("--poly-window", type=int)
-    p.add_argument("--poly-sigma", type=float)
-    p.add_argument("--averaging-window", type=int)
-    # training
-    p.add_argument("--lr", type=float)
-    p.add_argument("--decay-factor", type=float)
-    p.add_argument("--decay-every", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int)
-    # detection
-    p.add_argument("--smooth-sigma", type=float)
-    p.add_argument("--score-threshold", type=float)
-    p.add_argument("--min-separation", type=float)
-    # evaluation
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--thresholds")
-    p.add_argument("--mode")
-    p.add_argument("--match-policy", choices=("optimal", "greedy_nearest"))
+    for name, field in PipelineConfig.__dataclass_fields__.items():
+        flag = "--" + name.replace("_", "-")
+        if field.type == "bool":
+            p.add_argument(flag, action="store_const", const=True)
+        else:  # typed by load_config, as a config file value is
+            p.add_argument(flag)
     p.set_defaults(func=cmd_pipeline)
     return parser
 

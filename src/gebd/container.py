@@ -1,7 +1,8 @@
-"""Binary tensor container ("GEBT" format) and the atomic file writer.
+"""Every on-disk format of the toolkit: the GEBT tensor container, the CSV
+tables, and the atomic file writer they share.
 
-The on-disk layout is deliberately minimal so a hex dump is enough to audit
-a file:
+The GEBT layout is deliberately minimal so a hex dump is enough to audit a
+file:
 
     bytes 0..3   magic  b"GEBT"
     byte  4      format version (1)
@@ -11,14 +12,19 @@ a file:
     rest         row-major little-endian payload, itemsize * prod(dims) bytes
 
 There is no compression.  Per-frame feature tables are float64, so the
-classifier inputs built from them are exact.  Every binary artifact in the
-toolkit goes through this module, and every artifact, binary or text, is
-written through :func:`atomic_open`.
+classifier inputs built from them are exact.
+
+Every table is a CSV with a header row, written by :func:`write_csv` and
+read by :func:`read_csv`; a field holding a comma, quote or newline is quoted
+as the :mod:`csv` module does, and a row of the wrong width is named by file
+and line.  Every artifact, binary or text, is written through
+:func:`atomic_open`.
 """
 
 from __future__ import annotations
 
 import contextlib
+import csv
 import math
 import os
 import struct
@@ -55,6 +61,35 @@ def atomic_open(path, mode="w"):
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+
+
+def write_csv(path, header, rows) -> None:
+    """Write ``header`` then ``rows`` atomically; a float cell is its ``repr``."""
+    with atomic_open(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def read_csv(path, header) -> list:
+    """Rows of a CSV table with the columns ``header``, as lists of strings.
+
+    Blank rows are skipped, and so is a first line whose first field is
+    ``header[0]`` (any case), so the header row is optional.  A row of another
+    width raises ``ValueError`` naming the file and line.
+    """
+    rows = []
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        for row in reader:
+            if not row or (reader.line_num == 1
+                           and row[0].lower() == header[0].lower()):
+                continue
+            if len(row) != len(header):
+                raise ValueError(f"{path}:{reader.line_num}: expected "
+                                 f"{','.join(header)}, got {len(row)} fields")
+            rows.append(row)
+    return rows
 
 
 def _parse_header(blob: bytes, size: int):

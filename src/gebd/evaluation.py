@@ -24,12 +24,12 @@ Two pairing policies are provided:
 
 from __future__ import annotations
 
-import csv
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .container import atomic_open
+from .container import write_csv
 
 # Equal-cost tolerance: total costs are <= len(pairs) with each term in [0,1],
 # so 1e-9 absolute separates genuine ties from rounding noise.
@@ -61,7 +61,7 @@ def rel_dis(predicted: float, ground_truth: float, duration: float) -> float:
     return abs(predicted - ground_truth) / duration
 
 
-def _check_sorted(values, name):
+def check_ascending(values, name):
     for a, b in zip(values, values[1:]):
         if b <= a:
             raise ValueError(f"{name} must be strictly ascending")
@@ -143,8 +143,8 @@ def _match_greedy(dist, limit):
 def _match(predictions, ground_truth, dist, limit, policy):
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}, expected one of {POLICIES}")
-    _check_sorted(predictions, "predictions")
-    _check_sorted(ground_truth, "ground_truth")
+    check_ascending(predictions, "predictions")
+    check_ascending(ground_truth, "ground_truth")
     if len(predictions) == 0 or len(ground_truth) == 0:
         pairs = []
     elif policy == "optimal":
@@ -212,9 +212,7 @@ def sweep_thresholds(predictions, ground_truth, duration, thresholds,
     thresholds = list(thresholds)
     if not thresholds:
         raise ValueError("threshold list must be non-empty")
-    for a, b in zip(thresholds, thresholds[1:]):
-        if b <= a:
-            raise ValueError("thresholds must be strictly ascending")
+    check_ascending(thresholds, "thresholds")
     out = []
     for t in thresholds:
         m = match_boundaries(predictions, ground_truth, duration, t, policy)
@@ -284,9 +282,7 @@ def evaluate_corpus(predictions, ground_truth, durations, classes=None,
         grid = list(thresholds)
         if not grid:
             raise ValueError("threshold list must be non-empty")
-        for a, b in zip(grid, grid[1:]):
-            if b <= a:
-                raise ValueError("thresholds must be strictly ascending")
+        check_ascending(grid, "thresholds")
         if primary_threshold not in grid:
             grid = sorted(set(grid) | {primary_threshold})
     elif mode == "absolute_window":
@@ -336,29 +332,28 @@ def evaluate_corpus(predictions, ground_truth, durations, classes=None,
     return EvalReport(global_prf, per_video, per_class, mode, primary_threshold)
 
 
+GLOBAL_HEADER = ("threshold", "precision", "recall", "f1")
+PER_VIDEO_HEADER = ("video_id",) + GLOBAL_HEADER
+PER_CLASS_HEADER = ("class", "mean_f1", "n_videos")
+
+
+def _prf_cells(r: PRF) -> list:
+    return [f"{r.threshold:.6g}", f"{r.precision:.6f}", f"{r.recall:.6f}",
+            f"{r.f1:.6f}"]
+
+
 def write_global_csv(path, report: EvalReport) -> None:
-    with atomic_open(path) as fh:
-        fh.write("threshold,precision,recall,f1\n")
-        for r in report.global_prf:
-            fh.write(f"{r.threshold:.6g},{r.precision:.6f},{r.recall:.6f},{r.f1:.6f}\n")
+    write_csv(path, GLOBAL_HEADER, map(_prf_cells, report.global_prf))
 
 
 def write_per_video_csv(path, report: EvalReport) -> None:
-    with atomic_open(path) as fh:
-        fh.write("video_id,threshold,precision,recall,f1\n")
-        for vid in sorted(report.per_video):
-            for r in report.per_video[vid]:
-                fh.write(f"{vid},{r.threshold:.6g},{r.precision:.6f},"
-                         f"{r.recall:.6f},{r.f1:.6f}\n")
+    write_csv(path, PER_VIDEO_HEADER,
+              ([vid] + _prf_cells(r) for vid in sorted(report.per_video)
+               for r in report.per_video[vid]))
 
 
 def write_per_class_csv(path, report: EvalReport, classes) -> None:
-    counts = {}
-    for vid in report.per_video:
-        label = classes[vid]
-        counts[label] = counts.get(label, 0) + 1
-    with atomic_open(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")  # quotes a label with a comma
-        writer.writerow(["class", "mean_f1", "n_videos"])
-        for label, mean_f1 in report.per_class:
-            writer.writerow([label, f"{mean_f1:.6f}", counts[label]])
+    counts = Counter(classes[vid] for vid in report.per_video)
+    write_csv(path, PER_CLASS_HEADER,
+              ((label, f"{mean_f1:.6f}", counts[label])
+               for label, mean_f1 in report.per_class))

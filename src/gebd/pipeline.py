@@ -25,7 +25,6 @@ are identical for any worker count.
 
 from __future__ import annotations
 
-import csv
 import json
 import operator
 import os
@@ -41,9 +40,11 @@ from .annotations import (attach_consistency, load_annotations, normalize_track,
                           per_video_rng, select_gt)
 from .classifier import (FEATURE_DIM, TrainConfig, load_model, save_model,
                          score_sequence, train_logistic, window_inputs)
-from .container import DTYPE_F64, atomic_open, read_tensor_file, write_tensor_file
-from .evaluation import (POLICIES, evaluate_corpus, write_global_csv,
-                         write_per_class_csv, write_per_video_csv)
+from .container import (DTYPE_F64, atomic_open, read_csv, read_tensor_file,
+                        write_csv, write_tensor_file)
+from .evaluation import (PER_CLASS_HEADER, POLICIES, check_ascending,
+                         evaluate_corpus, write_global_csv, write_per_class_csv,
+                         write_per_video_csv)
 from .flow import FlowConfig
 from .postprocess import DetectionConfig, ScoreSequence, scores_to_boundaries
 from .report import TimelineSpec, render_class_bars, render_timeline
@@ -212,61 +213,42 @@ def load_config(path=None, **overrides) -> PipelineConfig:
 
 
 # ---------------------------------------------------------------------------
-# small CSV formats (the only tabular interchange in the toolkit)
+# CSV tables (see container.py for the format)
+
+BOUNDARY_HEADER = ("video_id", "timestamp")
+SCORES_HEADER = ("video_id", "t", "score")
+CONSISTENCY_HEADER = ("video_id", "annotator_id", "f1_consistency")
+CANDIDATES_HEADER = ("video_id", "t", "label")
+
 
 def write_boundary_csv(path, boundaries) -> None:
     """``video_id,timestamp`` rows; ``boundaries`` maps video_id -> timestamps."""
-    with atomic_open(path) as fh:
-        fh.write("video_id,timestamp\n")
-        for vid in sorted(boundaries):
-            for t in boundaries[vid]:
-                fh.write(f"{vid},{t!r}\n")
+    write_csv(path, BOUNDARY_HEADER,
+              ((vid, t) for vid in sorted(boundaries) for t in boundaries[vid]))
 
 
 def read_boundary_csv(path) -> dict:
     out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or (lineno == 1 and line.lower().startswith("video_id")):
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected video_id,timestamp")
-            vid, t = parts
-            out.setdefault(vid, []).append(float(t))
+    for vid, t in read_csv(path, BOUNDARY_HEADER):
+        out.setdefault(vid, []).append(float(t))
     for vid, stamps in out.items():
-        for a, b in zip(stamps, stamps[1:]):
-            if b <= a:
-                raise ValueError(
-                    f"{path}: timestamps for {vid} not strictly ascending")
+        check_ascending(stamps, f"{path}: timestamps for {vid}")
     return out
 
 
 def write_scores_csv(path, sequences) -> None:
-    with atomic_open(path) as fh:
-        fh.write("video_id,t,score\n")
-        for seq in sequences:
-            for t, s in zip(seq.timestamps, seq.scores):
-                fh.write(f"{seq.video_id},{t!r},{s!r}\n")
+    write_csv(path, SCORES_HEADER,
+              ((seq.video_id, t, s) for seq in sequences
+               for t, s in zip(seq.timestamps, seq.scores)))
 
 
 def read_scores_csv(path) -> list:
     rows = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or (lineno == 1 and line.lower().startswith("video_id")):
-                continue
-            vid, t, s = line.split(",")
-            rows.setdefault(vid, []).append((float(t), float(s)))
-    out = []
-    for vid in sorted(rows):
-        pairs = rows[vid]
-        out.append(ScoreSequence(video_id=vid,
-                                 timestamps=[t for t, _ in pairs],
-                                 scores=[s for _, s in pairs]))
-    return out
+    for vid, t, s in read_csv(path, SCORES_HEADER):
+        rows.setdefault(vid, []).append((float(t), float(s)))
+    return [ScoreSequence(video_id=vid, timestamps=[t for t, _ in rows[vid]],
+                          scores=[s for _, s in rows[vid]])
+            for vid in sorted(rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -395,21 +377,13 @@ class Pipeline:
             have_all = all(t.f1_consistency is not None for t in aset.tracks)
             if not (self.config.use_file_consistency and have_all):
                 attach_consistency(aset, self.config.consistency_threshold)
-            for track in aset.tracks:
-                rows.append((aset.meta.video_id, track.annotator_id,
-                             track.f1_consistency))
-        with atomic_open(self.paths.consistency_csv) as fh:
-            fh.write("video_id,annotator_id,f1_consistency\n")
-            for vid, aid, c in rows:
-                fh.write(f"{vid},{aid},{c!r}\n")
+            rows.extend((aset.meta.video_id, track.annotator_id,
+                         track.f1_consistency) for track in aset.tracks)
+        write_csv(self.paths.consistency_csv, CONSISTENCY_HEADER, rows)
 
     def _load_consistency(self):
-        with open(self.paths.consistency_csv, "r", encoding="utf-8") as fh:
-            next(fh)
-            values = {}
-            for line in fh:
-                vid, aid, c = line.strip().split(",")
-                values[(vid, aid)] = float(c)
+        values = {(vid, aid): float(c) for vid, aid, c in
+                  read_csv(self.paths.consistency_csv, CONSISTENCY_HEADER)}
         for aset in self.sets:
             for track in aset.tracks:
                 track.f1_consistency = values[(aset.meta.video_id,
@@ -437,24 +411,20 @@ class Pipeline:
     def stage_sample(self):
         gt = read_boundary_csv(self.paths.gt_csv)
         spec = self.config.window_spec()
-        with atomic_open(self.paths.candidates_csv) as fh:
-            fh.write("video_id,t,label\n")
-            for aset in self.sets:
-                vid = aset.meta.video_id
-                cands = candidate_timestamps(aset.meta, spec.candidate_stride)
-                labels = label_windows(cands, gt.get(vid, []),
-                                       spec.label_tolerance)
-                for t, label in zip(cands, labels):
-                    fh.write(f"{vid},{t!r},{label}\n")
+        rows = []
+        for aset in self.sets:
+            vid = aset.meta.video_id
+            cands = candidate_timestamps(aset.meta, spec.candidate_stride)
+            labels = label_windows(cands, gt.get(vid, []), spec.label_tolerance)
+            rows.extend((vid, t, label) for t, label in zip(cands, labels))
+        write_csv(self.paths.candidates_csv, CANDIDATES_HEADER, rows)
 
     def _candidates(self):
         """``(aset, timestamps, labels)`` per video, in video_id order."""
         by_video = {}
-        with open(self.paths.candidates_csv, "r", encoding="utf-8") as fh:
-            next(fh)
-            for line in fh:
-                vid, t, label = line.strip().split(",")
-                by_video.setdefault(vid, []).append((float(t), label))
+        for vid, t, label in read_csv(self.paths.candidates_csv,
+                                      CANDIDATES_HEADER):
+            by_video.setdefault(vid, []).append((float(t), label))
         out = []
         for aset in self.sets:
             rows = by_video.get(aset.meta.video_id, [])
@@ -489,10 +459,7 @@ class Pipeline:
         model, losses = train_logistic((np.concatenate(X), np.array(y)),
                                        self.config.train_config())
         save_model(self.paths.model_json, model)
-        with atomic_open(self.paths.loss_csv) as fh:
-            fh.write("epoch,mean_loss\n")
-            for e, loss in enumerate(losses):
-                fh.write(f"{e},{loss!r}\n")
+        write_csv(self.paths.loss_csv, ("epoch", "mean_loss"), enumerate(losses))
 
     def stage_score(self):
         # one table read and one matrix product per video: too little work
@@ -542,11 +509,8 @@ class Pipeline:
             with atomic_open(os.path.join(self.paths.report_dir,
                                           f"timeline_{vid}.svg")) as fh:
                 fh.write(svg)
-        with open(self.paths.eval_per_class_csv, "r", encoding="utf-8",
-                  newline="") as fh:
-            rows = csv.reader(fh)
-            next(rows)
-            per_class = [(label, float(mean_f1)) for label, mean_f1, _ in rows]
+        per_class = [(label, float(mean_f1)) for label, mean_f1, _ in
+                     read_csv(self.paths.eval_per_class_csv, PER_CLASS_HEADER)]
         k = min(10, len(per_class))
         top = per_class[:k]
         bottom = sorted(per_class, key=lambda lv: (lv[1], lv[0]))[:k]

@@ -6,7 +6,8 @@ import pytest
 from gebd.annotations import (AnnotationParseError, AnnotationSet,
                               AnnotationValidationError, AnnotatorTrack,
                               RawBoundary, VideoMeta, attach_consistency,
-                              compute_f1_consistency, fnv1a64, normalize_track,
+                              compute_f1_consistency, fnv1a64, load_annotations,
+                              normalize_track,
                               pairwise_f1, parse_annotations, per_video_rng,
                               select_gt, select_gt_highest, select_gt_weighted,
                               serialize_annotations)
@@ -80,6 +81,17 @@ class TestParsing:
         bad = ONE_VIDEO.replace('"num_frames": 100', '"num_frames": 150')
         with pytest.raises(AnnotationValidationError, match="num_frames"):
             parse_annotations(bad)
+
+    @pytest.mark.parametrize("vid", ["../escape", "a/b", "/abs", ".", "..",
+                                     "nul\0byte"])
+    def test_path_like_video_id_rejected(self, tmp_path, vid):
+        # the pipeline names a video's frame directory and files by its id
+        doc = json.loads(ONE_VIDEO)
+        doc[0]["video_id"] = vid
+        path = tmp_path / "annotations.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(AnnotationValidationError, match="video_id"):
+            load_annotations(path)
 
     def test_round_trip_three_videos(self):
         rng = np.random.default_rng(3)

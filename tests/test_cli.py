@@ -1,16 +1,20 @@
+import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import gebd
+from gebd import cli
 from gebd.annotations import (attach_consistency, load_annotations,
                               select_gt_highest)
 from gebd.cli import main
 from gebd.evaluation import evaluate_corpus
-from gebd.pipeline import write_boundary_csv
+from gebd.pipeline import PipelineConfig, write_boundary_csv
 from gebd.synth import generate_corpus
 
 
@@ -162,19 +166,102 @@ class TestEval:
         assert code == 1 and f"stage 'select-gt' failed: {message}" in err
 
 
+# a flag and the typed, non-default value it sets, for every config key
+CONFIG_FLAGS = {
+    "seed": (["--seed", "7"], 7),
+    "workers": (["--workers", "2"], 2),
+    "consistency_threshold": (["--consistency-threshold", "0.1"], 0.1),
+    "use_file_consistency": (["--use-file-consistency"], True),
+    "gt_policy": (["--gt-policy", "weighted:3"], "weighted:3"),
+    "m": (["--m", "3"], 3),
+    "stride": (["--stride", "0.5"], 0.5),
+    "image_side": (["--image-side", "48"], 48),
+    "label_tolerance": (["--label-tolerance", "0.25"], 0.25),
+    "bg_ratio": (["--bg-ratio", "2"], 2.0),
+    "pyramid_levels": (["--pyramid-levels", "2"], 2),
+    "pyramid_scale": (["--pyramid-scale", "0.6"], 0.6),
+    "iterations": (["--iterations", "2"], 2),
+    "poly_window": (["--poly-window", "7"], 7),
+    "poly_sigma": (["--poly-sigma", "1.5"], 1.5),
+    "averaging_window": (["--averaging-window", "9"], 9),
+    "lr": (["--lr", "0.001"], 0.001),
+    "decay_factor": (["--decay-factor", "0.5"], 0.5),
+    "decay_every": (["--decay-every", "5"], 5),
+    "epochs": (["--epochs", "4"], 4),
+    "batch_size": (["--batch-size", "8"], 8),
+    "smooth_sigma": (["--smooth-sigma", "2"], 2.0),
+    "score_threshold": (["--score-threshold", "0.4"], 0.4),
+    "min_separation": (["--min-separation", "1"], 1.0),
+    "threshold": (["--threshold", "0.1"], 0.1),
+    "thresholds": (["--thresholds", "0.1,0.2"], (0.1, 0.2)),
+    "mode": (["--mode", "window:0.5"], "window:0.5"),
+    "match_policy": (["--match-policy", "greedy_nearest"], "greedy_nearest"),
+}
+
+
 class TestPipelineCommand:
     def test_end_to_end_with_config_file(self, corpus, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("seed=11\nimage_side=32\nm=3\nworkers=1\n")
         out = tmp_path / "run"
+        # a primary threshold off the sweep grid gets a row of its own
         code, values, _ = run_cli(capsys, "pipeline", str(corpus),
-                                  "--config", str(cfg), "--out", str(out))
+                                  "--config", str(cfg), "--out", str(out),
+                                  "--threshold", "0.1234567")
         assert code == 0
         assert 0.0 <= float(values["f1"]) <= 1.0
         assert os.path.exists(values["manifest"])
         manifest = json.load(open(values["manifest"]))
         assert manifest["config"]["image_side"] == 32
         assert [s["name"] for s in manifest["stages"]][-1] == "report"
+        rows = list(csv.reader(open(out / "eval_global.csv")))
+        assert [values[k] for k in rows[0]] in rows[1:]
+        assert values["threshold"] == "0.123457"
+        # window mode writes the one row, headed by the window
+        code, values, _ = run_cli(capsys, "pipeline", str(corpus),
+                                  "--config", str(cfg), "--out", str(out),
+                                  "--mode", "window:0.5")
+        assert code == 0
+        rows = list(csv.reader(open(out / "eval_global.csv")))
+        assert len(rows) == 2 and [values[k] for k in rows[0]] == rows[1]
+        assert values["threshold"] == "0.5"
+
+    def test_ids_with_commas(self, corpus, tmp_path, capsys):
+        corpus2 = tmp_path / "corpus"
+        shutil.copytree(corpus, corpus2)
+        doc = json.load(open(corpus2 / "annotations.json"))
+        os.rename(corpus2 / "frames" / doc[0]["video_id"],
+                  corpus2 / "frames" / "clip,01")
+        doc[0]["video_id"] = "clip,01"
+        doc[0]["annotators"][0]["annotator_id"] = "a,0"
+        (corpus2 / "annotations.json").write_text(json.dumps(doc))
+        out = tmp_path / "run"
+        code, values, err = run_cli(capsys, "pipeline", str(corpus2), "--out",
+                                    str(out), "--image-side", "32", "--m", "3")
+        assert code == 0, err
+        assert '"clip,01",' in (out / "gt.csv").read_text()
+        assert '"clip,01","a,0",' in (out / "consistency.csv").read_text()
+        code, evaluated, err = run_cli(
+            capsys, "eval", "--predictions", str(out / "predictions.csv"),
+            "--annotations", str(corpus2 / "annotations.json"),
+            "--out", str(tmp_path / "eval"))
+        assert code == 0, err
+        assert evaluated["f1"] == f"{float(values['f1']):.4f}"
+        with open(tmp_path / "eval" / "eval_per_video.csv", newline="") as fh:
+            assert "clip,01" in [row[0] for row in csv.reader(fh)]
+
+    def test_path_like_video_id_writes_nothing(self, corpus, tmp_path, capsys):
+        corpus2 = tmp_path / "corpus"
+        shutil.copytree(corpus, corpus2)
+        doc = json.load(open(corpus2 / "annotations.json"))
+        os.rename(corpus2 / "frames" / doc[0]["video_id"], corpus2 / "escape")
+        doc[0]["video_id"] = "../escape"
+        (corpus2 / "annotations.json").write_text(json.dumps(doc))
+        before = sorted(str(p) for p in tmp_path.rglob("*"))
+        code, _, err = run_cli(capsys, "pipeline", str(corpus2),
+                               "--image-side", "32")
+        assert code == 1 and "video_id '../escape'" in err
+        assert sorted(str(p) for p in tmp_path.rglob("*")) == before
 
     def test_bad_config_value_exits_1(self, corpus, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -212,6 +299,22 @@ class TestPipelineCommand:
         assert code == 1 and f"key '{key}': " in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("name", PipelineConfig.__dataclass_fields__)
+    def test_every_config_key_is_a_flag(self, corpus, tmp_path, capsys,
+                                        monkeypatch, name):
+        flag, value = CONFIG_FLAGS[name]
+        seen = []
+
+        def record(corpus_root, out_dir, config):
+            seen.append(config)
+            raise OSError("stop before any stage")
+        monkeypatch.setattr(cli, "run_pipeline", record)
+        code, _, err = run_cli(capsys, "pipeline", str(corpus), *flag)
+        assert code == 1 and "stop before any stage" in err
+        got = getattr(seen[0], name)
+        assert got == value and type(got) is type(value)
+        assert got != getattr(PipelineConfig(), name)
+
     def test_usage_error_exits_1(self, corpus, capsys):
         for flags in (["--match-policy", "bogus"], ["--no-such-flag"]):
             code, _, err = run_cli(capsys, "pipeline", str(corpus), *flags)
@@ -223,6 +326,29 @@ class TestPipelineCommand:
         code, _, err = run_cli(capsys, "pipeline", str(tmp_path / "nope"))
         assert code == 1
         assert "error" in err
+
+
+LOADED = "import sys\n{}\nprint(' '.join(sys.modules))"
+IMPORT_ALL = """
+import importlib, pkgutil
+import gebd
+for info in pkgutil.iter_modules(gebd.__path__):
+    importlib.import_module("gebd." + info.name)
+"""
+
+
+def test_imports_nothing_but_numpy():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(gebd.__file__))]
+        + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+
+    def top_level(code):
+        done = subprocess.run([sys.executable, "-c", LOADED.format(code)],
+                              capture_output=True, text=True, env=env,
+                              check=True)
+        return {name.split(".")[0] for name in done.stdout.split()
+                if not name.startswith("__")} - set(sys.stdlib_module_names)
+    assert top_level(IMPORT_ALL) - top_level("pass") == {"gebd", "numpy"}
 
 
 def test_console_script_installed():

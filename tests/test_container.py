@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from gebd.container import (DTYPE_F64, ContainerError, atomic_open,
-                            read_tensor, read_tensor_file, write_tensor,
-                            write_tensor_file)
+from gebd.container import (DTYPE_F64, ContainerError, atomic_open, read_csv,
+                            read_tensor, read_tensor_file, write_csv,
+                            write_tensor, write_tensor_file)
 
 
 def test_header_layout_small_vector():
@@ -119,6 +119,37 @@ def test_atomic_open_failure_keeps_previous_file(tmp_path):
             raise RuntimeError("crash mid-write")
     assert path.read_text() == "old\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
+
+
+def test_csv_round_trip_quotes_fields(tmp_path):
+    path = tmp_path / "t.csv"
+    rows = [["clip,01", 'say "hi"', "two\nlines", 0.1], ["v", "", "", 1e-300]]
+    write_csv(path, ("video_id", "a", "b", "t"), rows)
+    assert path.read_text().splitlines()[:2] == \
+        ["video_id,a,b,t", '"clip,01","say ""hi""","two']
+    assert read_csv(path, ("video_id", "a", "b", "t")) == \
+        [[str(c) for c in row] for row in rows]
+
+
+def test_csv_header_optional_and_blank_rows_skipped(tmp_path):
+    path = tmp_path / "t.csv"
+    header = ("video_id", "timestamp")
+    for text in ("Video_ID,timestamp\nv,1.0\n\nw,2.0\n", "v,1.0\nw,2.0\n\n"):
+        path.write_text(text)
+        assert read_csv(path, header) == [["v", "1.0"], ["w", "2.0"]]
+
+
+@pytest.mark.parametrize("text, line, fields", [
+    ("video_id,t,score\nv,0.5,0.1\nv,1.0\n", 3, 2),
+    ("v,0.5,0.1,9\n", 1, 4),
+    ('video_id,t,score\n"a\nb",0.5\n', 3, 2),  # a quoted field spans lines
+    ("video_id,t,score\nclip,01,0.5,0.1\n", 2, 4)])  # an unquoted comma
+def test_csv_row_of_wrong_width_named(tmp_path, text, line, fields):
+    path = tmp_path / "scores.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=rf"scores\.csv:{line}: expected "
+                       rf"video_id,t,score, got {fields} fields"):
+        read_csv(path, ("video_id", "t", "score"))
 
 
 def test_file_header_checked_against_size(tmp_path):

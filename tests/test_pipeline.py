@@ -325,7 +325,7 @@ class TestStageStamps:
         manifest = run_pipeline(corpus, out, PipelineConfig(**dict(cfg, seed=12)))
         assert ran_stages(manifest) == STAGE_NAMES[5:]
 
-    def test_image_side_reruns_sample_onward(self, copied_run):
+    def test_image_side_reruns_flow_onward(self, copied_run):
         # the flow stage computes the features, so image_side reruns flow
         # onward, but not sample
         self.assert_flow_reran(*copied_run, image_side=48)
