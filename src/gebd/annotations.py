@@ -338,11 +338,19 @@ def select_gt_weighted(aset: AnnotationSet, seed: int) -> BoundaryList:
     return normalize_track(aset.tracks[pick], aset.meta)
 
 
-def select_gt(aset: AnnotationSet, policy: str, default_seed: int) -> BoundaryList:
-    """GT under ``highest`` or ``weighted[:<seed>]`` (no seed: ``default_seed``)."""
+def parse_gt_policy(policy: str):
+    """``highest``, ``weighted`` or ``weighted:<seed>`` -> (name, seed or None)."""
     if policy == "highest":
-        return select_gt_highest(aset)
+        return "highest", None
     name, colon, seed = policy.partition(":")
     if name == "weighted":
-        return select_gt_weighted(aset, int(seed) if colon else default_seed)
+        return name, int(seed) if colon else None
     raise ValueError(f"unknown gt policy {policy!r}")
+
+
+def select_gt(aset: AnnotationSet, policy: str, default_seed: int) -> BoundaryList:
+    """GT under ``highest`` or ``weighted[:<seed>]`` (no seed: ``default_seed``)."""
+    name, seed = parse_gt_policy(policy)
+    if name == "highest":
+        return select_gt_highest(aset)
+    return select_gt_weighted(aset, default_seed if seed is None else seed)

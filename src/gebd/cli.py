@@ -7,6 +7,10 @@ Subcommands::
     gebd eval      score a predictions CSV against annotation ground truth
     gebd pipeline  run the staged end-to-end pipeline on a corpus
 
+Config flags come from :class:`PipelineConfig`: ``gebd pipeline`` has one
+per field, ``gebd eval`` one per key of the consistency, select-gt and eval
+stages, whose code it runs.  Both print the primary ``eval_global.csv`` row.
+
 Standard output carries only machine-parseable ``key=value`` lines;
 diagnostics go to standard error.  Exit codes: 0 success, 1 usage, parse or
 validation failure, 2 video_id mismatch between files.
@@ -20,12 +24,11 @@ import os
 import sys
 
 from .annotations import (AnnotationParseError, AnnotationValidationError,
-                          attach_consistency, load_annotations, select_gt)
+                          load_annotations)
 from .container import read_csv
-from .evaluation import (GLOBAL_HEADER, evaluate_corpus, write_global_csv,
-                         write_per_class_csv, write_per_video_csv)
-from .pipeline import (PipelineConfig, load_config, parse_mode,
-                       parse_thresholds, read_boundary_csv, run_pipeline)
+from .pipeline import (GLOBAL_HEADER, Paths, Pipeline, PipelineConfig,
+                       attach_stage_consistency, ground_truth, load_config,
+                       parse_mode, read_boundary_csv, run_pipeline, write_eval)
 from .synth import generate_corpus
 from .windows import FrameSequence
 
@@ -75,54 +78,44 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _select_gt(sets, policy, consistency_threshold, default_seed):
-    gt = {}
-    for aset in sets:
-        if any(t.f1_consistency is None for t in aset.tracks):
-            attach_consistency(aset, consistency_threshold)
-        gt[aset.meta.video_id] = select_gt(aset, policy, default_seed).timestamps
-    return gt
+def _config(args) -> PipelineConfig:
+    """The ``--config`` file, if the command has one, under the config flags."""
+    return load_config(getattr(args, "config", None),
+                       **{key: getattr(args, key) for key in args.config_keys})
+
+
+def _emit_primary(config, out_dir, **extra) -> int:
+    """Print the ``eval_global.csv`` row of ``--threshold`` (of the window in
+    ``window:`` mode), cell for cell, then ``extra``."""
+    _, window = parse_mode(config.mode)
+    cell = f"{config.threshold if window is None else window:.6g}"
+    path = os.path.join(out_dir, "eval_global.csv")
+    rows = [r for r in read_csv(path, GLOBAL_HEADER) if r[0] == cell]
+    if not rows:
+        return _fail(f"{path}: no row for threshold {cell}")
+    _emit(**dict(zip(GLOBAL_HEADER, rows[0])), **extra)
+    return EXIT_OK
 
 
 def cmd_eval(args) -> int:
     try:
+        config = _config(args)
         sets = load_annotations(args.annotations)
         preds = read_boundary_csv(args.predictions)
-        gt = _select_gt(sets, args.gt_policy, args.consistency_threshold,
-                        args.seed)
-        durations = {a.meta.video_id: a.meta.duration for a in sets}
-        classes = {a.meta.video_id: a.meta.class_label for a in sets}
-        mode, window = parse_mode(args.mode)
-        thresholds = parse_thresholds(args.thresholds)
-        report = evaluate_corpus(preds, gt, durations, classes,
-                                 thresholds=thresholds,
-                                 primary_threshold=args.threshold,
-                                 mode=mode, window=window, policy=args.policy)
+        attach_stage_consistency(sets, config)
+        write_eval(Paths(os.path.dirname(args.annotations), args.out), sets,
+                   config, preds, ground_truth(sets, config))
     except KeyError as e:
         return _fail(str(e), EXIT_MISMATCH)
     except (AnnotationParseError, AnnotationValidationError, ValueError,
             OSError) as e:
         return _fail(str(e))
-    os.makedirs(args.out, exist_ok=True)
-    write_global_csv(os.path.join(args.out, "eval_global.csv"), report)
-    write_per_video_csv(os.path.join(args.out, "eval_per_video.csv"), report)
-    write_per_class_csv(os.path.join(args.out, "eval_per_class.csv"), report,
-                        classes)
-    primary = next(r for r in report.global_prf
-                   if r.threshold == report.primary_threshold)
-    _emit(threshold=primary.threshold,
-          precision=f"{primary.precision:.4f}",
-          recall=f"{primary.recall:.4f}",
-          f1=f"{primary.f1:.4f}",
-          out=args.out)
-    return EXIT_OK
+    return _emit_primary(config, args.out, out=args.out)
 
 
 def cmd_pipeline(args) -> int:
-    overrides = {name: getattr(args, name)
-                 for name in PipelineConfig.__dataclass_fields__}
     try:
-        config = load_config(args.config, **overrides)
+        config = _config(args)
         out_dir = args.out or os.path.join(args.corpus, "run")
         run_pipeline(args.corpus, out_dir, config)
     except KeyError as e:
@@ -130,15 +123,30 @@ def cmd_pipeline(args) -> int:
     except (AnnotationParseError, AnnotationValidationError, ValueError,
             OSError, RuntimeError) as e:
         return _fail(str(e))
-    _, window = parse_mode(config.mode)
-    cell = f"{config.threshold if window is None else window:.6g}"
-    path = os.path.join(out_dir, "eval_global.csv")
-    rows = [r for r in read_csv(path, GLOBAL_HEADER) if r[0] == cell]
-    if not rows:
-        return _fail(f"{path}: no row for threshold {cell}")
-    _emit(**dict(zip(GLOBAL_HEADER, rows[0])),
-          manifest=os.path.join(out_dir, "manifest.json"), out=out_dir)
-    return EXIT_OK
+    return _emit_primary(config, out_dir,
+                         manifest=os.path.join(out_dir, "manifest.json"),
+                         out=out_dir)
+
+
+def _add_config_flags(parser, keys) -> None:
+    """``--<key-with-dashes>`` per config key; ``_config`` reads them back."""
+    for key in keys:
+        flag = "--" + key.replace("_", "-")
+        if PipelineConfig.__dataclass_fields__[key].type == "bool":
+            parser.add_argument(flag, action="store_const", const=True)
+        else:  # typed by load_config, as a config file value is
+            parser.add_argument(flag)
+    parser.set_defaults(config_keys=tuple(keys))
+
+
+def eval_keys() -> tuple:
+    """Config keys of the stages whose code ``gebd eval`` runs, from the stage
+    table; under a bare ``weighted`` policy select-gt also reads ``seed``."""
+    stages = Pipeline("", "", PipelineConfig(gt_policy="weighted"),
+                      sets=[]).stages()
+    return tuple(dict.fromkeys(
+        key for name, _, keys, _, _ in stages
+        if name in ("consistency", "select-gt", "eval") for key in keys))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -165,30 +173,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--predictions", required=True)
     p.add_argument("--annotations", required=True)
     p.add_argument("--out", default="eval_out")
-    p.add_argument("--gt-policy", default="highest",
-                   help="highest | weighted:<seed>")
-    p.add_argument("--threshold", type=float, default=0.05,
-                   help="primary relative-distance threshold")
-    p.add_argument("--thresholds", default="0.05:0.05:0.5",
-                   help="sweep grid, lo:step:hi or comma list")
-    p.add_argument("--mode", default="relative",
-                   help="relative | window:<seconds>")
-    p.add_argument("--policy", default="optimal",
-                   choices=("optimal", "greedy_nearest"))
-    p.add_argument("--consistency-threshold", type=float, default=0.05)
-    p.add_argument("--seed", type=int, default=1)
+    _add_config_flags(p, eval_keys())
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("pipeline", help="run the end-to-end pipeline")
     p.add_argument("corpus", help="corpus root (frames/ + annotations.json)")
     p.add_argument("--config", help="key=value config file")
     p.add_argument("--out", help="output directory (default <corpus>/run)")
-    for name, field in PipelineConfig.__dataclass_fields__.items():
-        flag = "--" + name.replace("_", "-")
-        if field.type == "bool":
-            p.add_argument(flag, action="store_const", const=True)
-        else:  # typed by load_config, as a config file value is
-            p.add_argument(flag)
+    _add_config_flags(p, PipelineConfig.__dataclass_fields__)
     p.set_defaults(func=cmd_pipeline)
     return parser
 

@@ -24,12 +24,9 @@ Two pairing policies are provided:
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .container import write_csv
 
 # Equal-cost tolerance: total costs are <= len(pairs) with each term in [0,1],
 # so 1e-9 absolute separates genuine ties from rounding noise.
@@ -330,30 +327,3 @@ def evaluate_corpus(predictions, ground_truth, durations, classes=None,
                                k=max(1, len(set(classes.values()))))
         per_class = rep.top  # full descending list
     return EvalReport(global_prf, per_video, per_class, mode, primary_threshold)
-
-
-GLOBAL_HEADER = ("threshold", "precision", "recall", "f1")
-PER_VIDEO_HEADER = ("video_id",) + GLOBAL_HEADER
-PER_CLASS_HEADER = ("class", "mean_f1", "n_videos")
-
-
-def _prf_cells(r: PRF) -> list:
-    return [f"{r.threshold:.6g}", f"{r.precision:.6f}", f"{r.recall:.6f}",
-            f"{r.f1:.6f}"]
-
-
-def write_global_csv(path, report: EvalReport) -> None:
-    write_csv(path, GLOBAL_HEADER, map(_prf_cells, report.global_prf))
-
-
-def write_per_video_csv(path, report: EvalReport) -> None:
-    write_csv(path, PER_VIDEO_HEADER,
-              ([vid] + _prf_cells(r) for vid in sorted(report.per_video)
-               for r in report.per_video[vid]))
-
-
-def write_per_class_csv(path, report: EvalReport, classes) -> None:
-    counts = Counter(classes[vid] for vid in report.per_video)
-    write_csv(path, PER_CLASS_HEADER,
-              ((label, f"{mean_f1:.6f}", counts[label])
-               for label, mean_f1 in report.per_class))

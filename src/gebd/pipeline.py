@@ -30,6 +30,7 @@ import operator
 import os
 import shutil
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -37,14 +38,12 @@ import numpy as np
 
 from . import __version__
 from .annotations import (attach_consistency, load_annotations, normalize_track,
-                          per_video_rng, select_gt)
+                          parse_gt_policy, per_video_rng, select_gt)
 from .classifier import (FEATURE_DIM, TrainConfig, load_model, save_model,
                          score_sequence, train_logistic, window_inputs)
 from .container import (DTYPE_F64, atomic_open, read_csv, read_tensor_file,
                         write_csv, write_tensor_file)
-from .evaluation import (PER_CLASS_HEADER, POLICIES, check_ascending,
-                         evaluate_corpus, write_global_csv, write_per_class_csv,
-                         write_per_video_csv)
+from .evaluation import POLICIES, check_ascending, evaluate_corpus
 from .flow import FlowConfig
 from .postprocess import DetectionConfig, ScoreSequence, scores_to_boundaries
 from .report import TimelineSpec, render_class_bars, render_timeline
@@ -99,8 +98,7 @@ class PipelineConfig:
                 setattr(self, name, _typed(field.type, getattr(self, name)))
             except (TypeError, ValueError) as e:
                 raise ValueError(f"key {name!r}: {e}") from e
-        # the stages' own checks, so a bad value fails before stage 1;
-        # gt_policy is left to select-gt, which parses it
+        # the stages' own checks, so a bad value fails before stage 1
         for validate in (self.flow_config().validate, self.window_spec().validate,
                          self.train_config().validate,
                          self.detection_config().validate):
@@ -109,10 +107,11 @@ class PipelineConfig:
             except ValueError as e:  # each message starts with its field's name
                 word = str(e).split()[0]
                 raise ValueError(f"key {_CONFIG_KEYS.get(word, word)!r}: {e}") from e
-        try:
-            parse_mode(self.mode)
-        except ValueError as e:
-            raise ValueError(f"key 'mode': {e}") from e
+        for key, parse in (("mode", parse_mode), ("gt_policy", parse_gt_policy)):
+            try:
+                parse(getattr(self, key))
+            except ValueError as e:
+                raise ValueError(f"key {key!r}: {e}") from e
         if self.match_policy not in POLICIES:
             raise ValueError(f"key 'match_policy': unknown policy "
                              f"{self.match_policy!r}, expected one of {POLICIES}")
@@ -219,6 +218,9 @@ BOUNDARY_HEADER = ("video_id", "timestamp")
 SCORES_HEADER = ("video_id", "t", "score")
 CONSISTENCY_HEADER = ("video_id", "annotator_id", "f1_consistency")
 CANDIDATES_HEADER = ("video_id", "t", "label")
+GLOBAL_HEADER = ("threshold", "precision", "recall", "f1")
+PER_VIDEO_HEADER = ("video_id",) + GLOBAL_HEADER
+PER_CLASS_HEADER = ("class", "mean_f1", "n_videos")
 
 
 def write_boundary_csv(path, boundaries) -> None:
@@ -249,6 +251,11 @@ def read_scores_csv(path) -> list:
     return [ScoreSequence(video_id=vid, timestamps=[t for t, _ in rows[vid]],
                           scores=[s for _, s in rows[vid]])
             for vid in sorted(rows)]
+
+
+def _prf_cells(r) -> list:
+    return [f"{r.threshold:.6g}", f"{r.precision:.6f}", f"{r.recall:.6f}",
+            f"{r.f1:.6f}"]
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +341,46 @@ def _map_videos(fn, items, workers):
 
 
 # ---------------------------------------------------------------------------
-# stage bodies (module level so worker processes can pickle them)
+# stage bodies; module level so worker processes can pickle them, and so
+# `gebd eval` runs the pipeline's own ground-truth and eval code
+
+def attach_stage_consistency(sets, config: PipelineConfig) -> None:
+    """Each video's ``f1_consistency``, in place: recomputed unless
+    ``use_file_consistency`` is set and every track has a value."""
+    for aset in sets:
+        have_all = all(t.f1_consistency is not None for t in aset.tracks)
+        if not (config.use_file_consistency and have_all):
+            attach_consistency(aset, config.consistency_threshold)
+
+
+def ground_truth(sets, config: PipelineConfig) -> dict:
+    """video_id -> timestamps of the track ``config.gt_policy`` selects."""
+    return {aset.meta.video_id: select_gt(aset, config.gt_policy,
+                                          config.seed).timestamps
+            for aset in sets}
+
+
+def write_eval(paths, sets, config: PipelineConfig, preds, gt) -> None:
+    """Score ``preds`` against ``gt`` and write the three eval CSVs."""
+    # videos whose GT is empty still count
+    gt = {**{aset.meta.video_id: [] for aset in sets}, **gt}
+    durations = {a.meta.video_id: a.meta.duration for a in sets}
+    classes = {a.meta.video_id: a.meta.class_label for a in sets}
+    mode, window = parse_mode(config.mode)
+    report = evaluate_corpus(preds, gt, durations, classes,
+                             thresholds=config.thresholds,
+                             primary_threshold=config.threshold,
+                             mode=mode, window=window, policy=config.match_policy)
+    os.makedirs(paths.out, exist_ok=True)
+    write_csv(paths.eval_global_csv, GLOBAL_HEADER,
+              map(_prf_cells, report.global_prf))
+    write_csv(paths.eval_per_video_csv, PER_VIDEO_HEADER,
+              ([vid] + _prf_cells(r) for vid in sorted(report.per_video)
+               for r in report.per_video[vid]))
+    counts = Counter(classes[vid] for vid in report.per_video)
+    write_csv(paths.eval_per_class_csv, PER_CLASS_HEADER,
+              ((label, f"{f1:.6f}", counts[label]) for label, f1 in report.per_class))
+
 
 def _flow_job(args):
     meta, frame_dir, table_path, spec, flow_cfg = args
@@ -352,11 +398,13 @@ class PipelineError(RuntimeError):
 class Pipeline:
     """Runs the staged pipeline for one corpus into one output directory."""
 
-    def __init__(self, corpus_root, out_dir, config: PipelineConfig):
+    def __init__(self, corpus_root, out_dir, config: PipelineConfig, sets=None):
+        """``sets`` defaults to the corpus's ``annotations.json``."""
         self.paths = Paths(str(corpus_root), str(out_dir))
         self.config = config
-        self.sets = load_annotations(self.paths.annotations)
-        self.sets.sort(key=lambda a: a.meta.video_id)
+        self.sets = sorted(load_annotations(self.paths.annotations)
+                           if sets is None else sets,
+                           key=lambda a: a.meta.video_id)
         self.stage_log = []
         self._outputs = {}
         self._stamps = {}
@@ -372,14 +420,10 @@ class Pipeline:
             fh.write(f"videos={count}\n")
 
     def stage_consistency(self):
-        rows = []
-        for aset in self.sets:
-            have_all = all(t.f1_consistency is not None for t in aset.tracks)
-            if not (self.config.use_file_consistency and have_all):
-                attach_consistency(aset, self.config.consistency_threshold)
-            rows.extend((aset.meta.video_id, track.annotator_id,
-                         track.f1_consistency) for track in aset.tracks)
-        write_csv(self.paths.consistency_csv, CONSISTENCY_HEADER, rows)
+        attach_stage_consistency(self.sets, self.config)
+        write_csv(self.paths.consistency_csv, CONSISTENCY_HEADER,
+                  ((aset.meta.video_id, track.annotator_id, track.f1_consistency)
+                   for aset in self.sets for track in aset.tracks))
 
     def _load_consistency(self):
         values = {(vid, aid): float(c) for vid, aid, c in
@@ -391,11 +435,7 @@ class Pipeline:
 
     def stage_select_gt(self):
         self._load_consistency()
-        gt = {}
-        for aset in self.sets:
-            gt[aset.meta.video_id] = select_gt(aset, self.config.gt_policy,
-                                               self.config.seed).timestamps
-        write_boundary_csv(self.paths.gt_csv, gt)
+        write_boundary_csv(self.paths.gt_csv, ground_truth(self.sets, self.config))
 
     def stage_flow(self):
         # flow and window tensors written by older versions; nothing reads them
@@ -478,21 +518,9 @@ class Pipeline:
         write_boundary_csv(self.paths.predictions_csv, preds)
 
     def stage_eval(self):
-        preds = read_boundary_csv(self.paths.predictions_csv)
-        gt = read_boundary_csv(self.paths.gt_csv)
-        for aset in self.sets:  # videos whose GT is empty still count
-            gt.setdefault(aset.meta.video_id, [])
-        durations = {a.meta.video_id: a.meta.duration for a in self.sets}
-        classes = {a.meta.video_id: a.meta.class_label for a in self.sets}
-        mode, window = parse_mode(self.config.mode)
-        report = evaluate_corpus(
-            preds, gt, durations, classes,
-            thresholds=self.config.thresholds,
-            primary_threshold=self.config.threshold,
-            mode=mode, window=window, policy=self.config.match_policy)
-        write_global_csv(self.paths.eval_global_csv, report)
-        write_per_video_csv(self.paths.eval_per_video_csv, report)
-        write_per_class_csv(self.paths.eval_per_class_csv, report, classes)
+        write_eval(self.paths, self.sets, self.config,
+                   read_boundary_csv(self.paths.predictions_csv),
+                   read_boundary_csv(self.paths.gt_csv))
 
     def stage_report(self):
         os.makedirs(self.paths.report_dir, exist_ok=True)
@@ -537,8 +565,8 @@ class Pipeline:
              [p.consistency_csv]),
             ("select-gt", ("annotations", "consistency"),
              # only a bare "weighted" policy reads seed
-             ("gt_policy", "seed") if self.config.gt_policy == "weighted"
-             else ("gt_policy",), [p.gt_csv]),
+             ("gt_policy", "seed") if parse_gt_policy(self.config.gt_policy)
+             == ("weighted", None) else ("gt_policy",), [p.gt_csv]),
             ("flow", ("annotations", "frames"),
              ("pyramid_levels", "pyramid_scale", "iterations", "poly_window",
               "poly_sigma", "averaging_window", "image_side"),

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -12,9 +13,9 @@ import gebd
 from gebd import cli
 from gebd.annotations import (attach_consistency, load_annotations,
                               select_gt_highest)
-from gebd.cli import main
+from gebd.cli import build_parser, main
 from gebd.evaluation import evaluate_corpus
-from gebd.pipeline import PipelineConfig, write_boundary_csv
+from gebd.pipeline import Pipeline, PipelineConfig, write_boundary_csv
 from gebd.synth import generate_corpus
 
 
@@ -27,6 +28,18 @@ def run_cli(capsys, *argv):
             key, value = line.split("=", 1)
             values[key] = value
     return code, values, captured.err
+
+
+def printed_row(out, values):
+    """The ``eval_global.csv`` row that ``values`` printed, as CSV cells."""
+    with open(out / "eval_global.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    row = [values[k] for k in rows[0]]
+    assert row in rows[1:]
+    return dict(zip(rows[0], row))
+
+
+EVAL_CSVS = ("eval_global.csv", "eval_per_video.csv", "eval_per_class.csv")
 
 
 @pytest.fixture(scope="module")
@@ -82,22 +95,30 @@ class TestEval:
     def test_perfect_predictions(self, corpus, gt, tmp_path, capsys):
         pred_csv = tmp_path / "pred.csv"
         write_boundary_csv(pred_csv, gt)
-        code, values, _ = run_cli(
-            capsys, "eval", "--predictions", str(pred_csv),
-            "--annotations", str(corpus / "annotations.json"),
-            "--out", str(tmp_path / "eval"))
-        assert code == 0
-        assert values["f1"] == "1.0000"
+        # a primary threshold off the sweep grid gets a row of its own
+        for flags, threshold in (([], "0.05"),
+                                 (["--threshold", "0.1234567"], "0.123457")):
+            out = tmp_path / f"eval{len(flags)}"
+            code, values, _ = run_cli(
+                capsys, "eval", "--predictions", str(pred_csv),
+                "--annotations", str(corpus / "annotations.json"),
+                "--out", str(out), *flags)
+            assert code == 0
+            assert printed_row(out, values) == {
+                "threshold": threshold, "precision": "1.000000",
+                "recall": "1.000000", "f1": "1.000000"}
+            assert sorted(os.listdir(out)) == sorted(EVAL_CSVS)
 
     def test_empty_predictions(self, corpus, tmp_path, capsys):
         pred_csv = tmp_path / "pred.csv"
         pred_csv.write_text("video_id,timestamp\n")
+        out = tmp_path / "eval"
         code, values, _ = run_cli(
             capsys, "eval", "--predictions", str(pred_csv),
             "--annotations", str(corpus / "annotations.json"),
-            "--out", str(tmp_path / "eval"))
+            "--out", str(out))
         assert code == 0
-        assert values["f1"] == "0.0000"
+        assert printed_row(out, values)["f1"] == "0.000000"
 
     def test_unknown_video_exits_2(self, corpus, tmp_path, capsys):
         pred_csv = tmp_path / "pred.csv"
@@ -132,18 +153,20 @@ class TestEval:
             for line, prf in zip(fh, report.global_prf):
                 _, p, r, f1 = line.strip().split(",")
                 assert float(f1) == pytest.approx(prf.f1, abs=1e-6)
-        assert values["f1"] == f"{report.global_prf[0].f1:.4f}"
+        assert float(printed_row(out, values)["f1"]) == \
+            pytest.approx(report.global_prf[0].f1, abs=1e-6)
 
     def test_window_mode(self, corpus, gt, tmp_path, capsys):
         pred_csv = tmp_path / "pred.csv"
         write_boundary_csv(pred_csv, gt)
+        out = tmp_path / "eval"
         code, values, _ = run_cli(
             capsys, "eval", "--predictions", str(pred_csv),
             "--annotations", str(corpus / "annotations.json"),
-            "--mode", "window:0.25", "--out", str(tmp_path / "eval"))
+            "--mode", "window:0.25", "--out", str(out))
         assert code == 0
-        assert values["f1"] == "1.0000"
-        assert values["threshold"] == "0.25"
+        row = printed_row(out, values)
+        assert row["f1"] == "1.000000" and row["threshold"] == "0.25"
 
     def test_weighted_gt_policy(self, corpus, gt, tmp_path, capsys):
         pred_csv = tmp_path / "pred.csv"
@@ -154,8 +177,9 @@ class TestEval:
             "--gt-policy", "weighted:5", "--out", str(tmp_path / "eval"))
         assert code == 0
         assert 0.0 <= float(values["f1"]) <= 1.0
-        # one policy parser: eval and the pipeline reject a policy alike
-        message = "unknown gt policy 'bogus'"
+        # one policy parser: eval and the pipeline reject a policy alike,
+        # before writing anything
+        message = "key 'gt_policy': unknown gt policy 'bogus'"
         code, _, err = run_cli(
             capsys, "eval", "--predictions", str(pred_csv),
             "--annotations", str(corpus / "annotations.json"),
@@ -163,7 +187,68 @@ class TestEval:
         assert code == 1 and message in err
         code, _, err = run_cli(capsys, "pipeline", str(corpus), "--gt-policy",
                                "bogus", "--out", str(tmp_path / "run"))
-        assert code == 1 and f"stage 'select-gt' failed: {message}" in err
+        assert code == 1 and message in err
+        assert not (tmp_path / "eval2").exists()
+        assert not (tmp_path / "run").exists()
+
+    def test_flags_are_its_stages_keys(self, corpus, tmp_path):
+        # select-gt reads seed only under a bare "weighted" policy
+        config = PipelineConfig(gt_policy="weighted")
+        keys = {key for name, _, keys, _, _ in
+                Pipeline(corpus, tmp_path, config).stages()
+                if name in ("consistency", "select-gt", "eval") for key in keys}
+        assert "seed" in keys
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)).choices["eval"]
+        flags = {s for a in sub._actions for s in a.option_strings}
+        assert flags - {"-h", "--help"} == \
+            {"--predictions", "--annotations", "--out"} | \
+            {"--" + key.replace("_", "-") for key in keys}
+
+    @pytest.mark.parametrize("name", cli.eval_keys())
+    def test_every_eval_key_is_a_flag(self, corpus, tmp_path, capsys,
+                                      monkeypatch, name):
+        flag, value = CONFIG_FLAGS[name]
+        seen = []
+
+        def record(sets, config):
+            seen.append(config)
+            raise OSError("stop before scoring")
+        monkeypatch.setattr(cli, "attach_stage_consistency", record)
+        pred_csv = tmp_path / "pred.csv"
+        pred_csv.write_text("video_id,timestamp\n")
+        code, _, err = run_cli(
+            capsys, "eval", "--predictions", str(pred_csv),
+            "--annotations", str(corpus / "annotations.json"),
+            "--out", str(tmp_path / "eval"), *flag)
+        assert code == 1 and "stop before scoring" in err
+        got = getattr(seen[0], name)
+        assert got == value and type(got) is type(value)
+        assert got != getattr(PipelineConfig(), name)
+
+    @pytest.mark.parametrize("flags", [[], ["--use-file-consistency"]])
+    def test_reproduces_pipeline_eval(self, corpus, tmp_path, capsys, flags):
+        # consistency values in the file that recomputing would not give
+        corpus2 = tmp_path / "corpus"
+        shutil.copytree(corpus, corpus2)
+        doc = json.load(open(corpus2 / "annotations.json"))
+        for entry in doc:
+            for k, ann in enumerate(entry["annotators"]):
+                ann["f1_consistency"] = 0.1 * (k + 1)
+        (corpus2 / "annotations.json").write_text(json.dumps(doc))
+        run, out = tmp_path / "run", tmp_path / "eval"
+        code, values, err = run_cli(capsys, "pipeline", str(corpus2), "--out",
+                                    str(run), "--image-side", "32", "--m", "3",
+                                    *flags)
+        assert code == 0, err
+        code, evaluated, err = run_cli(
+            capsys, "eval", "--predictions", str(run / "predictions.csv"),
+            "--annotations", str(corpus2 / "annotations.json"),
+            "--out", str(out), *flags)
+        assert code == 0, err
+        for name in EVAL_CSVS:
+            assert (out / name).read_bytes() == (run / name).read_bytes(), name
+        assert printed_row(out, evaluated) == printed_row(run, values)
 
 
 # a flag and the typed, non-default value it sets, for every config key
@@ -246,7 +331,7 @@ class TestPipelineCommand:
             "--annotations", str(corpus2 / "annotations.json"),
             "--out", str(tmp_path / "eval"))
         assert code == 0, err
-        assert evaluated["f1"] == f"{float(values['f1']):.4f}"
+        assert evaluated["f1"] == values["f1"]
         with open(tmp_path / "eval" / "eval_per_video.csv", newline="") as fh:
             assert "clip,01" in [row[0] for row in csv.reader(fh)]
 
@@ -287,7 +372,8 @@ class TestPipelineCommand:
         (["--lr", "0"], "lr"),
         (["--epochs", "0"], "epochs"),
         (["--smooth-sigma", "-1"], "smooth_sigma"),
-        (["--config", "match_policy=bogus"], "match_policy")])
+        (["--config", "match_policy=bogus"], "match_policy"),
+        (["--gt-policy", "bogus"], "gt_policy")])
     def test_bad_value_fails_before_any_stage(self, corpus, tmp_path, capsys,
                                               flags, key):
         if flags[0] == "--config":
