@@ -251,20 +251,18 @@ def pairwise_f1(aset: AnnotationSet, threshold: float = 0.05):
 def compute_f1_consistency(aset: AnnotationSet, threshold: float = 0.05):
     """Mean F1 of each annotator against every other, in track order.
 
-    Returns ``[(annotator_id, consistency), ...]``.  Requires at least two
-    tracks; an annotator with no boundaries scores 0 against everyone (the
-    degenerate F1 convention).
+    Returns ``[(annotator_id, consistency), ...]``.  A lone annotator has
+    no one to disagree with and scores 1; an annotator with no boundaries
+    scores 0 against everyone else (the degenerate F1 convention).
     """
     if not 0 < threshold < 1:
         raise ValueError(f"threshold must be in (0,1), got {threshold}")
     n = len(aset.tracks)
-    if n < 2:
-        raise ValueError("consistency undefined for fewer than 2 annotators")
     f1 = pairwise_f1(aset, threshold)
     out = []
     for i, track in enumerate(aset.tracks):
         others = [f1[i, j] for j in range(n) if j != i]
-        out.append((track.annotator_id, float(np.mean(others))))
+        out.append((track.annotator_id, float(np.mean(others)) if others else 1.0))
     return out
 
 

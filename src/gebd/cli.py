@@ -3,7 +3,7 @@
 Subcommands::
 
     gebd synth     generate a synthetic frame-directory corpus + annotations
-    gebd validate  parse and validate an annotation file (and frame counts)
+    gebd validate  parse and validate an annotation file (schema + frame files)
     gebd eval      score a predictions CSV against annotation ground truth
     gebd pipeline  run the staged end-to-end pipeline on a corpus
 

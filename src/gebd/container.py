@@ -12,13 +12,14 @@ file:
     rest         row-major little-endian payload, itemsize * prod(dims) bytes
 
 There is no compression.  Per-frame feature tables are float64, so the
-classifier inputs built from them are exact.
+classifier inputs built from them are exact.  :func:`read_tensor` is the
+one GEBT reader; :func:`read_tensor_file` hands it the file's bytes.
 
 Every table is a CSV with a header row, written by :func:`write_csv` and
-read by :func:`read_csv`; a field holding a comma, quote or newline is quoted
-as the :mod:`csv` module does, and a row of the wrong width is named by file
-and line.  Every artifact, binary or text, is written through
-:func:`atomic_open`.
+read by :func:`read_csv`, the one CSV reader; a field holding a comma, quote
+or newline is quoted as the :mod:`csv` module does, and a row of the wrong
+width is named by file and line.  Every artifact, binary or text, is written
+through :func:`atomic_open`.
 """
 
 from __future__ import annotations
@@ -92,11 +93,8 @@ def read_csv(path, header) -> list:
     return rows
 
 
-def _parse_header(blob: bytes, size: int):
-    """``(dims, dtype, payload offset)`` of a GEBT file of ``size`` bytes.
-
-    ``blob`` holds the file's first bytes, at least the whole header.
-    """
+def _parse_header(blob: bytes):
+    """``(dims, dtype, payload offset)`` of the GEBT file ``blob``."""
     if len(blob) < 7 or blob[:4] != MAGIC:
         raise ContainerError("not a GEBT file (bad magic)")
     version, dtype, ndim = struct.unpack("<BBB", blob[4:7])
@@ -112,10 +110,11 @@ def _parse_header(blob: bytes, size: int):
     dims = list(struct.unpack("<" + "I" * ndim, blob[7:dims_end]))
     if any(d < 1 for d in dims):
         raise ContainerError(f"every dim must be >= 1, got {dims}")
+    got = len(blob) - dims_end
     expected = _DTYPES[dtype].itemsize * math.prod(dims)
-    if size - dims_end != expected:
-        raise ContainerError(f"payload length mismatch: got {size - dims_end} "
-                             f"bytes, expected {expected}")
+    if got != expected:
+        raise ContainerError(f"payload length mismatch: got {got} bytes, "
+                             f"expected {expected}")
     return dims, _DTYPES[dtype], dims_end
 
 
@@ -144,7 +143,7 @@ def read_tensor(blob: bytes):
     unknown version/dtype, out-of-range dims and any payload length mismatch
     (including trailing bytes).
     """
-    dims, dtype, offset = _parse_header(blob, len(blob))
+    dims, dtype, offset = _parse_header(blob)
     return dims, np.frombuffer(blob, dtype=dtype, offset=offset).copy()
 
 
@@ -155,13 +154,6 @@ def write_tensor_file(path, dims, data, dtype: int = DTYPE_F32) -> None:
 
 
 def read_tensor_file(path):
-    """Read a GEBT file; returns ``(dims, data)`` like :func:`read_tensor`.
-
-    The header is checked against the file size before the payload is read
-    straight into the returned array.
-    """
+    """Read a GEBT file; returns ``(dims, data)`` like :func:`read_tensor`."""
     with open(path, "rb") as fh:
-        dims, dtype, offset = _parse_header(fh.read(7 + 4 * MAX_NDIM),
-                                            os.fstat(fh.fileno()).st_size)
-        fh.seek(offset)
-        return dims, np.fromfile(fh, dtype=dtype, count=math.prod(dims))
+        return read_tensor(fh.read())

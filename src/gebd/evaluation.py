@@ -260,7 +260,7 @@ class EvalReport:
 def evaluate_corpus(predictions, ground_truth, durations, classes=None,
                     thresholds=(0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5),
                     primary_threshold=0.05, mode="relative", window=None,
-                    policy="optimal", class_metric="f1") -> EvalReport:
+                    policy="optimal") -> EvalReport:
     """Evaluate per-video boundary lists over a corpus.
 
     ``predictions`` and ``ground_truth`` map video_id -> ascending timestamp
@@ -269,8 +269,7 @@ def evaluate_corpus(predictions, ground_truth, durations, classes=None,
     videos before dividing, so aggregation is independent of video order.
     In ``absolute_window`` mode the single ``window`` (seconds) replaces the
     threshold sweep and is echoed in the threshold column.  Per-class means
-    aggregate per-video F1 at the primary threshold by default;
-    ``class_metric="recall"`` aggregates recall instead.
+    aggregate per-video F1 at the primary threshold.
     """
     unknown = sorted(set(predictions) - set(ground_truth))
     if unknown:
@@ -318,11 +317,8 @@ def evaluate_corpus(predictions, ground_truth, durations, classes=None,
 
     per_class = []
     if classes is not None:
-        if class_metric not in ("f1", "recall"):
-            raise ValueError(f"unknown class_metric {class_metric!r}")
         idx = grid.index(primary_threshold)
-        values = {vid: getattr(per_video[vid][idx], class_metric)
-                  for vid in video_ids}
+        values = {vid: per_video[vid][idx].f1 for vid in video_ids}
         rep = per_class_report(values, classes,
                                k=max(1, len(set(classes.values()))))
         per_class = rep.top  # full descending list

@@ -6,7 +6,8 @@ earlier stages or the external inputs ``annotations`` and ``frames``, and
 the :class:`PipelineConfig` keys it uses.  Its stamp is a sha256 of the
 tool version, its name, those key values and its dependencies' stamps; the
 ``annotations`` stamp digests the file's bytes and the ``frames`` stamp
-each frame file's name, size and mtime.  A stage is skipped only when its
+each frame file's name, size and mtime (only frame files, so a stray file
+in a frame directory reruns nothing).  A stage is skipped only when its
 stamp equals the one ``manifest.json`` records, its outputs exist and no
 dependency ran in this invocation, so a changed key reruns exactly the
 stages that read it and those downstream.  A stage's recorded stamp is
@@ -308,15 +309,17 @@ def _digest(value) -> str:
 
 
 def _frames_stamp(paths: Paths, sets) -> str:
-    """Digest of every frame file's (name, size, mtime_ns), per video."""
+    """Digest of each video's frame files' (name, size, mtime_ns), as
+    :class:`FrameSequence` lists them; other files in the directory are
+    not stamped."""
     listing = []
     for aset in sets:
         vid = aset.meta.video_id
         try:
-            with os.scandir(paths.frames_dir(vid)) as it:
-                files = sorted((e.name, e.stat().st_size, e.stat().st_mtime_ns)
-                               for e in it)
-        except OSError:  # stage validate names the problem
+            seq = FrameSequence(aset.meta, paths.frames_dir(vid))
+            files = sorted((os.path.basename(f), st.st_size, st.st_mtime_ns)
+                           for f, st in zip(seq.files, map(os.stat, seq.files)))
+        except (OSError, ValueError):  # stage validate names the problem
             files = None
         listing.append((vid, files))
     return _digest(listing)
@@ -412,12 +415,10 @@ class Pipeline:
     # --- individual stages -------------------------------------------------
 
     def stage_validate(self):
-        count = 0
         for aset in self.sets:
             FrameSequence(aset.meta, self.paths.frames_dir(aset.meta.video_id))
-            count += 1
         with atomic_open(self.paths.validate_ok) as fh:
-            fh.write(f"videos={count}\n")
+            fh.write(f"videos={len(self.sets)}\n")
 
     def stage_consistency(self):
         attach_stage_consistency(self.sets, self.config)

@@ -10,10 +10,11 @@ neighbors, so a plateau spanning the whole sequence yields one boundary.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .flow import gaussian_kernel
 
 
 @dataclass
@@ -47,10 +48,7 @@ class DetectionConfig:
 
 def gaussian_taps(sigma: float) -> np.ndarray:
     """Normalized discrete Gaussian with radius ceil(3*sigma)."""
-    radius = int(math.ceil(3 * sigma))
-    x = np.arange(-radius, radius + 1, dtype=np.float64)
-    k = np.exp(-(x * x) / (2.0 * sigma * sigma))
-    return k / k.sum()
+    return gaussian_kernel(sigma, int(np.ceil(3 * sigma)))
 
 
 def smooth_scores(seq: ScoreSequence, sigma: float) -> ScoreSequence:

@@ -65,30 +65,34 @@ def frame_name(index: int) -> str:
 
 
 class FrameSequence:
-    """Read-only view of a decoded-frame directory for one video."""
+    """The one reader of a video's frame directory, which it lists once.
+
+    :attr:`files` is ``frame_000000`` .. ``frame_<N-1>``, each once as
+    ``.pgm`` or ``.ppm``; a gap or another ``frame_*.pgm``/``.ppm`` raises
+    ``ValueError`` naming the first missing index, else the first unexpected
+    file.  Other files are ignored."""
 
     def __init__(self, meta: VideoMeta, frame_dir):
         self.meta = meta
-        self.frame_dir = str(frame_dir)
         self._shape = None  # of the first frame read; every frame must match
-        count = 0
-        for name in os.listdir(self.frame_dir):
+        found = {}  # stem -> its frame file names
+        for name in os.listdir(frame_dir):
             stem, ext = os.path.splitext(name)
             if ext in (".pgm", ".ppm") and stem.startswith("frame_"):
-                count += 1
-        if count != meta.num_frames:
+                found.setdefault(stem, []).append(name)
+        count = sum(map(len, found.values()))
+        names = [sorted(found.pop(frame_name(i), ()))
+                 for i in range(meta.num_frames)]
+        extra = sorted([n for hits in names for n in hits[1:]]
+                       + [n for hits in found.values() for n in hits])
+        problems = ([f"missing frame index {i} ({frame_name(i)}.pgm/.ppm)"
+                     for i, hits in enumerate(names) if not hits]
+                    + [f"unexpected frame file {name}" for name in extra])
+        if problems:
             raise ValueError(
-                f"{meta.video_id}: frame directory holds {count} frames, "
-                f"metadata says {meta.num_frames}")
-
-    def _frame_path(self, index: int) -> str:
-        base = os.path.join(self.frame_dir, frame_name(index))
-        for ext in (".pgm", ".ppm"):
-            if os.path.exists(base + ext):
-                return base + ext
-        raise FileNotFoundError(
-            f"{self.meta.video_id}: missing frame index {index} "
-            f"({base}.pgm/.ppm)")
+                f"{meta.video_id}: {problems[0]}; frame directory holds "
+                f"{count} frames, metadata says {meta.num_frames}")
+        self.files = [os.path.join(frame_dir, hits[0]) for hits in names]
 
     def frame(self, index: int) -> np.ndarray:
         """Frame as (H,W,3) floats in [0,1]; grayscale inputs replicate channels.
@@ -97,7 +101,7 @@ class FrameSequence:
         """
         if not 0 <= index < self.meta.num_frames:
             raise IndexError(f"frame index {index} out of range")
-        img = read_pnm(self._frame_path(index))
+        img = read_pnm(self.files[index])
         if img.ndim == 2:
             img = np.repeat(img[:, :, None], 3, axis=2)
         if self._shape is None:

@@ -171,9 +171,10 @@ class TestConsistency:
         for (_, c), e in zip(got, expected):
             assert c == pytest.approx(e)
 
-    def test_single_track_rejected(self):
-        with pytest.raises(ValueError, match="fewer than 2"):
-            compute_f1_consistency(make_set([[1.0]]))
+    def test_single_track_scores_one(self):
+        # no other annotator to disagree with, boundaries or not
+        for stamps in ([1.0], []):
+            assert compute_f1_consistency(make_set([stamps])) == [("a0", 1.0)]
 
     def test_duplicated_track_pair_scores_one(self):
         aset = make_set([[1.0, 4.0], [2.0, 7.0], [1.0, 4.0]])

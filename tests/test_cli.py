@@ -12,10 +12,11 @@ import pytest
 import gebd
 from gebd import cli
 from gebd.annotations import (attach_consistency, load_annotations,
-                              select_gt_highest)
+                              normalize_track, select_gt_highest)
 from gebd.cli import build_parser, main
 from gebd.evaluation import evaluate_corpus
-from gebd.pipeline import Pipeline, PipelineConfig, write_boundary_csv
+from gebd.pipeline import (Pipeline, PipelineConfig, read_boundary_csv,
+                           write_boundary_csv)
 from gebd.synth import generate_corpus
 
 
@@ -89,6 +90,37 @@ class TestSynthValidate:
         code, _, err = run_cli(capsys, "validate", str(bad))
         assert code == 1
         assert "duration" in err
+
+    def test_duplicate_frame_hiding_a_gap(self, corpus, tmp_path, capsys):
+        corpus2 = tmp_path / "corpus"
+        shutil.copytree(corpus, corpus2)
+        vid = sorted(os.listdir(corpus2 / "frames"))[0]
+        frames = corpus2 / "frames" / vid
+        shutil.copy(frames / "frame_000003.pgm", frames / "frame_000003.ppm")
+        os.remove(frames / "frame_000004.pgm")
+        code, values, err = run_cli(capsys, "validate",
+                                    str(corpus2 / "annotations.json"))
+        assert code == 1 and "ok" not in values
+        assert f"{vid}: missing frame index 4 " in err
+        run = tmp_path / "run"
+        code, _, err = run_cli(capsys, "pipeline", str(corpus2), "--out",
+                               str(run), "--image-side", "32")
+        assert code == 1
+        assert f"stage 'validate' failed: {vid}: missing frame index 4 " in err
+        assert not (run / "features").exists()
+
+
+def single_annotator(corpus, tmp_path):
+    """A copy of the corpus's first video, keeping only its first annotator;
+    returns the copy's root and that track's normalized timestamps."""
+    root = tmp_path / "single"
+    doc = json.load(open(corpus / "annotations.json"))[:1]
+    doc[0]["annotators"] = doc[0]["annotators"][:1]
+    vid = doc[0]["video_id"]
+    shutil.copytree(corpus / "frames" / vid, root / "frames" / vid)
+    (root / "annotations.json").write_text(json.dumps(doc))
+    aset = load_annotations(root / "annotations.json")[0]
+    return root, normalize_track(aset.tracks[0], aset.meta).timestamps
 
 
 class TestEval:
@@ -190,6 +222,25 @@ class TestEval:
         assert code == 1 and message in err
         assert not (tmp_path / "eval2").exists()
         assert not (tmp_path / "run").exists()
+
+    def test_single_annotator(self, corpus, tmp_path, capsys):
+        # a lone annotator scores consistency 1 and is the ground truth
+        root, track = single_annotator(corpus, tmp_path)
+        assert len(track) >= 2
+        aset = load_annotations(root / "annotations.json")[0]
+        vid = aset.meta.video_id
+        pred_csv = tmp_path / "pred.csv"
+        write_boundary_csv(pred_csv, {vid: track[:1]})
+        out = tmp_path / "eval"
+        code, values, err = run_cli(
+            capsys, "eval", "--predictions", str(pred_csv),
+            "--annotations", str(root / "annotations.json"), "--out", str(out))
+        assert code == 0, err
+        f1 = evaluate_corpus({vid: track[:1]}, {vid: track},
+                             {vid: aset.meta.duration},
+                             thresholds=[0.05]).global_prf[0].f1
+        assert 0 < f1 < 1
+        assert printed_row(out, values)["f1"] == f"{f1:.6f}"
 
     def test_flags_are_its_stages_keys(self, corpus, tmp_path):
         # select-gt reads seed only under a bare "weighted" policy
@@ -334,6 +385,17 @@ class TestPipelineCommand:
         assert evaluated["f1"] == values["f1"]
         with open(tmp_path / "eval" / "eval_per_video.csv", newline="") as fh:
             assert "clip,01" in [row[0] for row in csv.reader(fh)]
+
+    def test_single_annotator(self, corpus, tmp_path, capsys):
+        root, track = single_annotator(corpus, tmp_path)
+        run = tmp_path / "run"
+        code, _, err = run_cli(capsys, "pipeline", str(root), "--out", str(run),
+                               "--image-side", "32", "--m", "3")
+        assert code == 0, err
+        with open(run / "consistency.csv", newline="") as fh:
+            assert [row[2] for row in list(csv.reader(fh))[1:]] == ["1.0"]
+        gt = read_boundary_csv(run / "gt.csv")
+        assert list(gt.values()) == [track]
 
     def test_path_like_video_id_writes_nothing(self, corpus, tmp_path, capsys):
         corpus2 = tmp_path / "corpus"

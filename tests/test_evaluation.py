@@ -283,17 +283,3 @@ class TestCorpusEval:
                               thresholds=[0.05])
         assert rep.global_prf[0].f1 == 0.0
 
-    def test_recall_class_metric_option(self):
-        preds = {"a": [1.0], "b": [2.0, 5.0]}
-        gt = {"a": [1.0, 6.0], "b": [2.0, 5.0]}
-        durations = {"a": 10.0, "b": 10.0}
-        classes = {"a": "x", "b": "y"}
-        by_f1 = evaluate_corpus(preds, gt, durations, classes,
-                                thresholds=[0.05])
-        by_recall = evaluate_corpus(preds, gt, durations, classes,
-                                    thresholds=[0.05], class_metric="recall")
-        assert dict(by_f1.per_class)["x"] == pytest.approx(2 / 3)
-        assert dict(by_recall.per_class)["x"] == pytest.approx(0.5)
-        with pytest.raises(ValueError):
-            evaluate_corpus(preds, gt, durations, classes,
-                            class_metric="accuracy")

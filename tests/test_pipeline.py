@@ -1,5 +1,6 @@
 import builtins
 import csv
+import hashlib
 import json
 import os
 import shutil
@@ -261,6 +262,42 @@ class TestStageStamps:
         manifest = run_pipeline(corpus, out, PipelineConfig(**CFG))
         assert ran_stages(manifest) == []
         assert {s["reason"] for s in manifest["stages"]} == {"fresh"}
+
+    def test_stray_file_in_frame_dir_reruns_nothing(self, finished_run,
+                                                    tmp_path):
+        corpus, out, _ = finished_run
+        corpus2, out2 = tmp_path / "corpus", tmp_path / "run"
+        shutil.copytree(corpus, corpus2)  # keeps every frame's mtime
+        shutil.copytree(out, out2)
+        for vid in video_ids(corpus2):
+            (corpus2 / "frames" / vid / ".DS_Store").write_bytes(b"\0\0\0\1")
+        manifest = run_pipeline(corpus2, out2, PipelineConfig(**CFG))
+        assert ran_stages(manifest) == []
+
+    def test_frames_stamp_digests_every_entry_of_a_clean_corpus(
+            self, finished_run):
+        # the formula that listed the directory itself, before frame
+        # directories had one reader; a clean corpus must stamp as it did
+        corpus, out, manifest = finished_run
+        listing = []
+        for vid in video_ids(corpus):
+            with os.scandir(corpus / "frames" / vid) as it:
+                listing.append((vid, sorted(
+                    (e.name, e.stat().st_size, e.stat().st_mtime_ns)
+                    for e in it)))
+
+        def digest(value):
+            text = json.dumps(value, sort_keys=True).encode("utf-8")
+            return hashlib.sha256(text).hexdigest()
+        frames = digest(listing)
+        sets = load_annotations(corpus / "annotations.json")
+        assert pipeline._frames_stamp(pipeline.Paths(str(corpus), str(out)),
+                                      sets) == frames
+        # the manifest records no input stamps; validate's is built on it
+        annotations = hashlib.sha256(
+            (corpus / "annotations.json").read_bytes()).hexdigest()
+        assert manifest["stamps"]["validate"] == digest(
+            [gebd.__version__, "validate", {}, [annotations, frames]])
 
     def test_workers_change_reruns_nothing(self, copied_run):
         corpus, out = copied_run

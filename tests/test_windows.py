@@ -135,9 +135,42 @@ class TestFrameSequence:
     def test_missing_frame_named(self, tiny_video):
         meta, d, _ = tiny_video
         os.remove(os.path.join(d, "frame_000003.pgm"))
-        seq = FrameSequence(VideoMeta("tiny", "c", 1.9, 10.0, 19), d)
-        with pytest.raises(FileNotFoundError, match="index 3"):
-            seq.frame(3)
+        with pytest.raises(ValueError, match="tiny: missing frame index 3 "):
+            FrameSequence(VideoMeta("tiny", "c", 1.9, 10.0, 19), d)
+
+    def test_duplicate_hiding_a_gap_names_the_gap(self, tiny_video):
+        meta, d, frames = tiny_video
+        write_pnm(d / "frame_000003.ppm", np.stack([frames[3]] * 3, axis=2))
+        os.remove(d / "frame_000004.pgm")
+        with pytest.raises(ValueError, match="tiny: missing frame index 4 "):
+            FrameSequence(meta, d)
+
+    # a duplicate of a present index, a wrong name, an index past the end
+    @pytest.mark.parametrize("name", ["frame_000003.ppm", "frame_3.pgm",
+                                      "frame_000020.pgm", "frame_x.ppm"])
+    def test_unexpected_frame_file_named(self, tiny_video, name):
+        meta, d, frames = tiny_video
+        write_pnm(d / name, frames[0])
+        with pytest.raises(ValueError, match=f"tiny: unexpected frame file {name}"):
+            FrameSequence(meta, d)
+
+    def test_other_files_ignored(self, tiny_video):
+        meta, d, frames = tiny_video
+        for name in (".DS_Store", "notes.txt", "frame_000003.png",
+                     "frame_000003.pgm.bak", "clip.pgm"):
+            (d / name).write_bytes(b"not a frame")
+        seq = FrameSequence(meta, d)
+        assert seq.files == [os.path.join(str(d), f"{frame_name(i)}.pgm")
+                             for i in range(20)]
+        assert seq.frame(3)[..., 0] == pytest.approx(frames[3], abs=1 / 255)
+
+    def test_ppm_frames_listed(self, tiny_video):
+        meta, d, frames = tiny_video
+        os.remove(d / "frame_000005.pgm")
+        write_pnm(d / "frame_000005.ppm", np.stack([frames[5]] * 3, axis=2))
+        seq = FrameSequence(meta, d)
+        assert os.path.basename(seq.files[5]) == "frame_000005.ppm"
+        assert seq.frame(5).shape == (40, 40, 3)
 
     def test_grayscale_replicates_channels(self, tiny_video):
         meta, d, frames = tiny_video
