@@ -18,7 +18,7 @@ Library surface:
   ``gebd`` command line tool)
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .annotations import (  # noqa: F401
     AnnotationSet,

@@ -29,6 +29,8 @@ from .postprocess import ScoreSequence
 
 FEATURE_DIM = 27
 FEATURE_SCHEMA_VERSION = 1
+# flow columns [0:10] of a window's first slot or a clamped repeat
+STATIC_FLOW_FEATURES = np.hstack(flow_stats(np.zeros((1, 1, 2))))
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -135,20 +137,23 @@ def window_features(rgb_window, flow_window) -> np.ndarray:
 def window_inputs(table, indices) -> np.ndarray:
     """Classifier inputs of many windows, gathered from a per-frame table.
 
-    ``table`` is (N, 2, FEATURE_DIM) from
-    :func:`gebd.windows.frame_feature_table`: row 0 of a frame is its static
-    slot (zero flow, zero difference), row 1 its moving slot.  ``indices``
-    is (W, 2m), each row the frame indices of one window.  A slot is moving
-    when its frame differs from the previous slot's, as in
-    :func:`gebd.windows.extract_window`; the result row equals
-    :func:`window_features` of that window's tensors bit for bit.
+    ``table`` is (N, FEATURE_DIM) from
+    :func:`gebd.windows.frame_feature_table`, each row a frame as a moving
+    slot.  ``indices`` is (W, 2m), each row the frame indices of one window.
+    A slot is static when it is the window's first or repeats the previous
+    slot's frame, as in :func:`gebd.windows.extract_window`: its flow
+    columns become :data:`STATIC_FLOW_FEATURES` and its difference column 0.
+    The result row equals :func:`window_features` of that window's tensors
+    bit for bit.
     """
     idx = np.asarray(indices, dtype=np.intp)
     if idx.ndim != 2 or idx.shape[1] % 2 != 0:
         raise ValueError(f"indices must be (W, 2m), got shape {idx.shape}")
-    moving = np.zeros(idx.shape, dtype=np.intp)
-    moving[:, 1:] = idx[:, 1:] != idx[:, :-1]
-    feats = table[idx, moving]
+    static = np.ones(idx.shape, dtype=bool)
+    static[:, 1:] = idx[:, 1:] == idx[:, :-1]
+    feats = table[idx]
+    feats[static, :len(STATIC_FLOW_FEATURES)] = STATIC_FLOW_FEATURES
+    feats[static, -1] = 0.0
     m = idx.shape[1] // 2
     return np.concatenate([feats[:, :m].mean(axis=1), feats[:, m:].mean(axis=1)],
                           axis=1)

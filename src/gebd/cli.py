@@ -63,8 +63,11 @@ def cmd_validate(args) -> int:
         sets = load_annotations(args.annotations)
         frames_root = args.frames
         if frames_root is None:
-            guess = os.path.join(os.path.dirname(args.annotations), "frames")
-            frames_root = guess if os.path.isdir(guess) else None
+            frames_root = os.path.join(os.path.dirname(args.annotations), "frames")
+            if not os.path.isdir(frames_root):
+                print(f"warning: frames not checked: no --frames given and no "
+                      f"directory {frames_root}", file=sys.stderr)
+                frames_root = None
         if frames_root is not None:
             for aset in sets:
                 FrameSequence(aset.meta,

@@ -11,9 +11,10 @@ file:
     next 4*ndim  dims, unsigned 32-bit little-endian, each >= 1
     rest         row-major little-endian payload, itemsize * prod(dims) bytes
 
-There is no compression.  Per-frame feature tables are float64, so the
-classifier inputs built from them are exact.  :func:`read_tensor` is the
-one GEBT reader; :func:`read_tensor_file` hands it the file's bytes.
+There is no compression.  Per-frame feature tables are float64
+``[N, 27]``, one row per frame, so the classifier inputs built from them
+are exact.  :func:`read_tensor` is the one GEBT reader;
+:func:`read_tensor_file` hands it the file's bytes.
 
 Every table is a CSV with a header row, written by :func:`write_csv` and
 read by :func:`read_csv`, the one CSV reader; a field holding a comma, quote

@@ -415,6 +415,8 @@ class Pipeline:
     # --- individual stages -------------------------------------------------
 
     def stage_validate(self):
+        if not self.sets:
+            raise ValueError(f"{self.paths.annotations}: no videos")
         for aset in self.sets:
             FrameSequence(aset.meta, self.paths.frames_dir(aset.meta.video_id))
         with atomic_open(self.paths.validate_ok) as fh:
@@ -477,9 +479,9 @@ class Pipeline:
         meta, m = aset.meta, self.config.m
         path = self.paths.feature_table(meta.video_id)
         dims, data = read_tensor_file(path)
-        if dims != [meta.num_frames, 2, FEATURE_DIM]:
+        if dims != [meta.num_frames, FEATURE_DIM]:
             raise ValueError(
-                f"{path}: expected dims {[meta.num_frames, 2, FEATURE_DIM]}, "
+                f"{path}: expected dims {[meta.num_frames, FEATURE_DIM]}, "
                 f"got {dims}")
         indices = np.array([window_frame_indices(t, meta, m) for t in timestamps],
                            dtype=np.intp).reshape(len(timestamps), 2 * m)

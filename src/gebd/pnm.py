@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .container import atomic_open
+
 
 class PNMError(ValueError):
     pass
@@ -62,7 +64,7 @@ def read_pnm(path) -> np.ndarray:
 
 
 def write_pnm(path, image) -> None:
-    """Write (H,W) as P5 or (H,W,3) as P6; values clipped to [0,1]."""
+    """Write (H,W) as P5 or (H,W,3) as P6, atomically; values clipped to [0,1]."""
     arr = np.asarray(image, dtype=np.float64)
     if arr.ndim == 2:
         magic = b"P5"
@@ -73,6 +75,6 @@ def write_pnm(path, image) -> None:
     else:
         raise PNMError(f"image must be (H,W) or (H,W,3), got shape {arr.shape}")
     pixels = np.clip(np.rint(arr * 255.0), 0, 255).astype(np.uint8)
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(magic + b"\n%d %d\n255\n" % (w, h))
         fh.write(pixels.tobytes())

@@ -22,6 +22,7 @@ import numpy as np
 
 from .annotations import (AnnotationSet, AnnotatorTrack, RawBoundary, VideoMeta,
                           per_video_rng, serialize_annotations)
+from .container import atomic_open
 from .flow import gaussian_kernel, sep_correlate
 from .pnm import write_pnm
 
@@ -212,7 +213,6 @@ def generate_corpus(out_root, n_videos, seed, duration=10.0, fps=10.0,
         sets.append(annotate_video(video_id, class_idx, planted, rng,
                                    duration, fps, frames.shape[0]))
         planted_map[video_id] = planted
-    with open(os.path.join(out_root, "annotations.json"), "w",
-              encoding="utf-8") as fh:
+    with atomic_open(os.path.join(out_root, "annotations.json")) as fh:
         fh.write(serialize_annotations(sets))
     return planted_map

@@ -16,10 +16,12 @@ ground-truth boundary list.
 Flow slot ``k`` holds the flow between the frames at window positions
 ``k-1`` and ``k``; position 0 (and any clamped repeat) is zero.  A slot's
 classifier features therefore depend only on its frame and on whether it
-is such a "static" slot or a "moving" one, so the pipeline materializes
-neither windows nor flow: :func:`frame_feature_table` computes both feature
-rows of every frame in one pass over the video, and
-:func:`gebd.classifier.window_inputs` gathers them per candidate.
+is such a "static" slot or a "moving" one, and a static slot's features are
+its moving ones with the flow and difference columns set to those of zero
+flow.  So the pipeline materializes neither windows nor flow:
+:func:`frame_feature_table` computes every frame's moving row in one pass
+over the video, and :func:`gebd.classifier.window_inputs` gathers them per
+candidate, deriving the static slots.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ import numpy as np
 
 from .annotations import VideoMeta
 from .classifier import FEATURE_DIM, frame_features
-from .flow import (PAIR_CHUNK_PIXELS, FlowConfig, bilinear_resize, flow_stats,
-                   to_gray, video_flow)
+from .flow import (PAIR_CHUNK_PIXELS, FlowConfig, bilinear_resize, to_gray,
+                   video_flow)
 from .pnm import read_pnm
 
 logger = logging.getLogger(__name__)
@@ -212,13 +214,12 @@ def extract_window(seq: FrameSequence, spec: WindowSpec, t: float,
 
 def frame_feature_table(seq: FrameSequence, spec: WindowSpec,
                         flow_config: FlowConfig = FlowConfig()) -> np.ndarray:
-    """Both classifier feature rows of every frame, shaped (N, 2, FEATURE_DIM).
+    """Every frame's classifier features as a moving slot, shaped (N, FEATURE_DIM).
 
-    ``table[i, 0]`` is frame ``i`` as a static window slot (zero flow, zero
-    difference); ``table[i, 1]`` is frame ``i`` as a moving slot (the flow
-    from frame ``i-1`` into it, the difference from frame ``i-1``), which for
-    frame 0 equals the static row.  Each frame is read once.  Flow comes
-    from :func:`video_flow` on chunks of about ``PAIR_CHUNK_PIXELS`` frame
+    ``table[i]`` is frame ``i`` with the flow from frame ``i-1`` into it and
+    its difference from frame ``i-1``; frame 0 has zero flow and a zero
+    difference.  Each frame is read once.  Flow comes from
+    :func:`video_flow` on chunks of about ``PAIR_CHUNK_PIXELS`` frame
     pixels, each starting at the previous chunk's last frame, rounded to
     float32 as :func:`extract_window` expects; a chunk's rows are filled
     before the next is read, so memory does not grow with video length.
@@ -227,8 +228,7 @@ def frame_feature_table(seq: FrameSequence, spec: WindowSpec,
     """
     spec.validate()
     side, n = spec.image_side, seq.meta.num_frames
-    table = np.empty((n, 2, FEATURE_DIM))
-    still = np.hstack(flow_stats(np.zeros((side, side, 2))))  # of zero flow
+    table = np.empty((n, FEATURE_DIM))
 
     def read(i):  # keeps no full-size RGB frame
         frame = seq.frame(i)
@@ -246,9 +246,6 @@ def frame_feature_table(seq: FrameSequence, spec: WindowSpec,
             del flow, row  # the last chunk's flow is not held through the next
             flow = video_flow(np.stack(grays), flow_config).astype(np.float32)
         for i, rgb, row in zip(range(start, n), slots, flow):
-            table[i, 1] = frame_features(rgb, _slot_flow(row, side), prev)
-            table[i, 0] = table[i, 1]
-            table[i, 0, :len(still)] = still  # flow columns
-            table[i, 0, -1] = 0.0  # difference column
+            table[i] = frame_features(rgb, _slot_flow(row, side), prev)
             prev = rgb
     return table

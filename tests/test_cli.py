@@ -109,6 +109,19 @@ class TestSynthValidate:
         assert f"stage 'validate' failed: {vid}: missing frame index 4 " in err
         assert not (run / "features").exists()
 
+    def test_unchecked_frames_named(self, corpus, tmp_path, capsys):
+        code, full, err = run_cli(capsys, "validate",
+                                  str(corpus / "annotations.json"))
+        assert code == 0 and full["ok"] == "1" and err == ""
+        lone = tmp_path / "lone"
+        lone.mkdir()
+        shutil.copy(corpus / "annotations.json", lone)
+        code, values, err = run_cli(capsys, "validate",
+                                    str(lone / "annotations.json"))
+        assert code == 0 and values == full
+        assert err == (f"warning: frames not checked: no --frames given and "
+                       f"no directory {lone / 'frames'}\n")
+
 
 def single_annotator(corpus, tmp_path):
     """A copy of the corpus's first video, keeping only its first annotator;
@@ -469,6 +482,16 @@ class TestPipelineCommand:
             assert code == 1 and "error: " in err
         code, _, _ = run_cli(capsys, "--help")
         assert code == 0
+
+    def test_empty_corpus_fails_in_validate(self, tmp_path, capsys):
+        (tmp_path / "annotations.json").write_text("[]")
+        out = tmp_path / "run"
+        code, values, err = run_cli(capsys, "pipeline", str(tmp_path),
+                                    "--out", str(out), "--image-side", "32")
+        assert code == 1 and values == {}
+        assert ("stage 'validate' failed: "
+                f"{tmp_path / 'annotations.json'}: no videos") in err
+        assert os.listdir(out) == ["manifest.json"]
 
     def test_missing_corpus_exits_1(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "pipeline", str(tmp_path / "nope"))

@@ -3,6 +3,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -479,6 +480,32 @@ class TestStageStamps:
         assert reasons["flow"] == "missing-output"
         assert not (out / "flow").exists()
 
+    def test_run_of_older_version_reruns_flow(self, finished_run, tmp_path,
+                                              monkeypatch):
+        # version 0.1.0 stored two rows per frame, [N, 2, 27]
+        corpus, clean, _ = finished_run
+        out = tmp_path / "run"
+        monkeypatch.setattr(pipeline, "__version__", "0.1.0")
+        run_pipeline(corpus, out, PipelineConfig(**CFG))
+        monkeypatch.undo()
+        for table in (out / "features").glob("*.gebt"):
+            dims, data = read_tensor_file(table)
+            rows = np.repeat(data.reshape(dims)[:, None], 2, axis=1)
+            write_tensor_file(table, rows.shape, rows, DTYPE_F64)
+        manifest = run_pipeline(corpus, out, PipelineConfig(**CFG))
+        reasons = {s["name"]: s["reason"] for s in manifest["stages"]}
+        assert reasons["flow"] == "stamp-mismatch"
+        assert ran_stages(manifest) == STAGE_NAMES
+        assert (out / "scores.csv").read_bytes() == \
+            (clean / "scores.csv").read_bytes()
+
+
+def test_pyproject_version_is_package_version():
+    path = os.path.join(os.path.dirname(__file__), "..", "pyproject.toml")
+    with open(path, encoding="utf-8") as fh:
+        versions = re.findall(r'^version = "([^"]*)"$', fh.read(), re.M)
+    assert versions == [gebd.__version__]
+
 
 class TestWorkerInvariance:
     def test_two_workers_match_single_worker_bytes(self, corpus, tmp_path):
@@ -563,8 +590,8 @@ def test_flow_job_memory_does_not_grow_with_video_length(tmp_path, rng):
              str(tmp_path / f"t{n}.gebt")],
             capture_output=True, text=True, env=env, check=True)
         peak_kb[n] = int(done.stdout.split()[-1])
-        assert read_tensor_file(tmp_path / f"t{n}.gebt")[0] == [n, 2, 27]
-    # the 600-frame table itself is 0.26 MB; a flow tensor would be 4.9 MB
+        assert read_tensor_file(tmp_path / f"t{n}.gebt")[0] == [n, 27]
+    # the 600-frame table itself is 0.13 MB; a flow tensor would be 4.9 MB
     assert peak_kb[600] - peak_kb[100] < 1024, peak_kb
 
 

@@ -1,3 +1,4 @@
+import builtins
 import hashlib
 import os
 
@@ -5,6 +6,8 @@ import numpy as np
 import pytest
 
 from gebd.annotations import load_annotations, normalize_track
+from gebd import synth
+from gebd.pnm import write_pnm
 from gebd.synth import CLASS_NAMES, JITTER_SIGMA, generate_corpus
 from gebd.windows import FrameSequence
 
@@ -129,3 +132,40 @@ class TestFrames:
 def test_too_short_duration_rejected(tmp_path):
     with pytest.raises(ValueError, match="too short"):
         generate_corpus(tmp_path / "c", n_videos=1, seed=0, duration=1.5)
+
+
+def test_interrupted_frame_write_leaves_no_file(tmp_path, monkeypatch):
+    real_open = builtins.open
+
+    class FailingSecondWrite:
+        def __init__(self, fh):
+            self.fh, self.writes = fh, 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return self.fh.__exit__(*exc)
+
+        def write(self, data):
+            self.writes += 1
+            if self.writes == 2:  # the pixels, after the header
+                raise OSError("disk full")
+            return self.fh.write(data)
+    monkeypatch.setattr(builtins, "open",
+                        lambda *a, **k: FailingSecondWrite(real_open(*a, **k)))
+    with pytest.raises(OSError, match="disk full"):
+        write_pnm(tmp_path / "frame_000000.pgm", np.zeros((4, 4)))
+    monkeypatch.undo()
+    assert os.listdir(tmp_path) == []
+
+
+def test_failed_annotation_write_leaves_no_file(tmp_path, monkeypatch):
+    def failing(sets):
+        raise RuntimeError("cannot serialize")
+    monkeypatch.setattr(synth, "serialize_annotations", failing)
+    with pytest.raises(RuntimeError, match="cannot serialize"):
+        generate_corpus(tmp_path, n_videos=1, seed=0, duration=3.0,
+                        image_size=32)
+    assert not (tmp_path / "annotations.json").exists()
+    assert os.listdir(tmp_path) == ["frames"]

@@ -6,10 +6,11 @@ import pytest
 
 from gebd.annotations import VideoMeta
 from gebd import windows
-from gebd.flow import (FlowConfig, bilinear_resize, farneback_flow, to_gray,
-                       video_flow)
+from gebd.flow import (FlowConfig, bilinear_resize, farneback_flow, flow_stats,
+                       to_gray, video_flow)
 from gebd.pnm import read_pnm, write_pnm
-from gebd.classifier import FEATURE_DIM, window_features, window_inputs
+from gebd.classifier import (FEATURE_DIM, STATIC_FLOW_FEATURES, frame_features,
+                             window_features, window_inputs)
 from gebd.windows import (LABEL_BACKGROUND, LABEL_BOUNDARY, FrameSequence,
                           WindowSpec, candidate_timestamps, extract_window,
                           frame_feature_table, frame_name, label_windows,
@@ -307,7 +308,7 @@ class TestFrameFeatureTable:
         seq, flow = stored
         spec = WindowSpec(m=m, image_side=32)
         table = frame_feature_table(seq, spec, FLOW_CONFIG)
-        assert table.shape == (20, 2, FEATURE_DIM)
+        assert table.shape == (20, FEATURE_DIM)
         got = window_inputs(table, [window_frame_indices(t, seq.meta, m)])
         want = window_features(*extract_window(seq, spec, t, flow))
         assert got.shape == (1, 2 * FEATURE_DIM)
@@ -325,14 +326,20 @@ class TestFrameFeatureTable:
                 row, window_features(*extract_window(seq, spec, t, flow)))
 
     def test_static_and_moving_rows(self, stored):
-        seq, _ = stored
-        table = frame_feature_table(seq, WindowSpec(m=2, image_side=32),
-                                    FLOW_CONFIG)
-        assert np.array_equal(table[0, 1], table[0, 0])
-        assert np.all(table[:, 0, :2] == 0.0) and np.all(table[:, 0, 26] == 0.0)
-        assert np.all(table[1:, 1, 26] > 0.0)  # textures differ frame to frame
-        # both rows of a frame share its intensity histogram
-        assert np.array_equal(table[:, 0, 10:26], table[:, 1, 10:26])
+        seq, flow = stored
+        spec = WindowSpec(m=1, image_side=32)
+        table = frame_feature_table(seq, spec, FLOW_CONFIG)
+        # stored rows are moving slots: a window at frame k has frames k-1, k
+        for k in range(1, 20):
+            rgb, flo = extract_window(seq, spec, k / seq.meta.fps, flow)
+            assert np.array_equal(table[k], frame_features(rgb[1], flo[1], rgb[0]))
+        assert np.all(table[1:, 26] > 0.0)  # textures differ frame to frame
+        # frame 0 has zero flow and a zero difference
+        assert table[0, 0] == table[0, 1] == 0.0
+        assert np.all(table[0, 2:10] == 1 / 8) and table[0, 26] == 0.0
+        assert np.array_equal(STATIC_FLOW_FEATURES,
+                              np.hstack(flow_stats(np.zeros((32, 32, 2)))))
+        assert np.array_equal(table[0, :10], STATIC_FLOW_FEATURES)
 
     def test_reads_each_frame_and_pair_once(self, stored, monkeypatch):
         seq, _ = stored
@@ -374,8 +381,9 @@ class TestFrameFeatureTable:
         assert flow.shape == (1, 32, 32, 2) and not flow.any()
         spec = WindowSpec(m=2, image_side=32)
         table = frame_feature_table(seq, spec, FLOW_CONFIG)
-        assert table.shape == (1, 2, FEATURE_DIM)
-        assert np.array_equal(table[0, 0], table[0, 1])
+        assert table.shape == (1, FEATURE_DIM)
+        assert np.array_equal(table[0, :10], STATIC_FLOW_FEATURES)
+        assert table[0, 26] == 0.0
         got = window_inputs(table, [window_frame_indices(0.05, meta, 2)])
         assert np.array_equal(
             got[0], window_features(*extract_window(seq, spec, 0.05, flow)))
