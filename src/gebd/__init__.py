@@ -43,7 +43,9 @@ from .evaluation import (  # noqa: F401
     evaluate_corpus,
     f1_from_pr,
     match_boundaries,
+    match_count,
     per_class_report,
+    prf_from_counts,
     prf_from_match,
     rel_dis,
     sweep_thresholds,

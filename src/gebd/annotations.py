@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .evaluation import match_boundaries, prf_from_match
+from .evaluation import check_limit, match_count, prf_from_counts
 
 
 class AnnotationParseError(ValueError):
@@ -234,17 +234,22 @@ def pairwise_f1(aset: AnnotationSet, threshold: float = 0.05):
     """F1 of annotator i's boundaries scored against annotator j's, all i, j.
 
     Row i holds annotator i as predictions versus annotator j as ground
-    truth; the diagonal is 1 by construction (identical lists).
+    truth; the diagonal is 1 by construction (identical lists).  Each
+    unordered pair is matched once: swapping the lists swaps precision and
+    recall, which leaves F1 the same float.
     """
     n = len(aset.tracks)
+    duration = aset.meta.duration
+    # normalized timestamps are strictly ascending floats, as match_count needs
     lists = [normalize_track(t, aset.meta).timestamps for t in aset.tracks]
     out = np.ones((n, n))
+    if n > 1:
+        check_limit(duration, threshold)
     for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            m = match_boundaries(lists[i], lists[j], aset.meta.duration, threshold)
-            out[i, j] = prf_from_match(m).f1
+        for j in range(i + 1, n):
+            matched = match_count(lists[i], lists[j], duration, threshold)
+            out[i, j] = out[j, i] = prf_from_counts(
+                matched, len(lists[i]), len(lists[j])).f1
     return out
 
 

@@ -27,8 +27,9 @@ from .annotations import (AnnotationParseError, AnnotationValidationError,
                           load_annotations)
 from .container import read_csv
 from .pipeline import (GLOBAL_HEADER, Paths, Pipeline, PipelineConfig,
-                       attach_stage_consistency, ground_truth, load_config,
-                       parse_mode, read_boundary_csv, run_pipeline, write_eval)
+                       attach_stage_consistency, check_videos, ground_truth,
+                       load_config, parse_mode, read_boundary_csv, run_pipeline,
+                       write_eval)
 from .synth import generate_corpus
 from .windows import FrameSequence
 
@@ -61,6 +62,7 @@ def cmd_synth(args) -> int:
 def cmd_validate(args) -> int:
     try:
         sets = load_annotations(args.annotations)
+        check_videos(sets, args.annotations)
         frames_root = args.frames
         if frames_root is None:
             frames_root = os.path.join(os.path.dirname(args.annotations), "frames")
@@ -104,6 +106,7 @@ def cmd_eval(args) -> int:
     try:
         config = _config(args)
         sets = load_annotations(args.annotations)
+        check_videos(sets, args.annotations)
         preds = read_boundary_csv(args.predictions)
         attach_stage_consistency(sets, config)
         write_eval(Paths(os.path.dirname(args.annotations), args.out), sets,

@@ -20,6 +20,15 @@ Two pairing policies are provided:
 * ``greedy_nearest`` - scan predictions in ascending order, each taking the
   nearest still-unmatched admissible ground truth (earlier one on distance
   ties).  Provided for compatibility comparisons; it can under-match.
+
+Metrics and annotator consistency need only the number of matched pairs.
+:func:`match_count` gives it without building pairs: under ``optimal`` one
+O(P+G) two-pointer pass over the ascending lists (a pair of heads that is
+admissible is part of some maximum matching, and a head too far left of the
+other list's head can match nothing later), so the suffix DP runs only when
+:func:`match_boundaries` or :func:`absolute_window_match` is asked for pairs.
+Both paths admit a pair by the same float expression, so counts agree to
+the bit.
 """
 
 from __future__ import annotations
@@ -53,15 +62,53 @@ class PRF:
 
 def rel_dis(predicted: float, ground_truth: float, duration: float) -> float:
     """Relative distance: |predicted - ground_truth| / duration."""
-    if duration <= 0:
-        raise ValueError(f"duration must be positive, got {duration}")
+    _check_duration(duration)
     return abs(predicted - ground_truth) / duration
 
 
 def check_ascending(values, name):
     for a, b in zip(values, values[1:]):
-        if b <= a:
+        if not b > a:  # also refuses NaN, which has no place in an order
             raise ValueError(f"{name} must be strictly ascending")
+
+
+def _check_duration(duration):
+    if duration <= 0:
+        raise ValueError(f"duration must be positive, got {duration}")
+
+
+def _check_threshold(threshold):
+    if not 0 < threshold <= 1:
+        raise ValueError(f"threshold must be in (0,1], got {threshold}")
+
+
+def _check_policy(policy):
+    if policy not in POLICIES:
+        raise ValueError(f"unknown policy {policy!r}, expected one of {POLICIES}")
+
+
+def check_limit(duration, threshold):
+    """The argument checks of :func:`match_boundaries`; with ``duration``
+    None, those of :func:`absolute_window_match` on window ``threshold``."""
+    if duration is None:
+        if threshold <= 0:
+            raise ValueError(f"window must be positive, got {threshold}")
+    else:
+        _check_duration(duration)
+        _check_threshold(threshold)
+
+
+def _ascending_floats(values, name):
+    out = [float(v) for v in values]
+    check_ascending(out, name)
+    return out
+
+
+def _distances(p, g, duration):
+    """P x G matrix of ``|p - g| / duration`` (``|p - g|`` if duration is None)."""
+    dist = np.abs(np.asarray(p, dtype=float)[:, None]
+                  - np.asarray(g, dtype=float)[None, :])
+    return dist if duration is None else dist / duration
 
 
 def _suffix_table(P, G, dist, limit):
@@ -137,12 +184,13 @@ def _match_greedy(dist, limit):
     return pairs
 
 
-def _match(predictions, ground_truth, dist, limit, policy):
-    if policy not in POLICIES:
-        raise ValueError(f"unknown policy {policy!r}, expected one of {POLICIES}")
-    check_ascending(predictions, "predictions")
-    check_ascending(ground_truth, "ground_truth")
-    if len(predictions) == 0 or len(ground_truth) == 0:
+def _match(predictions, ground_truth, duration, limit, policy):
+    check_limit(duration, limit)
+    _check_policy(policy)
+    p = _ascending_floats(predictions, "predictions")
+    g = _ascending_floats(ground_truth, "ground_truth")
+    dist = _distances(p, g, duration)
+    if not p or not g:
         pairs = []
     elif policy == "optimal":
         pairs = _match_optimal(dist, limit)
@@ -151,22 +199,15 @@ def _match(predictions, ground_truth, dist, limit, policy):
     return MatchResult(
         pairs=pairs,
         rel_distances=[float(dist[i][j]) for i, j in pairs],
-        num_predictions=len(predictions),
-        num_ground_truth=len(ground_truth),
+        num_predictions=len(p),
+        num_ground_truth=len(g),
     )
 
 
 def match_boundaries(predictions, ground_truth, duration, threshold,
                      policy="optimal") -> MatchResult:
     """Match predicted to ground-truth timestamps at a relative-distance threshold."""
-    if duration <= 0:
-        raise ValueError(f"duration must be positive, got {duration}")
-    if not 0 < threshold <= 1:
-        raise ValueError(f"threshold must be in (0,1], got {threshold}")
-    p = np.asarray(predictions, dtype=float)
-    g = np.asarray(ground_truth, dtype=float)
-    dist = np.abs(p[:, None] - g[None, :]) / duration
-    return _match(p, g, dist, threshold, policy)
+    return _match(predictions, ground_truth, duration, threshold, policy)
 
 
 def absolute_window_match(predictions, ground_truth, window,
@@ -175,19 +216,49 @@ def absolute_window_match(predictions, ground_truth, window,
 
     ``rel_distances`` in the result hold raw second offsets of the pairs.
     """
-    if window <= 0:
-        raise ValueError(f"window must be positive, got {window}")
-    p = np.asarray(predictions, dtype=float)
-    g = np.asarray(ground_truth, dtype=float)
-    dist = np.abs(p[:, None] - g[None, :])
-    return _match(p, g, dist, window, policy)
+    return _match(predictions, ground_truth, None, window, policy)
+
+
+def match_count(p, g, duration, threshold, policy="optimal") -> int:
+    """``len(match_boundaries(p, g, duration, threshold, policy).pairs)``
+    without building the pairs; with ``duration`` None, that of
+    ``absolute_window_match`` on window ``threshold`` seconds.
+
+    Nothing is checked, so callers check once for many counts: ``p`` and
+    ``g`` must be strictly ascending floats and the other arguments pass
+    :func:`check_limit` and the policy check.
+    """
+    if policy == "greedy_nearest":
+        return len(_match_greedy(_distances(p, g, duration), threshold))
+    # x / 1.0 == x exactly, so the window rule stays |p - g| <= threshold
+    scale = 1.0 if duration is None else float(duration)
+    limit = float(threshold)
+    n_p, n_g = len(p), len(g)
+    i = j = matched = 0
+    while i < n_p and j < n_g:
+        a, b = p[i], g[j]
+        if abs(a - b) / scale <= limit:
+            matched += 1
+            i += 1
+            j += 1
+        elif a < b:
+            i += 1
+        else:
+            j += 1
+    return matched
 
 
 def prf_from_match(match: MatchResult, threshold: float = 0.0) -> PRF:
     """Precision/recall/F1 from a match; zero predictions or GT give 0 by convention."""
-    n = len(match.pairs)
-    precision = n / match.num_predictions if match.num_predictions else 0.0
-    recall = n / match.num_ground_truth if match.num_ground_truth else 0.0
+    return prf_from_counts(len(match.pairs), match.num_predictions,
+                           match.num_ground_truth, threshold)
+
+
+def prf_from_counts(matched, num_predictions, num_ground_truth,
+                    threshold: float = 0.0) -> PRF:
+    """:func:`prf_from_match` from the pair count and the two list lengths."""
+    precision = matched / num_predictions if num_predictions else 0.0
+    recall = matched / num_ground_truth if num_ground_truth else 0.0
     return PRF(precision, recall, f1_from_pr(precision, recall), threshold)
 
 
@@ -274,13 +345,16 @@ def evaluate_corpus(predictions, ground_truth, durations, classes=None,
     unknown = sorted(set(predictions) - set(ground_truth))
     if unknown:
         raise KeyError(f"predictions reference unknown video_id(s): {unknown}")
-    if mode == "relative":
+    relative = mode == "relative"
+    if relative:
         grid = list(thresholds)
         if not grid:
             raise ValueError("threshold list must be non-empty")
         check_ascending(grid, "thresholds")
         if primary_threshold not in grid:
             grid = sorted(set(grid) | {primary_threshold})
+        for t in grid:
+            _check_threshold(t)
     elif mode == "absolute_window":
         if window is None or window <= 0:
             raise ValueError("absolute_window mode needs a positive window")
@@ -288,32 +362,29 @@ def evaluate_corpus(predictions, ground_truth, durations, classes=None,
         primary_threshold = window
     else:
         raise ValueError(f"unknown mode {mode!r}")
+    _check_policy(policy)
 
     per_video = {}
     totals = {t: [0, 0, 0] for t in grid}  # matched, preds, gts
     video_ids = sorted(ground_truth)
     for vid in video_ids:
-        gt = ground_truth[vid]
-        pred = predictions.get(vid, [])
+        duration = None
+        if relative:
+            duration = durations[vid]
+            _check_duration(duration)
+        pred = _ascending_floats(predictions.get(vid, []), "predictions")
+        gt = _ascending_floats(ground_truth[vid], "ground_truth")
         rows = []
         for t in grid:
-            if mode == "relative":
-                m = match_boundaries(pred, gt, durations[vid], t, policy)
-            else:
-                m = absolute_window_match(pred, gt, t, policy)
-            rows.append(prf_from_match(m, threshold=t))
+            matched = match_count(pred, gt, duration, t, policy)
+            rows.append(prf_from_counts(matched, len(pred), len(gt), t))
             acc = totals[t]
-            acc[0] += len(m.pairs)
-            acc[1] += m.num_predictions
-            acc[2] += m.num_ground_truth
+            acc[0] += matched
+            acc[1] += len(pred)
+            acc[2] += len(gt)
         per_video[vid] = rows
 
-    global_prf = []
-    for t in grid:
-        matched, n_pred, n_gt = totals[t]
-        precision = matched / n_pred if n_pred else 0.0
-        recall = matched / n_gt if n_gt else 0.0
-        global_prf.append(PRF(precision, recall, f1_from_pr(precision, recall), t))
+    global_prf = [prf_from_counts(*totals[t], t) for t in grid]
 
     per_class = []
     if classes is not None:

@@ -347,6 +347,12 @@ def _map_videos(fn, items, workers):
 # stage bodies; module level so worker processes can pickle them, and so
 # `gebd eval` runs the pipeline's own ground-truth and eval code
 
+def check_videos(sets, path) -> None:
+    """Refuse the annotation file ``path`` if it lists no video."""
+    if not sets:
+        raise ValueError(f"{path}: no videos")
+
+
 def attach_stage_consistency(sets, config: PipelineConfig) -> None:
     """Each video's ``f1_consistency``, in place: recomputed unless
     ``use_file_consistency`` is set and every track has a value."""
@@ -415,8 +421,7 @@ class Pipeline:
     # --- individual stages -------------------------------------------------
 
     def stage_validate(self):
-        if not self.sets:
-            raise ValueError(f"{self.paths.annotations}: no videos")
+        check_videos(self.sets, self.paths.annotations)
         for aset in self.sets:
             FrameSequence(aset.meta, self.paths.frames_dir(aset.meta.video_id))
         with atomic_open(self.paths.validate_ok) as fh:

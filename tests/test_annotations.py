@@ -11,6 +11,7 @@ from gebd.annotations import (AnnotationParseError, AnnotationSet,
                               pairwise_f1, parse_annotations, per_video_rng,
                               select_gt, select_gt_highest, select_gt_weighted,
                               serialize_annotations)
+from gebd.evaluation import match_boundaries, prf_from_match
 
 from conftest import enumerate_matchings
 
@@ -175,6 +176,25 @@ class TestConsistency:
         # no other annotator to disagree with, boundaries or not
         for stamps in ([1.0], []):
             assert compute_f1_consistency(make_set([stamps])) == [("a0", 1.0)]
+
+    def test_pairwise_equals_ordered_pair_loop(self):
+        rng = np.random.default_rng(5)
+        for _ in range(60):
+            n = int(rng.integers(1, 6))
+            duration = float(rng.choice([7.5, 10.0, 12.34]))
+            slots = np.arange(0.0, duration, 0.05).round(2)
+            lists = [sorted(rng.choice(slots, int(rng.integers(0, 9)),
+                                       replace=False).tolist()) for _ in range(n)]
+            aset = make_set(lists, duration=duration)
+            for threshold in (0.01, 0.05, 0.1, 0.5):
+                expected = np.ones((n, n))
+                for i in range(n):
+                    for j in range(n):
+                        if i != j:
+                            m = match_boundaries(lists[i], lists[j], duration,
+                                                 threshold)
+                            expected[i, j] = prf_from_match(m).f1
+                assert np.array_equal(pairwise_f1(aset, threshold), expected)
 
     def test_duplicated_track_pair_scores_one(self):
         aset = make_set([[1.0, 4.0], [2.0, 7.0], [1.0, 4.0]])

@@ -91,6 +91,13 @@ class TestSynthValidate:
         assert code == 1
         assert "duration" in err
 
+    def test_validate_refuses_no_videos(self, tmp_path, capsys):
+        empty = tmp_path / "annotations.json"
+        empty.write_text("[]")
+        code, values, err = run_cli(capsys, "validate", str(empty))
+        assert code == 1 and values == {}
+        assert err == f"error: {empty}: no videos\n"
+
     def test_duplicate_frame_hiding_a_gap(self, corpus, tmp_path, capsys):
         corpus2 = tmp_path / "corpus"
         shutil.copytree(corpus, corpus2)
@@ -164,6 +171,19 @@ class TestEval:
             "--out", str(out))
         assert code == 0
         assert printed_row(out, values)["f1"] == "0.000000"
+
+    def test_no_videos_exits_1(self, tmp_path, capsys):
+        empty = tmp_path / "annotations.json"
+        empty.write_text("[]")
+        pred_csv = tmp_path / "pred.csv"
+        pred_csv.write_text("video_id,timestamp\n")
+        out = tmp_path / "eval"
+        code, values, err = run_cli(
+            capsys, "eval", "--predictions", str(pred_csv),
+            "--annotations", str(empty), "--out", str(out))
+        assert code == 1 and values == {}
+        assert err == f"error: {empty}: no videos\n"
+        assert not out.exists()
 
     def test_unknown_video_exits_2(self, corpus, tmp_path, capsys):
         pred_csv = tmp_path / "pred.csv"

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from gebd.evaluation import (absolute_window_match, evaluate_corpus, f1_from_pr,
-                             match_boundaries, per_class_report, prf_from_match,
-                             rel_dis, sweep_thresholds)
+from gebd.evaluation import (POLICIES, absolute_window_match, evaluate_corpus,
+                             f1_from_pr, match_boundaries, match_count,
+                             per_class_report, prf_from_match, rel_dis,
+                             sweep_thresholds)
 
 from conftest import enumerate_matchings, max_matching_cardinality
 
@@ -128,6 +129,68 @@ class TestMatching:
                                                 duration * c, threshold))
             assert a.precision == pytest.approx(b.precision)
             assert a.recall == pytest.approx(b.recall)
+
+
+GRID = (0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5)
+
+
+def grid_lists(rng, max_side=12, duration=10.0, step=0.05):
+    """Two ascending lists on a coarse grid, so many pairs sit exactly on a
+    threshold of ``GRID``."""
+    slots = np.arange(0.0, duration + step / 2, step).round(2)
+    p = np.sort(rng.choice(slots, int(rng.integers(0, max_side + 1)), replace=False))
+    g = np.sort(rng.choice(slots, int(rng.integers(0, max_side + 1)), replace=False))
+    return p.tolist(), g.tolist()
+
+
+class TestMatchCount:
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_equals_pair_count_relative(self, policy):
+        rng = np.random.default_rng(11)
+        for _ in range(150):
+            preds, gts = grid_lists(rng)
+            for t in GRID:
+                assert (match_count(preds, gts, 10.0, t, policy)
+                        == len(match_boundaries(preds, gts, 10.0, t, policy).pairs))
+            preds, gts, duration, _ = random_instance(rng, max_side=15)
+            for t in GRID:
+                assert (match_count(preds, gts, duration, t, policy)
+                        == len(match_boundaries(preds, gts, duration, t, policy).pairs))
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_equals_pair_count_window(self, policy):
+        rng = np.random.default_rng(12)
+        for _ in range(150):
+            preds, gts = grid_lists(rng)
+            for w in (0.05, 0.1, 0.25, 0.5, 1.0, 2.5):
+                assert (match_count(preds, gts, None, w, policy)
+                        == len(absolute_window_match(preds, gts, w, policy).pairs))
+
+    def test_on_threshold_counts(self):
+        assert match_count([4.5], [5.0], 10.0, 0.05) == 1
+        assert match_count([4.5], [5.0], None, 0.5) == 1
+        assert match_count([1.25, 3.0], [1.75, 3.25], 10.0, 0.05) == 2
+        assert match_count([4.49], [5.0], 10.0, 0.05) == 0
+
+    def test_checks_through_evaluate_corpus(self):
+        gt, durations = {"v": [1.0, 2.0]}, {"v": 10.0}
+        cases = [(({"v": [2.0, 1.0]}, gt, durations), {},
+                  "predictions must be strictly ascending"),
+                 (({}, {"v": [2.0, 2.0]}, durations), {},
+                  "ground_truth must be strictly ascending"),
+                 (({}, gt, durations), {"thresholds": [0.5, 1.5]},
+                  r"threshold must be in \(0,1\], got 1.5"),
+                 (({}, gt, durations), {"primary_threshold": 0.0},
+                  r"threshold must be in \(0,1\], got 0.0"),
+                 (({}, gt, {"v": 0.0}), {}, "duration must be positive, got 0.0"),
+                 (({}, gt, {"v": -1.0}), {}, "duration must be positive, got -1.0"),
+                 (({}, gt, durations), {"policy": "bogus"}, "unknown policy 'bogus'"),
+                 # a NaN in the middle would stall the count's two pointers
+                 (({"v": [1.0, float("nan"), 2.0]}, gt, durations), {},
+                  "predictions must be strictly ascending")]
+        for args, kwargs, message in cases:
+            with pytest.raises(ValueError, match=message):
+                evaluate_corpus(*args, **kwargs)
 
 
 class TestPRF:
@@ -277,6 +340,27 @@ class TestCorpusEval:
     def test_unknown_video_raises_keyerror(self):
         with pytest.raises(KeyError, match="ghost"):
             evaluate_corpus({"ghost": [1.0]}, {"v": [1.0]}, {"v": 10.0})
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_equals_per_video_match_boundaries(self, policy):
+        rng = np.random.default_rng(13)
+        preds, gt, durations = {}, {}, {}
+        for k in range(40):
+            vid = f"v{k:02d}"
+            p, gt[vid] = grid_lists(rng)
+            durations[vid] = 10.0
+            if k % 7:  # every seventh video has no predictions at all
+                preds[vid] = p
+        rep = evaluate_corpus(preds, gt, durations, policy=policy)
+        totals = np.zeros((len(GRID), 3), dtype=int)
+        for vid in gt:
+            p = preds.get(vid, [])
+            for row, (t, got) in enumerate(zip(GRID, rep.per_video[vid])):
+                m = match_boundaries(p, gt[vid], durations[vid], t, policy)
+                assert got == prf_from_match(m, threshold=t)
+                totals[row] += (len(m.pairs), len(p), len(gt[vid]))
+        for (matched, n_p, n_g), got in zip(totals, rep.global_prf):
+            assert (got.precision, got.recall) == (matched / n_p, matched / n_g)
 
     def test_missing_prediction_counts_as_empty(self):
         rep = evaluate_corpus({}, {"v": [1.0]}, {"v": 10.0},
