@@ -73,14 +73,14 @@ def write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def read_csv(path, header) -> list:
-    """Rows of a CSV table with the columns ``header``, as lists of strings.
+def read_csv_lines(path, header):
+    """Yield ``(line number, row)`` for each row of a CSV table with the
+    columns ``header``, each row a list of strings.
 
     Blank rows are skipped, and so is a first line whose first field is
     ``header[0]`` (any case), so the header row is optional.  A row of another
     width raises ``ValueError`` naming the file and line.
     """
-    rows = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         for row in reader:
@@ -90,8 +90,12 @@ def read_csv(path, header) -> list:
             if len(row) != len(header):
                 raise ValueError(f"{path}:{reader.line_num}: expected "
                                  f"{','.join(header)}, got {len(row)} fields")
-            rows.append(row)
-    return rows
+            yield reader.line_num, row
+
+
+def read_csv(path, header) -> list:
+    """The rows of :func:`read_csv_lines` without their line numbers."""
+    return [row for _, row in read_csv_lines(path, header)]
 
 
 def _parse_header(blob: bytes):

@@ -28,9 +28,10 @@ front of ``(H, W)``.
 
 All images are float arrays scaled to [0,1]; flow fields are (H, W, 2)
 arrays holding (dx, dy) in pixels, x along columns and y along rows.
-Everything here is elementwise numpy with no reductions over pixels or
-frames, so results are bit-identical no matter how callers batch or
-partition the work.
+Everything here is elementwise numpy except the running sums of the box
+average, and each of those stays within one row or one column of one
+plane, never across frames, so results are bit-identical no matter how
+callers batch or partition the work.
 """
 
 from __future__ import annotations
@@ -275,14 +276,45 @@ def _bilinear_sampler(ys: np.ndarray, xs: np.ndarray):
     return sample
 
 
+def _along(ndim: int, axis: int, index) -> tuple:
+    """Index tuple applying ``index`` to ``axis`` and passing every other axis."""
+    out = [slice(None)] * ndim
+    out[axis] = index
+    return tuple(out)
+
+
+def _mirror_slices(img: np.ndarray, n: int, axis: int):
+    """The ``n`` samples that np.pad's "reflect" mode puts before and after
+    ``img`` along ``axis``, as views; needs ``n <= size - 1``."""
+    size = img.shape[axis]
+    left = img[_along(img.ndim, axis, slice(n, 0, -1))]
+    # two steps: the one-slice form img[size-2:size-2-n:-1] is empty at n == size-1
+    right = img[_along(img.ndim, axis, slice(size - 2, None, -1))]
+    return left, right[_along(img.ndim, axis, slice(None, n))]
+
+
+def _running_mean(img: np.ndarray, window: int, axis: int) -> np.ndarray:
+    """Mean of the ``window`` mirror-padded samples centred on each sample
+    along ``axis``: a running sum, so the cost does not grow with the window."""
+    size = img.shape[axis]
+    left, right = _mirror_slices(img, window // 2, axis)
+    shape = list(img.shape)
+    shape[axis] = 1
+    sums = np.concatenate([np.zeros(shape), left, img, right], axis=axis)
+    np.cumsum(sums, axis=axis, out=sums)
+    out = sums[_along(img.ndim, axis, slice(window, window + size))] \
+        - sums[_along(img.ndim, axis, slice(0, size))]
+    out /= window
+    return out
+
+
 def _box_average(img: np.ndarray, window: int) -> np.ndarray:
     h, w = img.shape[-2:]
     # mirror padding needs window <= 2*dim - 1; clamp for tiny pyramid levels
     window = min(window, 2 * min(h, w) - 1)
     if window % 2 == 0:
         window -= 1
-    k = np.full(window, 1.0 / window)
-    return sep_correlate(img, k, k)
+    return _running_mean(_running_mean(img, window, axis=-1), window, axis=-2)
 
 
 def flow_step(p1: PolyCoeffs, p2: PolyCoeffs, prior: np.ndarray,

@@ -27,6 +27,7 @@ are identical for any worker count.
 from __future__ import annotations
 
 import json
+import math
 import operator
 import os
 import shutil
@@ -42,8 +43,8 @@ from .annotations import (attach_consistency, load_annotations, normalize_track,
                           parse_gt_policy, per_video_rng, select_gt)
 from .classifier import (FEATURE_DIM, TrainConfig, load_model, save_model,
                          score_sequence, train_logistic, window_inputs)
-from .container import (DTYPE_F64, atomic_open, read_csv, read_tensor_file,
-                        write_csv, write_tensor_file)
+from .container import (DTYPE_F64, atomic_open, read_csv, read_csv_lines,
+                        read_tensor_file, write_csv, write_tensor_file)
 from .evaluation import POLICIES, check_ascending, evaluate_corpus
 from .flow import FlowConfig
 from .postprocess import DetectionConfig, ScoreSequence, scores_to_boundaries
@@ -231,9 +232,18 @@ def write_boundary_csv(path, boundaries) -> None:
 
 
 def read_boundary_csv(path) -> dict:
+    """Timestamps per video; a cell that is not a finite number is refused
+    with the file and line named."""
     out = {}
-    for vid, t in read_csv(path, BOUNDARY_HEADER):
-        out.setdefault(vid, []).append(float(t))
+    for line, (vid, cell) in read_csv_lines(path, BOUNDARY_HEADER):
+        try:
+            t = float(cell)
+        except ValueError:
+            t = math.nan
+        if not math.isfinite(t):
+            raise ValueError(f"{path}:{line}: timestamp {cell!r} is not "
+                             f"a finite number")
+        out.setdefault(vid, []).append(t)
     for vid, stamps in out.items():
         check_ascending(stamps, f"{path}: timestamps for {vid}")
     return out

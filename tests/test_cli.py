@@ -185,6 +185,22 @@ class TestEval:
         assert err == f"error: {empty}: no videos\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "abc"])
+    def test_bad_prediction_timestamp_exits_1(self, corpus, gt, tmp_path,
+                                              capsys, cell):
+        vid = sorted(gt)[0]
+        pred_csv = tmp_path / "pred.csv"
+        pred_csv.write_text(f"video_id,timestamp\n{vid},1.0\n{vid},{cell}\n")
+        out = tmp_path / "eval"
+        code, values, err = run_cli(
+            capsys, "eval", "--predictions", str(pred_csv),
+            "--annotations", str(corpus / "annotations.json"),
+            "--out", str(out))
+        assert code == 1 and values == {}
+        assert err == (f"error: {pred_csv}:3: timestamp {cell!r} "
+                       f"is not a finite number\n")
+        assert not out.exists()
+
     def test_unknown_video_exits_2(self, corpus, tmp_path, capsys):
         pred_csv = tmp_path / "pred.csv"
         write_boundary_csv(pred_csv, {"ghost_video": [1.0]})

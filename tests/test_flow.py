@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from gebd.flow import (FlowConfig, PolyCoeffs, bilinear_resize, farneback_flow,
-                       flow_stats, flow_step, gaussian_kernel, gaussian_pyramid,
-                       poly_expansion, sep_correlate, to_gray, video_flow)
+from gebd.flow import (FlowConfig, PolyCoeffs, _box_average, _mirror_slices,
+                       bilinear_resize, farneback_flow, flow_stats, flow_step,
+                       gaussian_kernel, gaussian_pyramid, poly_expansion,
+                       sep_correlate, to_gray, video_flow)
 
 from conftest import naive_correlate2d, shifted_pair, smooth_texture
 
@@ -64,6 +65,35 @@ class TestSeparableConvolution:
         fast = sep_correlate(img, g * x, g)
         naive = naive_correlate2d(img, np.outer(g, g * x))
         assert np.abs(fast - naive).max() < 1e-6
+
+
+class TestMirrorPad:
+    @pytest.mark.parametrize("axis", [-1, -2])
+    def test_slices_match_np_pad(self, rng, axis):
+        img = rng.random((2, 5, 7))
+        size = img.shape[axis]
+        for n in range(size):
+            left, right = _mirror_slices(img, n, axis)
+            pad = [(0, 0)] * img.ndim
+            pad[axis] = (n, n)
+            assert np.array_equal(np.concatenate([left, img, right], axis=axis),
+                                  np.pad(img, pad, mode="reflect")), n
+
+
+class TestBoxAverage:
+    @pytest.mark.parametrize("shape", [(8, 64, 64), (2, 5, 7), (2, 7, 5),
+                                       (2, 8, 8)])
+    @pytest.mark.parametrize("window", [3, 15])
+    def test_matches_uniform_kernel(self, rng, shape, window):
+        img = rng.random(shape)
+        # the clamp for small planes; at 5 or 8 pixels and window 15 the
+        # mirror pad reaches n == size - 1
+        w = min(window, 2 * min(shape[-2:]) - 1)
+        if w % 2 == 0:
+            w -= 1
+        k = np.full(w, 1.0 / w)
+        assert np.abs(_box_average(img, window)
+                      - sep_correlate(img, k, k)).max() < 1e-12
 
 
 class TestPyramid:

@@ -119,6 +119,15 @@ class TestCsvFormats:
         with pytest.raises(ValueError, match="ascending"):
             read_boundary_csv(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "1e999", "abc", ""])
+    def test_boundary_bad_timestamp_names_file_and_line(self, tmp_path, cell):
+        path = tmp_path / "gt.csv"
+        path.write_text(f"video_id,timestamp\nv,0.5\n\nw,{cell}\n")
+        with pytest.raises(ValueError) as e:
+            read_boundary_csv(path)
+        assert str(e.value) == (f"{path}:4: timestamp {cell!r} "
+                                f"is not a finite number")
+
 
 class TestRun:
     def test_all_stages_complete(self, finished_run):
