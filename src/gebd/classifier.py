@@ -24,13 +24,14 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .container import atomic_open
-from .flow import flow_stats, to_gray
+from .flow import flow_stats_rows, to_gray
 from .postprocess import ScoreSequence
 
 FEATURE_DIM = 27
 FEATURE_SCHEMA_VERSION = 1
-# flow columns [0:10] of a window's first slot or a clamped repeat
-STATIC_FLOW_FEATURES = np.hstack(flow_stats(np.zeros((1, 1, 2))))
+# flow columns [0:10] of a window's first slot or a clamped repeat: the
+# flow_stats of a zero field, written out so that importing runs no kernel
+STATIC_FLOW_FEATURES = np.array([0.0, 0.0] + [1.0 / 8.0] * 8)
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -93,21 +94,42 @@ def _sigmoid(z):
 
 
 def frame_features(rgb, flow, prev_rgb) -> np.ndarray:
-    """27-vector for one window slot; slices are (3,S,S) RGB and (2,S,S) flow."""
+    """27-vector for one window slot; slices are (3,S,S) RGB and (2,S,S) flow.
+
+    The one-slot case of :func:`slot_features`.
+    """
+    return slot_features(*(np.asarray(a)[None] for a in (rgb, flow, prev_rgb)))[0]
+
+
+def slot_features(rgb, flow, prev_rgb) -> np.ndarray:
+    """(B, FEATURE_DIM) features of a stack of window slots: (B,3,S,S) RGB,
+    (B,2,S,S) flow and the (B,3,S,S) previous RGB slots.
+
+    Every reduction runs along one slot's row of S*S values, so a row is
+    bit-identical to that slot featurized alone.  Intensity bins are
+    ``min(int(gray * 16), 15)`` of the clipped gray value: the edges k/16 and
+    the scaling by 16 are exact, so they equal ``np.histogram``'s bins.
+    """
     rgb = np.asarray(rgb, dtype=np.float64)
     flow = np.asarray(flow, dtype=np.float64)
     prev_rgb = np.asarray(prev_rgb, dtype=np.float64)
-    if rgb.shape != prev_rgb.shape or rgb.shape[1:] != flow.shape[1:]:
+    if (rgb.ndim != 4 or rgb.shape[1] != 3 or rgb.shape != prev_rgb.shape
+            or flow.shape != rgb.shape[:1] + (2,) + rgb.shape[2:]):
         raise ValueError(
             f"slice shapes disagree: rgb {rgb.shape}, flow {flow.shape}, "
             f"prev {prev_rgb.shape}")
-    mean_mag, max_mag, angle_hist = flow_stats(np.transpose(flow, (1, 2, 0)))
-    gray = to_gray(np.transpose(rgb, (1, 2, 0)))
-    prev_gray = to_gray(np.transpose(prev_rgb, (1, 2, 0)))
-    intensity_hist, _ = np.histogram(np.clip(gray, 0, 1), bins=16, range=(0.0, 1.0))
-    intensity_hist = intensity_hist / gray.size
-    diff = float(np.abs(gray - prev_gray).mean())
-    return np.concatenate([[mean_mag, max_mag], angle_hist, intensity_hist, [diff]])
+    n = len(rgb)
+    mean_mag, max_mag, angle_hist = flow_stats_rows(flow[:, 0].reshape(n, -1),
+                                                    flow[:, 1].reshape(n, -1))
+    gray = to_gray(np.moveaxis(rgb, 1, -1)).reshape(n, -1)
+    prev_gray = to_gray(np.moveaxis(prev_rgb, 1, -1)).reshape(n, -1)
+    bins = np.minimum((np.clip(gray, 0, 1) * 16).astype(np.intp), 15)
+    bins += 16 * np.arange(n)[:, None]
+    intensity_hist = np.bincount(bins.ravel(), minlength=16 * n).reshape(n, 16)
+    intensity_hist = intensity_hist / gray.shape[1]
+    diff = np.abs(gray - prev_gray).mean(axis=1)
+    return np.concatenate([mean_mag[:, None], max_mag[:, None], angle_hist,
+                           intensity_hist, diff[:, None]], axis=1)
 
 
 def pc_concat(before, after) -> np.ndarray:
@@ -125,11 +147,8 @@ def window_features(rgb_window, flow_window) -> np.ndarray:
     n = rgb_window.shape[0]
     if n % 2 != 0 or flow_window.shape[0] != n:
         raise ValueError("windows must hold 2m matching slots")
-    feats = []
-    for k in range(n):
-        prev = rgb_window[k - 1] if k > 0 else rgb_window[k]
-        feats.append(frame_features(rgb_window[k], flow_window[k], prev))
-    feats = np.asarray(feats)
+    prev = np.concatenate([rgb_window[:1], rgb_window[:-1]])
+    feats = slot_features(rgb_window, flow_window, prev)
     m = n // 2
     return pc_concat(feats[:m], feats[m:])
 

@@ -99,9 +99,9 @@ class PolyCoeffs:
 
 
 def to_gray(rgb: np.ndarray) -> np.ndarray:
-    """Luma conversion: 0.299 R + 0.587 G + 0.114 B."""
+    """Luma conversion: 0.299 R + 0.587 G + 0.114 B of (..., H, W, 3) images."""
     rgb = np.asarray(rgb, dtype=np.float64)
-    if rgb.ndim != 3 or rgb.shape[2] != 3:
+    if rgb.ndim < 3 or rgb.shape[-1] != 3:
         raise ValueError(f"expected (H,W,3) RGB image, got shape {rgb.shape}")
     return 0.299 * rgb[..., 0] + 0.587 * rgb[..., 1] + 0.114 * rgb[..., 2]
 
@@ -139,7 +139,13 @@ def gaussian_kernel(sigma: float, radius: int) -> np.ndarray:
 
 
 def _resize_planes(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Bilinear resample of the last two axes; leading axes pass through."""
+    """Bilinear resample of the last two axes; leading axes pass through.
+
+    Serves the pyramid, the flow upsample between levels and the window
+    slots.  Rows, then columns, are gathered with ``np.take`` along one
+    axis, which is faster than fancy indexing on strided input such as a
+    ``moveaxis`` view; each output is the same four-term weighted sum.
+    """
     h, w = img.shape[-2:]
     xs = np.clip((np.arange(out_w) + 0.5) * (w / out_w) - 0.5, 0, w - 1)
     ys = np.clip((np.arange(out_h) + 0.5) * (h / out_h) - 0.5, 0, h - 1)
@@ -153,10 +159,10 @@ def _resize_planes(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     w01 = (1 - fy)[:, None] * fx[None, :]
     w10 = fy[:, None] * (1 - fx)[None, :]
     w11 = fy[:, None] * fx[None, :]
-    rows0 = img[..., y0, :]
-    rows1 = img[..., y1, :]
-    return (rows0[..., x0] * w00 + rows0[..., x1] * w01
-            + rows1[..., x0] * w10 + rows1[..., x1] * w11)
+    rows0 = np.take(img, y0, axis=-2)
+    rows1 = np.take(img, y1, axis=-2)
+    return (np.take(rows0, x0, axis=-1) * w00 + np.take(rows0, x1, axis=-1) * w01
+            + np.take(rows1, x0, axis=-1) * w10 + np.take(rows1, x1, axis=-1) * w11)
 
 
 def _resize_channels_last(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
@@ -325,8 +331,8 @@ def flow_step(p1: PolyCoeffs, p2: PolyCoeffs, prior: np.ndarray,
     leading batch axes pair up element by element.  Frame 2 coefficients
     are sampled at prior-displaced coordinates (bilinear, clipped at
     borders).  Normal equations are box-averaged over the neighborhood
-    window before the per-pixel 2x2 solve; near-singular pixels keep the
-    prior.
+    window before the per-pixel 2x2 solve, a divide masked to the pixels
+    with ``|det| >= SINGULAR_DET``; the others keep the prior exactly.
     """
     if p1.shape != p2.shape:
         raise ValueError(f"coefficient grids disagree: {p1.shape} vs {p2.shape}")
@@ -353,10 +359,10 @@ def flow_step(p1: PolyCoeffs, p2: PolyCoeffs, prior: np.ndarray,
 
     det = g11 * g22 - g12 * g12
     ok = np.abs(det) >= SINGULAR_DET
-    safe = np.where(ok, det, 1.0)
-    dx = np.where(ok, (g22 * h1 - g12 * h2) / safe, 0.0)
-    dy = np.where(ok, (g11 * h2 - g12 * h1) / safe, 0.0)
-    return prior + np.stack([dx, dy], axis=-1)
+    step = np.zeros(prior.shape)
+    np.divide(g22 * h1 - g12 * h2, det, out=step[..., 0], where=ok)
+    np.divide(g11 * h2 - g12 * h1, det, out=step[..., 1], where=ok)
+    return prior + step
 
 
 def video_flow(frames: np.ndarray, config: FlowConfig = FlowConfig()) -> np.ndarray:
@@ -410,13 +416,25 @@ def flow_stats(flow: np.ndarray):
     flow = np.asarray(flow, dtype=np.float64)
     if flow.ndim != 3 or flow.shape[2] != 2:
         raise ValueError(f"expected (H,W,2) flow field, got shape {flow.shape}")
-    mag = np.hypot(flow[..., 0], flow[..., 1])
-    total = float(mag.sum())
-    if total == 0.0:
-        hist = np.full(8, 1.0 / 8.0)
-    else:
-        theta = np.arctan2(flow[..., 1], flow[..., 0])  # [-pi, pi]
-        bins = np.minimum((theta + np.pi) / (2 * np.pi / 8), 7.9999).astype(np.intp)
-        bins = np.clip(bins, 0, 7)
-        hist = np.bincount(bins.ravel(), weights=mag.ravel(), minlength=8) / total
-    return float(mag.mean()), float(mag.max()), hist
+    mean, peak, hist = flow_stats_rows(flow[..., 0].reshape(1, -1),
+                                       flow[..., 1].reshape(1, -1))
+    return float(mean[0]), float(peak[0]), hist[0]
+
+
+def flow_stats_rows(dx: np.ndarray, dy: np.ndarray):
+    """:func:`flow_stats` of many fields, each given as one row of the
+    (B, N) component arrays ``dx`` and ``dy``; returns (B,), (B,) and (B, 8).
+
+    Sums run along each row and the histograms come from one ``np.bincount``
+    with a per-row bin offset, so a row equals its field's stats alone.
+    """
+    mag = np.hypot(dx, dy)
+    total = mag.sum(axis=1)
+    theta = np.arctan2(dy, dx)  # [-pi, pi]
+    bins = np.minimum((theta + np.pi) / (2 * np.pi / 8), 7.9999).astype(np.intp)
+    bins = np.clip(bins, 0, 7) + 8 * np.arange(len(mag))[:, None]
+    sums = np.bincount(bins.ravel(), weights=mag.ravel(),
+                       minlength=8 * len(mag)).reshape(-1, 8)
+    hist = np.full(sums.shape, 1.0 / 8.0)
+    np.divide(sums, total[:, None], out=hist, where=total[:, None] != 0.0)
+    return mag.mean(axis=1), mag.max(axis=1), hist

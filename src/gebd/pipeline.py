@@ -231,18 +231,32 @@ def write_boundary_csv(path, boundaries) -> None:
               ((vid, t) for vid in sorted(boundaries) for t in boundaries[vid]))
 
 
+def _read_number_rows(path, header, numeric):
+    """Yield the rows of :func:`gebd.container.read_csv_lines`, with the cell
+    of each column named in ``numeric`` parsed as a float.
+
+    A cell that is not a finite number is refused as
+    ``<path>:<line>: <column> '<cell>' is not a finite number``.
+    """
+    columns = [(header.index(name), name) for name in numeric]
+    for line, row in read_csv_lines(path, header):
+        for i, name in columns:
+            try:
+                value = float(row[i])
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise ValueError(f"{path}:{line}: {name} {row[i]!r} is not "
+                                 f"a finite number")
+            row[i] = value
+        yield row
+
+
 def read_boundary_csv(path) -> dict:
     """Timestamps per video; a cell that is not a finite number is refused
     with the file and line named."""
     out = {}
-    for line, (vid, cell) in read_csv_lines(path, BOUNDARY_HEADER):
-        try:
-            t = float(cell)
-        except ValueError:
-            t = math.nan
-        if not math.isfinite(t):
-            raise ValueError(f"{path}:{line}: timestamp {cell!r} is not "
-                             f"a finite number")
+    for vid, t in _read_number_rows(path, BOUNDARY_HEADER, ("timestamp",)):
         out.setdefault(vid, []).append(t)
     for vid, stamps in out.items():
         check_ascending(stamps, f"{path}: timestamps for {vid}")
@@ -256,9 +270,11 @@ def write_scores_csv(path, sequences) -> None:
 
 
 def read_scores_csv(path) -> list:
+    """Score sequences per video; a time or score that is not a finite
+    number is refused with the file and line named."""
     rows = {}
-    for vid, t, s in read_csv(path, SCORES_HEADER):
-        rows.setdefault(vid, []).append((float(t), float(s)))
+    for vid, t, s in _read_number_rows(path, SCORES_HEADER, ("t", "score")):
+        rows.setdefault(vid, []).append((t, s))
     return [ScoreSequence(video_id=vid, timestamps=[t for t, _ in rows[vid]],
                           scores=[s for _, s in rows[vid]])
             for vid in sorted(rows)]
@@ -444,8 +460,9 @@ class Pipeline:
                    for aset in self.sets for track in aset.tracks))
 
     def _load_consistency(self):
-        values = {(vid, aid): float(c) for vid, aid, c in
-                  read_csv(self.paths.consistency_csv, CONSISTENCY_HEADER)}
+        values = {(vid, aid): c for vid, aid, c in
+                  _read_number_rows(self.paths.consistency_csv,
+                                    CONSISTENCY_HEADER, ("f1_consistency",))}
         for aset in self.sets:
             for track in aset.tracks:
                 track.f1_consistency = values[(aset.meta.video_id,
@@ -480,9 +497,9 @@ class Pipeline:
     def _candidates(self):
         """``(aset, timestamps, labels)`` per video, in video_id order."""
         by_video = {}
-        for vid, t, label in read_csv(self.paths.candidates_csv,
-                                      CANDIDATES_HEADER):
-            by_video.setdefault(vid, []).append((float(t), label))
+        for vid, t, label in _read_number_rows(self.paths.candidates_csv,
+                                               CANDIDATES_HEADER, ("t",)):
+            by_video.setdefault(vid, []).append((t, label))
         out = []
         for aset in self.sets:
             rows = by_video.get(aset.meta.video_id, [])

@@ -33,9 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .annotations import VideoMeta
-from .classifier import FEATURE_DIM, frame_features
-from .flow import (PAIR_CHUNK_PIXELS, FlowConfig, bilinear_resize, to_gray,
-                   video_flow)
+from .classifier import FEATURE_DIM, slot_features
+from .flow import PAIR_CHUNK_PIXELS, FlowConfig, _resize_planes, to_gray, video_flow
 from .pnm import read_pnm
 
 logger = logging.getLogger(__name__)
@@ -172,23 +171,25 @@ def label_windows(candidates, gt_timestamps, tolerance: float):
     return labels
 
 
-def _slot_rgb(frame: np.ndarray, side: int) -> np.ndarray:
-    """An (H, W, 3) frame as a (3, S, S) float32 window slot."""
-    if frame.shape[:2] != (side, side):
-        frame = bilinear_resize(frame, side, side)
-    return np.ascontiguousarray(np.transpose(frame, (2, 0, 1)), dtype=np.float32)
+def _slot_rgb(frames: np.ndarray, side: int) -> np.ndarray:
+    """(..., H, W, 3) frames as (..., 3, S, S) float32 window slots."""
+    planes = np.moveaxis(frames, -1, -3)
+    if planes.shape[-2:] != (side, side):
+        planes = _resize_planes(planes, side, side)
+    return np.ascontiguousarray(planes, dtype=np.float32)
 
 
 def _slot_flow(flow: np.ndarray, side: int) -> np.ndarray:
-    """An (H, W, 2) flow field as a (2, S, S) float32 window slot.
+    """(..., H, W, 2) flow fields as (..., 2, S, S) float32 window slots.
 
     The components scale by the resize ratio, so they stay in slot pixels.
     """
-    h, w = flow.shape[:2]
+    h, w = flow.shape[-3:-1]
+    planes = np.moveaxis(flow, -1, -3)
     if (h, w) != (side, side):
-        flow = bilinear_resize(flow, side, side)
-    flow = flow * np.array([side / w, side / h])
-    return np.ascontiguousarray(np.transpose(flow, (2, 0, 1)), dtype=np.float32)
+        planes = _resize_planes(planes, side, side)
+    planes = planes * np.array([side / w, side / h])[:, None, None]
+    return np.ascontiguousarray(planes, dtype=np.float32)
 
 
 def extract_window(seq: FrameSequence, spec: WindowSpec, t: float,
@@ -223,29 +224,49 @@ def frame_feature_table(seq: FrameSequence, spec: WindowSpec,
     pixels, each starting at the previous chunk's last frame, rounded to
     float32 as :func:`extract_window` expects; a chunk's rows are filled
     before the next is read, so memory does not grow with video length.
+    Within a chunk, slots are resized and featurized by
+    :func:`gebd.classifier.slot_features` in batches of at most
+    ``PAIR_CHUNK_PIXELS // S**2`` slots (at least one), so the batch's
+    memory is bounded too.
     :func:`gebd.classifier.window_inputs` on this table equals
     ``window_features(*extract_window(...))`` bit for bit.
     """
     spec.validate()
     side, n = spec.image_side, seq.meta.num_frames
     table = np.empty((n, FEATURE_DIM))
+    batch = max(1, PAIR_CHUNK_PIXELS // side**2)
 
-    def read(i):  # keeps no full-size RGB frame
-        frame = seq.frame(i)
-        return to_gray(frame), _slot_rgb(frame, side)
+    # gray frames and one batch of RGB slots; a function of its own so that
+    # the full-size frames are freed before the chunk's flow is computed
+    def read(lo, hi):
+        frames = [seq.frame(i) for i in range(lo, hi)]
+        return [to_gray(frame) for frame in frames], _slot_rgb(np.stack(frames), side)
 
-    gray, prev = read(0)
-    grays, slots = [gray], [prev]  # frame 0 is a chunk of its own: no flow into it
-    flow = np.zeros((1,) + gray.shape + (2,), dtype=np.float32)
-    step = max(1, PAIR_CHUNK_PIXELS // gray.size)
-    for start in [0, *range(1, n, step)]:
-        if start:  # frames start-1 .. end-1 give the flow into start .. end-1
-            views = [read(i) for i in range(start, min(start + step, n))]
-            grays = [grays[-1]] + [g for g, _ in views]
-            slots = [rgb for _, rgb in views]
-            del flow, row  # the last chunk's flow is not held through the next
-            flow = video_flow(np.stack(grays), flow_config).astype(np.float32)
-        for i, rgb, row in zip(range(start, n), slots, flow):
-            table[i] = frame_features(rgb, _slot_flow(row, side), prev)
-            prev = rgb
+    def chunk(start, stop, last, prev):
+        """Fill rows start .. stop-1, given the gray frame and the slot before
+        them (None for frame 0, which has no flow into it and is its own
+        previous slot); returns this chunk's last gray frame and slot."""
+        grays, slots = [], []  # no full-size RGB frame is kept
+        for lo in range(start, stop, batch):
+            batch_grays, rgb = read(lo, min(lo + batch, stop))
+            grays += batch_grays
+            slots.append(rgb)
+        if last is None:
+            flow = np.zeros((1,) + grays[0].shape + (2,), dtype=np.float32)
+            prev = slots[0]
+        else:
+            flow = video_flow(np.stack([last] + grays), flow_config).astype(np.float32)
+        lo = start
+        for rgb in slots:
+            hi = lo + len(rgb)
+            flow_slots = _slot_flow(flow[lo - start:hi - start], side)
+            table[lo:hi] = slot_features(rgb, flow_slots,
+                                         np.concatenate([prev, rgb[:-1]]))
+            prev, lo = rgb[-1:], hi
+        return grays[-1], prev.copy()  # a copy frees the batch it is a view of
+
+    last, prev = chunk(0, 1, None, None)
+    step = max(1, PAIR_CHUNK_PIXELS // last.size)
+    for start in range(1, n, step):  # frame start-1 gives the flow into start
+        last, prev = chunk(start, min(start + step, n), last, prev)
     return table

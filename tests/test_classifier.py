@@ -4,7 +4,8 @@ import pytest
 from gebd.classifier import (FEATURE_DIM, LogisticModel, TrainConfig,
                              bce_gradient, bce_loss, frame_features, load_model,
                              pc_concat, save_model, score_sequence,
-                             train_logistic, window_features)
+                             slot_features, train_logistic, window_features)
+from gebd.flow import to_gray
 
 from conftest import separable_dataset
 
@@ -69,6 +70,93 @@ class TestFrameFeatures:
         with pytest.raises(ValueError):
             frame_features(np.zeros((3, 4, 4)), np.zeros((2, 5, 5)),
                            np.zeros((3, 4, 4)))
+
+
+def histogram_features(rgb, flow, prev_rgb):
+    """frame_features as first written: one slot at a time, with
+    np.histogram for the intensity bins."""
+    rgb, flow, prev_rgb = (np.asarray(a, dtype=np.float64)
+                           for a in (rgb, flow, prev_rgb))
+    field = np.transpose(flow, (1, 2, 0))
+    mag = np.hypot(field[..., 0], field[..., 1])
+    total = float(mag.sum())
+    if total == 0.0:
+        angle_hist = np.full(8, 1.0 / 8.0)
+    else:
+        theta = np.arctan2(field[..., 1], field[..., 0])
+        bins = np.minimum((theta + np.pi) / (2 * np.pi / 8), 7.9999).astype(np.intp)
+        angle_hist = np.bincount(np.clip(bins, 0, 7).ravel(),
+                                 weights=mag.ravel(), minlength=8) / total
+    gray = to_gray(np.transpose(rgb, (1, 2, 0)))
+    prev_gray = to_gray(np.transpose(prev_rgb, (1, 2, 0)))
+    intensity_hist, _ = np.histogram(np.clip(gray, 0, 1), bins=16, range=(0.0, 1.0))
+    return np.concatenate([[float(mag.mean()), float(mag.max())], angle_hist,
+                           intensity_hist / gray.size,
+                           [float(np.abs(gray - prev_gray).mean())]])
+
+
+def exact_gray_pixels():
+    """(17, 3) RGB pixels whose gray values are exactly k/16, k = 0 .. 16."""
+    steps = np.arange(-8, 9)
+    pixels = []
+    for k in range(17):
+        near = k / 16 + steps * np.spacing(k / 16)
+        rgb = np.stack(np.meshgrid(near, near, near, indexing="ij"), axis=-1)
+        hits = np.argwhere(to_gray(rgb) == k / 16)
+        assert len(hits), k
+        pixels.append(rgb[tuple(hits[0])])
+    return np.array(pixels)
+
+
+class TestSlotFeatures:
+    """The batched rows equal the one-slot formula bit for bit."""
+
+    def slots(self, rng, dtype=np.float64):
+        rgb = rng.random((6, 3, 12, 12)).astype(dtype)
+        flow = rng.normal(size=(6, 2, 12, 12)).astype(dtype)
+        prev = rng.random((6, 3, 12, 12)).astype(dtype)
+        flow[1] = 0.0  # all-zero flow: the uniform angle histogram
+        rgb[2, :, :, :5] = 0.0  # gray 0.0
+        rgb[2, :, :, 5:] = 1.5  # gray above 1, clipped to 1.0
+        edges = exact_gray_pixels().T  # gray on every bin edge k/16, 1.0 included
+        rgb[3, :, 0, :] = edges[:, :12]
+        rgb[3, :, 1, :5] = edges[:, 12:]
+        flow[4, 0], flow[4, 1] = -1.0, 0.0  # angle exactly +pi
+        flow[4, 1, :6] = -0.0  # angle exactly -pi
+        flow[5, :, ::2] = 0.0  # zero vectors among moving ones
+        return rgb, flow, prev
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_rows_equal_per_slot_formula(self, rng, dtype):
+        rgb, flow, prev = self.slots(rng, dtype)
+        gray = to_gray(np.moveaxis(rgb[3].astype(np.float64), 0, -1))
+        if dtype == np.float64:
+            assert set(np.arange(17) / 16) <= set(gray.ravel())
+        theta = np.arctan2(flow[4, 1], flow[4, 0])
+        assert theta.max() == np.pi and theta.min() == -np.pi
+        got = slot_features(rgb, flow, prev)
+        assert got.shape == (6, FEATURE_DIM)
+        for k in range(6):
+            want = histogram_features(rgb[k], flow[k], prev[k])
+            assert np.array_equal(got[k], want), k
+            assert np.array_equal(frame_features(rgb[k], flow[k], prev[k]), want)
+        assert np.all(got[1, 2:10] == 1 / 8) and got[1, 0] == 0.0
+
+    def test_row_does_not_depend_on_batch(self, rng):
+        rgb, flow, prev = self.slots(rng)
+        whole = slot_features(rgb, flow, prev)
+        for lo, hi in [(0, 1), (1, 4), (4, 6)]:
+            part = slot_features(rgb[lo:hi], flow[lo:hi], prev[lo:hi])
+            assert np.array_equal(part, whole[lo:hi])
+
+    @pytest.mark.parametrize("shapes", [
+        ((2, 3, 4, 4), (3, 2, 4, 4), (2, 3, 4, 4)),  # batch sizes differ
+        ((2, 3, 4, 4), (2, 3, 4, 4), (2, 3, 4, 4)),  # three flow channels
+        ((2, 4, 4), (2, 2, 4, 4), (2, 4, 4)),        # no channel axis
+    ])
+    def test_shape_mismatch(self, shapes):
+        with pytest.raises(ValueError, match="slice shapes disagree"):
+            slot_features(*(np.zeros(shape) for shape in shapes))
 
 
 class TestPCConcat:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from gebd.flow import (FlowConfig, PolyCoeffs, _box_average, _mirror_slices,
+from gebd.flow import (SINGULAR_DET, FlowConfig, PolyCoeffs, _bilinear_sampler,
+                       _box_average, _mirror_slices, _resize_planes,
                        bilinear_resize, farneback_flow, flow_stats, flow_step,
                        gaussian_kernel, gaussian_pyramid, poly_expansion,
                        sep_correlate, to_gray, video_flow)
@@ -96,6 +97,53 @@ class TestBoxAverage:
                       - sep_correlate(img, k, k)).max() < 1e-12
 
 
+def fancy_resize_planes(img, out_h, out_w):
+    """The bilinear resize as first written, gathering with fancy indexing."""
+    h, w = img.shape[-2:]
+    xs = np.clip((np.arange(out_w) + 0.5) * (w / out_w) - 0.5, 0, w - 1)
+    ys = np.clip((np.arange(out_h) + 0.5) * (h / out_h) - 0.5, 0, h - 1)
+    x0 = np.floor(xs).astype(np.intp)
+    y0 = np.floor(ys).astype(np.intp)
+    x1 = np.minimum(x0 + 1, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    fx = xs - x0
+    fy = ys - y0
+    rows0 = img[..., y0, :]
+    rows1 = img[..., y1, :]
+    return (rows0[..., x0] * ((1 - fy)[:, None] * (1 - fx)[None, :])
+            + rows0[..., x1] * ((1 - fy)[:, None] * fx[None, :])
+            + rows1[..., x0] * (fy[:, None] * (1 - fx)[None, :])
+            + rows1[..., x1] * (fy[:, None] * fx[None, :]))
+
+
+class TestResizePlanes:
+    @pytest.mark.parametrize("shape, out", [
+        ((3, 64, 64), (32, 32)),      # pyramid downsample
+        ((2, 16, 16), (32, 32)),      # flow upsample between levels
+        ((3, 64, 64), (224, 224)),    # window slot at the default side
+        ((2, 24, 40), (30, 18)),      # non-square, down in x and up in y
+        ((5, 33, 17), (17, 33)),
+    ])
+    def test_matches_fancy_indexing(self, rng, shape, out):
+        img = rng.random(shape)
+        assert np.array_equal(_resize_planes(img, *out),
+                              fancy_resize_planes(img, *out))
+
+    def test_strided_input(self, rng):
+        field = rng.normal(size=(4, 40, 40, 2))
+        planes = np.moveaxis(field, -1, -3)  # what flow slots resize
+        assert not planes.flags.c_contiguous
+        assert np.array_equal(_resize_planes(planes, 32, 32),
+                              fancy_resize_planes(planes, 32, 32))
+
+    def test_float32_input(self, rng):
+        img = rng.normal(size=(2, 2, 40, 40)).astype(np.float32)
+        got = _resize_planes(img, 32, 32)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, fancy_resize_planes(img, 32, 32))
+        assert np.array_equal(got, _resize_planes(img.astype(np.float64), 32, 32))
+
+
 class TestPyramid:
     def test_constant_preserved(self):
         pyr = gaussian_pyramid(np.full((32, 32), 0.7), 3, 0.5)
@@ -185,6 +233,31 @@ def analytic_coeffs(shape, A, b0, shift=(0.0, 0.0)):
                       b1=b1, b2=b2, c=c)
 
 
+def where_flow_step(p1, p2, prior, averaging_window):
+    """flow_step as first written: the solve divides by a guarded det and
+    picks with np.where.  Also returns the mask of solved pixels."""
+    h, w = p1.shape[-2:]
+    ys_grid, xs_grid = np.mgrid[0:h, 0:w].astype(np.float64)
+    sample = _bilinear_sampler(np.clip(ys_grid + prior[..., 1], 0, h - 1),
+                               np.clip(xs_grid + prior[..., 0], 0, w - 1))
+    a11 = 0.5 * (p1.a11 + sample(p2.a11))
+    a12 = 0.5 * (p1.a12 + sample(p2.a12))
+    a22 = 0.5 * (p1.a22 + sample(p2.a22))
+    db1 = -0.5 * (sample(p2.b1) - p1.b1)
+    db2 = -0.5 * (sample(p2.b2) - p1.b2)
+    g11 = _box_average(a11 * a11 + a12 * a12, averaging_window)
+    g12 = _box_average(a11 * a12 + a12 * a22, averaging_window)
+    g22 = _box_average(a12 * a12 + a22 * a22, averaging_window)
+    h1 = _box_average(a11 * db1 + a12 * db2, averaging_window)
+    h2 = _box_average(a12 * db1 + a22 * db2, averaging_window)
+    det = g11 * g22 - g12 * g12
+    ok = np.abs(det) >= SINGULAR_DET
+    safe = np.where(ok, det, 1.0)
+    dx = np.where(ok, (g22 * h1 - g12 * h2) / safe, 0.0)
+    dy = np.where(ok, (g11 * h2 - g12 * h1) / safe, 0.0)
+    return prior + np.stack([dx, dy], axis=-1), ok
+
+
 class TestFlowStep:
     def test_identical_coeffs_zero_flow(self, rng):
         img = rng.random((20, 20))
@@ -207,6 +280,19 @@ class TestFlowStep:
         prior[..., 0] = 0.7
         flow = flow_step(flat, flat, prior, 5)
         assert flow == pytest.approx(prior)
+
+    def test_masked_solve_matches_where_solve(self, rng):
+        # textured on the left, flat on the right: the averaged normal
+        # matrix is singular deep inside the flat part
+        frames = np.full((3, 32, 48), 0.5)
+        frames[:, :, :20] = [smooth_texture(rng, 32, 20) for _ in range(3)]
+        coeffs = poly_expansion(frames, 5, 1.1)
+        prior = rng.normal(scale=0.5, size=(2, 32, 48, 2))
+        got = flow_step(coeffs[:-1], coeffs[1:], prior, 5)
+        want, ok = where_flow_step(coeffs[:-1], coeffs[1:], prior, 5)
+        assert ok.any() and not ok.all()
+        assert np.array_equal(got, want)
+        assert np.array_equal(got[~ok], prior[~ok])
 
     def test_dimension_mismatch(self):
         p1 = poly_expansion(np.zeros((16, 16)), 5, 1.0)

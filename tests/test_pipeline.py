@@ -128,6 +128,43 @@ class TestCsvFormats:
         assert str(e.value) == (f"{path}:4: timestamp {cell!r} "
                                 f"is not a finite number")
 
+    @pytest.mark.parametrize("row, column", [("v,abc,0.5", "t"),
+                                             ("v,1.0,nan", "score"),
+                                             ("v,1.0,-inf", "score")])
+    def test_scores_bad_cell_names_file_and_line(self, tmp_path, row, column):
+        path = tmp_path / "scores.csv"
+        path.write_text(f"video_id,t,score\nv,0.5,0.25\n{row}\n")
+        cell = row.split(",")[("t", "score").index(column) + 1]
+        with pytest.raises(ValueError) as e:
+            read_scores_csv(path)
+        assert str(e.value) == (f"{path}:3: {column} {cell!r} "
+                                f"is not a finite number")
+
+    @pytest.mark.parametrize("cell", ["nan", "abc"])
+    def test_consistency_bad_cell_names_file_and_line(self, corpus, tmp_path,
+                                                      cell):
+        run = Pipeline(corpus, tmp_path, PipelineConfig(**CFG))
+        path = run.paths.consistency_csv
+        with open(path, "w") as fh:
+            fh.write(f"video_id,annotator_id,f1_consistency\nv,a,0.5\nv,b,{cell}\n")
+        with pytest.raises(ValueError) as e:
+            run._load_consistency()
+        assert str(e.value) == (f"{path}:3: f1_consistency {cell!r} "
+                                f"is not a finite number")
+
+    @pytest.mark.parametrize("cell", ["inf", "abc"])
+    def test_candidates_bad_cell_names_file_and_line(self, corpus, tmp_path,
+                                                     cell):
+        run = Pipeline(corpus, tmp_path, PipelineConfig(**CFG))
+        path = run.paths.candidates_csv
+        os.makedirs(os.path.dirname(path))
+        with open(path, "w") as fh:
+            fh.write(f"video_id,t,label\nv,0.125,boundary\nv,{cell},background\n")
+        with pytest.raises(ValueError) as e:
+            run._candidates()
+        assert str(e.value) == (f"{path}:3: t {cell!r} "
+                                f"is not a finite number")
+
 
 class TestRun:
     def test_all_stages_complete(self, finished_run):
@@ -332,6 +369,20 @@ class TestStageStamps:
             corpus, out, PipelineConfig(**dict(CFG, smooth_sigma=4.0,
                                                score_threshold=0.9)))
         assert ran_stages(manifest) == []
+
+    @pytest.mark.parametrize("cell", ["nan", "abc"])
+    def test_bad_cached_score_fails_detect_naming_file(self, copied_run,
+                                                       cell):
+        corpus, out = copied_run
+        scores = out / "scores.csv"
+        lines = scores.read_text().splitlines()
+        vid, t, _ = lines[1].split(",")
+        lines[1] = f"{vid},{t},{cell}"
+        scores.write_text("\n".join(lines) + "\n")
+        with pytest.raises(PipelineError) as e:
+            run_pipeline(corpus, out, PipelineConfig(**dict(CFG, smooth_sigma=4.0)))
+        assert e.value.stage == "detect"
+        assert f"{scores}:2: score {cell!r} is not a finite number" in str(e.value)
 
     def assert_flow_reran(self, corpus, out, **change):
         tables = sorted((out / "features").glob("*.gebt"))

@@ -10,7 +10,7 @@ from gebd.flow import (FlowConfig, bilinear_resize, farneback_flow, flow_stats,
                        to_gray, video_flow)
 from gebd.pnm import read_pnm, write_pnm
 from gebd.classifier import (FEATURE_DIM, STATIC_FLOW_FEATURES, frame_features,
-                             window_features, window_inputs)
+                             slot_features, window_features, window_inputs)
 from gebd.windows import (LABEL_BACKGROUND, LABEL_BOUNDARY, FrameSequence,
                           WindowSpec, candidate_timestamps, extract_window,
                           frame_feature_table, frame_name, label_windows,
@@ -292,6 +292,27 @@ class TestFlowChunks:
             want = farneback_flow(to_gray(seq.frame(k - 1)),
                                   to_gray(seq.frame(k)), FLOW_CONFIG)
             assert pair.tobytes() == want.tobytes()
+
+
+class TestFeatureBatches:
+    """Slots are featurized in batches of at most PAIR_CHUNK_PIXELS // S**2."""
+
+    @pytest.mark.parametrize("side, batches", [
+        (224, [1] * 20),  # 64 * 64 * 8 // 224**2 == 0: one slot per batch
+        (32, [1, 19]),    # frame 0, then the one chunk of 19 pairs whole
+    ])
+    def test_batch_bound(self, tiny_video, monkeypatch, side, batches):
+        meta, d, _ = tiny_video
+        sizes = []
+
+        def recording(rgb, flow, prev):
+            sizes.append(len(rgb))
+            return slot_features(rgb, flow, prev)
+        monkeypatch.setattr(windows, "slot_features", recording)
+        table = frame_feature_table(FrameSequence(meta, d),
+                                    WindowSpec(m=1, image_side=side), FLOW_CONFIG)
+        assert sizes == batches
+        assert table.shape == (20, FEATURE_DIM)
 
 
 class TestFrameFeatureTable:
