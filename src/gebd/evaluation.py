@@ -364,6 +364,10 @@ def evaluate_corpus(predictions, ground_truth, durations, classes=None,
         raise ValueError(f"unknown mode {mode!r}")
     _check_policy(policy)
 
+    # an optimal count is a maximum matching, so it only grows along the
+    # ascending grid; once it pairs off the shorter list it stays there.
+    # Greedy counts are not proven monotone, so each of them is counted.
+    saturates = policy == "optimal"
     per_video = {}
     totals = {t: [0, 0, 0] for t in grid}  # matched, preds, gts
     video_ids = sorted(ground_truth)
@@ -374,9 +378,12 @@ def evaluate_corpus(predictions, ground_truth, durations, classes=None,
             _check_duration(duration)
         pred = _ascending_floats(predictions.get(vid, []), "predictions")
         gt = _ascending_floats(ground_truth[vid], "ground_truth")
+        most = min(len(pred), len(gt))
+        matched = None
         rows = []
         for t in grid:
-            matched = match_count(pred, gt, duration, t, policy)
+            if not (saturates and matched == most):
+                matched = match_count(pred, gt, duration, t, policy)
             rows.append(prf_from_counts(matched, len(pred), len(gt), t))
             acc = totals[t]
             acc[0] += matched

@@ -21,7 +21,10 @@ recomputes every video.  Sample only lists candidates and their labels.
 
 Per-video work inside a stage can fan out over worker processes; every
 worker writes its own files and aggregation orders by video_id, so results
-are identical for any worker count.
+are identical for any worker count.  The worker-process machinery is
+imported only when a stage fans out, so a command that runs no such stage
+does not pay for it.  Flow and report delete the per-video files of videos
+no longer listed.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ import os
 import shutil
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -322,6 +324,9 @@ class Paths:
     def feature_table(self, vid):
         return os.path.join(self.out, "features", f"{vid}.gebt")
 
+    def timeline_svg(self, vid):
+        return os.path.join(self.out, "report", f"timeline_{vid}.svg")
+
 
 def _sha256(data: bytes) -> str:
     # imported here: OpenSSL's hash module adds about 3.5 MB to the resident
@@ -362,9 +367,21 @@ def _freshness(deps, outputs, stamp, recorded, ran) -> str:
     return "fresh"
 
 
+def _remove_unlisted(directory, prefix, suffix, keep) -> None:
+    """Delete each file ``<prefix>*<suffix>`` in ``directory`` whose path is
+    not in ``keep``: the per-video files of videos no longer listed."""
+    for name in os.listdir(directory):
+        path = os.path.join(directory, name)
+        if name.startswith(prefix) and name.endswith(suffix) and path not in keep:
+            os.remove(path)
+
+
 def _map_videos(fn, items, workers):
     if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    # imported here: the pool pulls in multiprocessing, socket and subprocess
+    # (about 25 ms of start-up), which only a stage that fans out needs
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
@@ -481,6 +498,9 @@ class Pipeline:
         jobs = [(aset.meta, self.paths.frames_dir(aset.meta.video_id),
                  self.paths.feature_table(aset.meta.video_id), spec, flow_cfg)
                 for aset in self.sets]
+        _remove_unlisted(self.paths.features_dir, "", ".gebt",
+                         {self.paths.feature_table(a.meta.video_id)
+                          for a in self.sets})
         _map_videos(_flow_job, jobs, self.config.workers)
 
     def stage_sample(self):
@@ -559,6 +579,9 @@ class Pipeline:
 
     def stage_report(self):
         os.makedirs(self.paths.report_dir, exist_ok=True)
+        _remove_unlisted(self.paths.report_dir, "timeline_", ".svg",
+                         {self.paths.timeline_svg(a.meta.video_id)
+                          for a in self.sets})
         preds = read_boundary_csv(self.paths.predictions_csv)
         for aset in self.sets:
             vid = aset.meta.video_id
@@ -569,8 +592,7 @@ class Pipeline:
             svg = render_timeline(TimelineSpec(video_id=vid,
                                                duration=aset.meta.duration,
                                                tracks=tracks))
-            with atomic_open(os.path.join(self.paths.report_dir,
-                                          f"timeline_{vid}.svg")) as fh:
+            with atomic_open(self.paths.timeline_svg(vid)) as fh:
                 fh.write(svg)
         per_class = [(label, float(mean_f1)) for label, mean_f1, _ in
                      read_csv(self.paths.eval_per_class_csv, PER_CLASS_HEADER)]
@@ -620,9 +642,9 @@ class Pipeline:
              ("threshold", "thresholds", "mode", "match_policy"),
              [p.eval_global_csv, p.eval_per_video_csv, p.eval_per_class_csv]),
             ("report", ("annotations", "detect", "eval"), (),
-             [os.path.join(p.report_dir, n) for n in
-              ["class_top.svg", "class_bottom.svg"]
-              + [f"timeline_{v}.svg" for v in vids]]),
+             [os.path.join(p.report_dir, "class_top.svg"),
+              os.path.join(p.report_dir, "class_bottom.svg")]
+             + [p.timeline_svg(v) for v in vids]),
         ]
         return [(name, deps, keys, outs,
                  getattr(self, "stage_" + name.replace("-", "_")))
@@ -659,7 +681,7 @@ class Pipeline:
                 ran.add(name)
                 self._stamps.pop(name, None)
                 self._write_manifest()
-                start = time.time()
+                start = time.perf_counter()
                 try:
                     body()
                     missing = [f for f in outs if not os.path.exists(f)]
@@ -669,7 +691,7 @@ class Pipeline:
                     entry["failed"] = str(e)
                     raise PipelineError(name, e) from e
                 finally:
-                    entry["seconds"] = round(time.time() - start, 3)
+                    entry["seconds"] = round(time.perf_counter() - start, 3)
                 self._stamps[name] = stamps[name]
         finally:
             self._write_manifest()

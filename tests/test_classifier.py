@@ -239,6 +239,28 @@ class TestTraining:
         with pytest.raises(ValueError, match="labels"):
             train_logistic((np.zeros((2, 1)), np.array([0.0, 2.0])))
 
+    @pytest.mark.parametrize("bad", [2.0, -1.0, np.nan, np.inf, -np.inf])
+    def test_label_outside_zero_one_rejected(self, bad):
+        X = np.arange(8.0).reshape(4, 2)
+        for y in ([0.0, 1.0, bad, 0.0], [bad, bad, bad, bad]):
+            with pytest.raises(ValueError, match="labels must be 0 or 1"):
+                train_logistic((X, np.array(y)))
+
+    def test_negative_zero_label_is_class_zero(self, rng):
+        X, y = separable_dataset(rng, n=40, margin=0.5)
+        signed = np.where(y == 0.0, -0.0, y)
+        assert np.signbit(signed).any()
+        cfg = TrainConfig(seed=2, epochs=3)
+        base, base_losses = train_logistic((X, y), cfg)
+        other, other_losses = train_logistic((X, signed), cfg)
+        assert base.weights.tobytes() == other.weights.tobytes()
+        assert base_losses == other_losses
+        model, _ = train_logistic((np.arange(6.0).reshape(3, 2),
+                                   np.array([0.0, -0.0, 1.0])), cfg)
+        assert np.isfinite(model.weights).all()
+        with pytest.raises(ValueError, match="both classes"):
+            train_logistic((np.zeros((2, 1)), np.array([0.0, -0.0])))
+
     def test_power_of_two_rescale_bitwise_identical(self, rng):
         X, y = separable_dataset(rng, n=64, margin=0.5, dim=3)
         cfg = TrainConfig(seed=11, epochs=4)

@@ -3,8 +3,8 @@ import pytest
 
 from gebd.evaluation import (POLICIES, absolute_window_match, evaluate_corpus,
                              f1_from_pr, match_boundaries, match_count,
-                             per_class_report, prf_from_match, rel_dis,
-                             sweep_thresholds)
+                             per_class_report, prf_from_counts, prf_from_match,
+                             rel_dis, sweep_thresholds)
 
 from conftest import enumerate_matchings, max_matching_cardinality
 
@@ -361,6 +361,32 @@ class TestCorpusEval:
                 totals[row] += (len(m.pairs), len(p), len(gt[vid]))
         for (matched, n_p, n_g), got in zip(totals, rep.global_prf):
             assert (got.precision, got.recall) == (matched / n_p, matched / n_g)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("mode", ["relative", "absolute_window"])
+    def test_counts_equal_per_threshold_match_count(self, policy, mode):
+        rng = np.random.default_rng(14)
+        preds = {"none": [], "no-gt": [2.0], "no-pred": []}
+        gt = {"none": [], "no-gt": [], "no-pred": [3.0, 4.0]}
+        for k in range(200):
+            # short lists, so many videos pair off the shorter one early
+            p, g = (grid_lists(rng, max_side=4) if k % 2
+                    else random_instance(rng, max_side=5)[:2])
+            preds[f"v{k:03d}"], gt[f"v{k:03d}"] = list(p), list(g)
+        if mode == "relative":
+            grid, duration, kwargs = GRID, 10.0, {"thresholds": GRID}
+        else:
+            grid, duration, kwargs = (0.3,), None, {"mode": mode, "window": 0.3}
+        rep = evaluate_corpus(preds, gt, dict.fromkeys(gt, 10.0), policy=policy,
+                              **kwargs)
+        saturated_early = 0  # before the last threshold, with both lists non-empty
+        for vid in gt:
+            p, g = preds[vid], gt[vid]
+            counts = [match_count(p, g, duration, t, policy) for t in grid]
+            assert rep.per_video[vid] == [prf_from_counts(c, len(p), len(g), t)
+                                          for c, t in zip(counts, grid)]
+            saturated_early += bool(p and g) and min(len(p), len(g)) in counts[:-1]
+        assert saturated_early >= (50 if mode == "relative" else 0)
 
     def test_missing_prediction_counts_as_empty(self):
         rep = evaluate_corpus({}, {"v": [1.0]}, {"v": 10.0},

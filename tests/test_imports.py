@@ -1,0 +1,86 @@
+"""Import budget: each command loads only the modules it runs.
+
+Every case runs in a fresh interpreter and records the modules that the
+call adds after ``import numpy``, so it holds on any supported numpy:
+numpy 1.24 loads ``numpy.ma`` and ``numpy.random`` with ``import numpy``,
+numpy 2 loads neither until they are used.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+from gebd.pipeline import PipelineConfig, run_pipeline
+from gebd.synth import generate_corpus
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
+
+PROBE = """
+import json, sys
+import numpy
+before = set(sys.modules)
+{body}
+print(json.dumps({{"code": code, "added": sorted(set(sys.modules) - before)}}))
+"""
+
+# the worker-process machinery, which only a stage that fans out needs
+POOL = ("concurrent.futures", "multiprocessing")
+
+
+def added_modules(body):
+    """(result ``code`` of ``body``, modules it added) in a fresh interpreter."""
+    proc = subprocess.run([sys.executable, "-c", PROBE.format(body=body)],
+                          env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True, check=True)
+    result = json.loads(proc.stdout.splitlines()[-1])
+    return result["code"], set(result["added"])
+
+
+def cli_modules(*argv):
+    return added_modules("import gebd.cli\n"
+                         f"code = gebd.cli.main({[str(a) for a in argv]!r})")
+
+
+@pytest.fixture(scope="module")
+def finished_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("imports")
+    corpus, out = root / "corpus", root / "run"
+    generate_corpus(corpus, n_videos=1, seed=3, duration=4.0, fps=10.0,
+                    image_size=32)
+    run_pipeline(corpus, out, PipelineConfig(image_side=32, m=3))
+    return corpus, out
+
+
+def test_eval_loads_no_worker_pool(finished_run, tmp_path):
+    corpus, out = finished_run
+    code, added = cli_modules("eval", "--predictions", out / "predictions.csv",
+                              "--annotations", corpus / "annotations.json",
+                              "--out", tmp_path / "eval")
+    assert code == 0
+    assert "gebd.evaluation" in added
+    assert added.isdisjoint(POOL)
+
+
+def test_noop_pipeline_rerun_loads_no_worker_pool(finished_run):
+    corpus, out = finished_run
+    code, added = cli_modules("pipeline", corpus, "--out", out, "--image-side", 32,
+                              "--m", 3, "--workers", 2)
+    assert code == 0
+    with open(out / "manifest.json", encoding="utf-8") as fh:
+        assert all(s["skipped"] for s in json.load(fh)["stages"])
+    assert added.isdisjoint(POOL)
+
+
+def test_training_loads_no_masked_arrays():
+    code, added = added_modules(
+        "from gebd.classifier import TrainConfig, train_logistic\n"
+        "X = numpy.arange(8.0).reshape(4, 2)\n"
+        "model, _ = train_logistic((X, numpy.array([0.0, 1.0, 0.0, 1.0])),\n"
+        "                          TrainConfig(epochs=2))\n"
+        "code = int(numpy.isfinite(model.weights).all())")
+    assert code == 1
+    assert not any(m == "numpy.ma" or m.startswith("numpy.ma.") for m in added)

@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -539,6 +540,36 @@ class TestStageStamps:
         reasons = {s["name"]: s["reason"] for s in manifest["stages"]}
         assert reasons["flow"] == "missing-output"
         assert not (out / "flow").exists()
+
+    def test_removed_video_leaves_no_per_video_files(self, copied_run,
+                                                     tmp_path):
+        corpus, out = copied_run
+        smaller = tmp_path / "corpus"
+        shutil.copytree(corpus, smaller)
+        doc = json.loads((smaller / "annotations.json").read_text())
+        gone = doc.pop()["video_id"]
+        (smaller / "annotations.json").write_text(json.dumps(doc))
+        (out / "features" / "notes.txt").write_text("not a feature table")
+        manifest = run_pipeline(smaller, out, PipelineConfig(**CFG))
+        assert {"flow", "report"} <= set(ran_stages(manifest))
+        kept = video_ids(smaller)
+        assert gone not in kept
+        assert sorted(p.name for p in (out / "features").glob("*.gebt")) == \
+            [f"{vid}.gebt" for vid in kept]
+        assert sorted(p.name for p in (out / "report").glob("timeline_*.svg")) == \
+            [f"timeline_{vid}.svg" for vid in kept]
+        assert (out / "features" / "notes.txt").exists()
+
+    def test_stage_seconds_ignore_wall_clock_steps(self, copied_run,
+                                                   monkeypatch):
+        corpus, out = copied_run
+        os.remove(out / "model.json")
+        clock = iter(range(10 ** 9, 0, -1000))  # each reading 1000 s earlier
+        monkeypatch.setattr(time, "time", lambda: float(next(clock)))
+        manifest = run_pipeline(corpus, out, PipelineConfig(**CFG))
+        monkeypatch.undo()
+        assert ran_stages(manifest) == STAGE_NAMES[STAGE_NAMES.index("train"):]
+        assert all(s["seconds"] >= 0 for s in manifest["stages"])
 
     def test_run_of_older_version_reruns_flow(self, finished_run, tmp_path,
                                               monkeypatch):
