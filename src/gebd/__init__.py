@@ -16,6 +16,12 @@ Library surface:
 * :mod:`gebd.synth` - synthetic desk-scale corpus generator
 * :mod:`gebd.pipeline` - staged, resumable end-to-end driver (also via the
   ``gebd`` command line tool)
+* :mod:`gebd.config` - the flow, window, training and detection settings
+
+Importing the package loads no numpy.  The flow names below
+(``farneback_flow``, ``flow_stats``, ``gaussian_pyramid``,
+``poly_expansion``, ``to_gray``) import :mod:`gebd.flow`, and with it
+numpy, on first use.
 """
 
 __version__ = "0.2.0"
@@ -50,11 +56,14 @@ from .evaluation import (  # noqa: F401
     rel_dis,
     sweep_thresholds,
 )
-from .flow import (  # noqa: F401
-    FlowConfig,
-    farneback_flow,
-    flow_stats,
-    gaussian_pyramid,
-    poly_expansion,
-    to_gray,
-)
+from .config import FlowConfig  # noqa: F401
+
+_FLOW_NAMES = ("farneback_flow", "flow_stats", "gaussian_pyramid",
+               "poly_expansion", "to_gray")
+
+
+def __getattr__(name):
+    if name in _FLOW_NAMES:
+        from . import flow
+        return getattr(flow, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

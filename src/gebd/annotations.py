@@ -22,8 +22,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .evaluation import check_limit, match_count, prf_from_counts
 
 
@@ -230,27 +228,69 @@ def normalize_track(track: AnnotatorTrack, meta: VideoMeta) -> BoundaryList:
     return BoundaryList(video_id=meta.video_id, timestamps=dedup)
 
 
+def _pairwise_rows(aset: AnnotationSet, threshold: float) -> list:
+    """The rows of :func:`pairwise_f1` as lists of floats."""
+    n = len(aset.tracks)
+    duration = aset.meta.duration
+    # normalized timestamps are strictly ascending floats, as match_count needs
+    lists = [normalize_track(t, aset.meta).timestamps for t in aset.tracks]
+    out = [[1.0] * n for _ in range(n)]
+    if n > 1:
+        check_limit(duration, threshold)
+    for i in range(n):
+        for j in range(i + 1, n):
+            matched = match_count(lists[i], lists[j], duration, threshold)
+            out[i][j] = out[j][i] = prf_from_counts(
+                matched, len(lists[i]), len(lists[j])).f1
+    return out
+
+
 def pairwise_f1(aset: AnnotationSet, threshold: float = 0.05):
     """F1 of annotator i's boundaries scored against annotator j's, all i, j.
 
     Row i holds annotator i as predictions versus annotator j as ground
     truth; the diagonal is 1 by construction (identical lists).  Each
     unordered pair is matched once: swapping the lists swaps precision and
-    recall, which leaves F1 the same float.
+    recall, which leaves F1 the same float.  Returns an (n, n) array.
     """
+    import numpy as np
     n = len(aset.tracks)
-    duration = aset.meta.duration
-    # normalized timestamps are strictly ascending floats, as match_count needs
-    lists = [normalize_track(t, aset.meta).timestamps for t in aset.tracks]
-    out = np.ones((n, n))
-    if n > 1:
-        check_limit(duration, threshold)
-    for i in range(n):
-        for j in range(i + 1, n):
-            matched = match_count(lists[i], lists[j], duration, threshold)
-            out[i, j] = out[j, i] = prf_from_counts(
-                matched, len(lists[i]), len(lists[j])).f1
-    return out
+    return np.array(_pairwise_rows(aset, threshold), dtype=float).reshape(n, n)
+
+
+def _pairwise_sum(values) -> float:
+    """The sum of a list of floats in the order of numpy's pairwise summation.
+
+    Fewer than 8 values add one by one; up to 128 add into 8 running sums,
+    value i into sum i mod 8 while a whole 8 remain, then the sums add as a
+    tree and the rest one by one; more split in two at a multiple of 8.  Not
+    ``sum()``, which compensates rounding from Python 3.12 on.
+    """
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for v in values:
+            total += v
+        return total
+    if n <= 128:
+        sums = values[:8]
+        whole = n - n % 8
+        for i in range(8, whole, 8):
+            for k in range(8):
+                sums[k] += values[i + k]
+        total = (((sums[0] + sums[1]) + (sums[2] + sums[3]))
+                 + ((sums[4] + sums[5]) + (sums[6] + sums[7])))
+        for v in values[whole:]:
+            total += v
+        return total
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+
+
+def _mean(values) -> float:
+    """``float(numpy.mean(values))`` of a non-empty list of floats, bit for
+    bit, without numpy."""
+    return _pairwise_sum(values) / len(values)
 
 
 def compute_f1_consistency(aset: AnnotationSet, threshold: float = 0.05):
@@ -263,11 +303,11 @@ def compute_f1_consistency(aset: AnnotationSet, threshold: float = 0.05):
     if not 0 < threshold < 1:
         raise ValueError(f"threshold must be in (0,1), got {threshold}")
     n = len(aset.tracks)
-    f1 = pairwise_f1(aset, threshold)
+    f1 = _pairwise_rows(aset, threshold)
     out = []
     for i, track in enumerate(aset.tracks):
-        others = [f1[i, j] for j in range(n) if j != i]
-        out.append((track.annotator_id, float(np.mean(others)) if others else 1.0))
+        others = [f1[i][j] for j in range(n) if j != i]
+        out.append((track.annotator_id, _mean(others) if others else 1.0))
     return out
 
 
@@ -304,12 +344,13 @@ def fnv1a64(text: str) -> int:
     return h
 
 
-def per_video_rng(seed: int, video_id: str) -> np.random.Generator:
+def per_video_rng(seed: int, video_id: str):
     """Deterministic per-video RNG stream: sub-seed = seed XOR FNV-1a-64(video_id).
 
-    Independent of processing order, so parallel schedules cannot change
-    any per-video draw.
+    A ``numpy.random.Generator``, independent of processing order, so
+    parallel schedules cannot change any per-video draw.
     """
+    import numpy as np
     return np.random.default_rng((int(seed) & 0xFFFFFFFFFFFFFFFF) ^ fnv1a64(video_id))
 
 

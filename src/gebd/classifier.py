@@ -23,6 +23,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .config import TrainConfig
 from .container import atomic_open
 from .flow import flow_stats_rows, to_gray
 from .postprocess import ScoreSequence
@@ -36,25 +37,6 @@ STATIC_FLOW_FEATURES = np.array([0.0, 0.0] + [1.0 / 8.0] * 8)
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-
-
-@dataclass
-class TrainConfig:
-    learning_rate: float = 0.0001
-    decay_factor: float = 0.1
-    decay_every: int = 10
-    epochs: int = 16
-    batch_size: int = 16
-    seed: int = 0
-
-    def validate(self) -> None:
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if not 0 < self.decay_factor <= 1:
-            raise ValueError("decay_factor must be in (0,1]")
-        for name in ("decay_every", "epochs", "batch_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
 
 
 @dataclass

@@ -30,8 +30,7 @@ from .pipeline import (GLOBAL_HEADER, Paths, Pipeline, PipelineConfig,
                        attach_stage_consistency, check_videos, ground_truth,
                        load_config, parse_mode, read_boundary_csv, run_pipeline,
                        write_eval)
-from .synth import generate_corpus
-from .windows import FrameSequence
+from .pnm import frame_files
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -49,6 +48,7 @@ def _fail(message, code=EXIT_INVALID):
 
 
 def cmd_synth(args) -> int:
+    from .synth import generate_corpus
     try:
         generate_corpus(args.out, args.n_videos, args.seed,
                         duration=args.duration, fps=args.fps,
@@ -72,8 +72,7 @@ def cmd_validate(args) -> int:
                 frames_root = None
         if frames_root is not None:
             for aset in sets:
-                FrameSequence(aset.meta,
-                              os.path.join(frames_root, aset.meta.video_id))
+                frame_files(aset.meta, os.path.join(frames_root, aset.meta.video_id))
     except (AnnotationParseError, AnnotationValidationError, ValueError,
             OSError) as e:
         return _fail(str(e))

@@ -20,7 +20,8 @@ Every table is a CSV with a header row, written by :func:`write_csv` and
 read by :func:`read_csv`, the one CSV reader; a field holding a comma, quote
 or newline is quoted as the :mod:`csv` module does, and a row of the wrong
 width is named by file and line.  Every artifact, binary or text, is written
-through :func:`atomic_open`.
+through :func:`atomic_open`.  Only the tensor functions import numpy, so the
+CSV tables and the writer load without it.
 """
 
 from __future__ import annotations
@@ -31,13 +32,11 @@ import math
 import os
 import struct
 
-import numpy as np
-
 MAGIC = b"GEBT"
 VERSION = 1
 DTYPE_F32 = 1
 DTYPE_F64 = 2
-_DTYPES = {DTYPE_F32: np.dtype("<f4"), DTYPE_F64: np.dtype("<f8")}
+_DTYPES = {DTYPE_F32: ("<f4", 4), DTYPE_F64: ("<f8", 8)}  # numpy dtype, itemsize
 MAX_NDIM = 5
 
 
@@ -116,11 +115,12 @@ def _parse_header(blob: bytes):
     if any(d < 1 for d in dims):
         raise ContainerError(f"every dim must be >= 1, got {dims}")
     got = len(blob) - dims_end
-    expected = _DTYPES[dtype].itemsize * math.prod(dims)
+    dtype, itemsize = _DTYPES[dtype]
+    expected = itemsize * math.prod(dims)
     if got != expected:
         raise ContainerError(f"payload length mismatch: got {got} bytes, "
                              f"expected {expected}")
-    return dims, _DTYPES[dtype], dims_end
+    return dims, dtype, dims_end
 
 
 def write_tensor(dims, data, dtype: int = DTYPE_F32) -> bytes:
@@ -132,13 +132,14 @@ def write_tensor(dims, data, dtype: int = DTYPE_F32) -> bytes:
         raise ContainerError(f"every dim must be >= 1, got {dims}")
     if dtype not in _DTYPES:
         raise ContainerError(f"unsupported dtype code {dtype}")
+    import numpy as np
     n = math.prod(dims)
     if np.size(data) != n:
         raise ContainerError(f"data length mismatch: {np.size(data)} values "
                              f"for dims {dims} (need {n})")
     return (MAGIC + struct.pack("<BBB", VERSION, dtype, len(dims))
             + struct.pack("<" + "I" * len(dims), *dims)
-            + np.asarray(data, dtype=_DTYPES[dtype]).tobytes())
+            + np.asarray(data, dtype=_DTYPES[dtype][0]).tobytes())
 
 
 def read_tensor(blob: bytes):
@@ -148,6 +149,7 @@ def read_tensor(blob: bytes):
     unknown version/dtype, out-of-range dims and any payload length mismatch
     (including trailing bytes).
     """
+    import numpy as np
     dims, dtype, offset = _parse_header(blob)
     return dims, np.frombuffer(blob, dtype=dtype, offset=offset).copy()
 

@@ -28,14 +28,13 @@ admissible is part of some maximum matching, and a head too far left of the
 other list's head can match nothing later), so the suffix DP runs only when
 :func:`match_boundaries` or :func:`absolute_window_match` is asked for pairs.
 Both paths admit a pair by the same float expression, so counts agree to
-the bit.
+the bit.  Only the distance matrix, which pairs and greedy counts are
+built from, imports numpy, so optimal counts run without it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
 
 # Equal-cost tolerance: total costs are <= len(pairs) with each term in [0,1],
 # so 1e-9 absolute separates genuine ties from rounding noise.
@@ -106,6 +105,7 @@ def _ascending_floats(values, name):
 
 def _distances(p, g, duration):
     """P x G matrix of ``|p - g| / duration`` (``|p - g|`` if duration is None)."""
+    import numpy as np
     dist = np.abs(np.asarray(p, dtype=float)[:, None]
                   - np.asarray(g, dtype=float)[None, :])
     return dist if duration is None else dist / duration

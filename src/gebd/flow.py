@@ -41,6 +41,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .config import FlowConfig
+
 # Pixels whose averaged normal matrix has |det| below this keep the prior
 # displacement instead of amplifying noise through a near-singular solve.
 SINGULAR_DET = 1e-9
@@ -48,30 +50,6 @@ SINGULAR_DET = 1e-9
 # Frame pixels refined per video_flow call when a video is split into chunks:
 # 8 pairs of 64x64 frames.  Peak memory grows with the chunk, so this bounds it.
 PAIR_CHUNK_PIXELS = 8 * 64 * 64
-
-
-@dataclass(frozen=True)
-class FlowConfig:
-    pyramid_levels: int = 3
-    pyramid_scale: float = 0.5
-    iterations_per_level: int = 3
-    poly_window: int = 5
-    poly_sigma: float = 1.1
-    averaging_window: int = 15
-
-    def validate(self) -> None:
-        if self.pyramid_levels < 1:
-            raise ValueError("pyramid_levels must be >= 1")
-        if not 0 < self.pyramid_scale < 1:
-            raise ValueError("pyramid_scale must be in (0,1)")
-        if self.iterations_per_level < 1:
-            raise ValueError("iterations_per_level must be >= 1")
-        for name in ("poly_window", "averaging_window"):
-            v = getattr(self, name)
-            if v < 3 or v % 2 == 0:
-                raise ValueError(f"{name} must be odd and >= 3, got {v}")
-        if self.poly_sigma <= 0:
-            raise ValueError("poly_sigma must be positive")
 
 
 @dataclass

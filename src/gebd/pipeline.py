@@ -21,10 +21,17 @@ recomputes every video.  Sample only lists candidates and their labels.
 
 Per-video work inside a stage can fan out over worker processes; every
 worker writes its own files and aggregation orders by video_id, so results
-are identical for any worker count.  The worker-process machinery is
-imported only when a stage fans out, so a command that runs no such stage
-does not pay for it.  Flow and report delete the per-video files of videos
-no longer listed.
+are identical for any worker count.  Flow and report delete the per-video
+files of videos no longer listed.
+
+Each command imports only what it runs.  This module loads no numpy: the
+stages that compute arrays (flow, sample, train, score, detect) import
+numpy and the flow, window, classifier and detection modules in their own
+bodies, and the worker-process machinery is imported only when a stage
+fans out.  So validation, ``gebd eval`` and a rerun whose stages are all
+fresh never load them.  Stage flow imports :mod:`gebd.windows` before it
+forks its workers, so that they inherit it: a worker that had to import
+numpy itself would spend about 0.15 s of CPU on it.
 """
 
 from __future__ import annotations
@@ -38,22 +45,15 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import __version__
 from .annotations import (attach_consistency, load_annotations, normalize_track,
                           parse_gt_policy, per_video_rng, select_gt)
-from .classifier import (FEATURE_DIM, TrainConfig, load_model, save_model,
-                         score_sequence, train_logistic, window_inputs)
+from .config import DetectionConfig, FlowConfig, TrainConfig, WindowSpec
 from .container import (DTYPE_F64, atomic_open, read_csv, read_csv_lines,
                         read_tensor_file, write_csv, write_tensor_file)
 from .evaluation import POLICIES, check_ascending, evaluate_corpus
-from .flow import FlowConfig
-from .postprocess import DetectionConfig, ScoreSequence, scores_to_boundaries
+from .pnm import frame_files
 from .report import TimelineSpec, render_class_bars, render_timeline
-from .windows import (LABEL_BOUNDARY, FrameSequence, WindowSpec,
-                      candidate_timestamps, frame_feature_table, label_windows,
-                      window_frame_indices)
 
 DEFAULT_THRESHOLDS = tuple(round(0.05 * k, 2) for k in range(1, 11))
 
@@ -274,6 +274,7 @@ def write_scores_csv(path, sequences) -> None:
 def read_scores_csv(path) -> list:
     """Score sequences per video; a time or score that is not a finite
     number is refused with the file and line named."""
+    from .postprocess import ScoreSequence
     rows = {}
     for vid, t, s in _read_number_rows(path, SCORES_HEADER, ("t", "score")):
         rows.setdefault(vid, []).append((t, s))
@@ -341,15 +342,15 @@ def _digest(value) -> str:
 
 def _frames_stamp(paths: Paths, sets) -> str:
     """Digest of each video's frame files' (name, size, mtime_ns), as
-    :class:`FrameSequence` lists them; other files in the directory are
-    not stamped."""
+    :func:`gebd.pnm.frame_files` lists them; other files in the directory
+    are not stamped."""
     listing = []
     for aset in sets:
         vid = aset.meta.video_id
         try:
-            seq = FrameSequence(aset.meta, paths.frames_dir(vid))
+            names = frame_files(aset.meta, paths.frames_dir(vid))
             files = sorted((os.path.basename(f), st.st_size, st.st_mtime_ns)
-                           for f, st in zip(seq.files, map(os.stat, seq.files)))
+                           for f, st in zip(names, map(os.stat, names)))
         except (OSError, ValueError):  # stage validate names the problem
             files = None
         listing.append((vid, files))
@@ -382,7 +383,9 @@ def _map_videos(fn, items, workers):
     # imported here: the pool pulls in multiprocessing, socket and subprocess
     # (about 25 ms of start-up), which only a stage that fans out needs
     from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # no more workers than items: under fork the pool starts all of them at
+    # the first submit, idle or not
+    with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
         return list(pool.map(fn, items))
 
 
@@ -435,6 +438,7 @@ def write_eval(paths, sets, config: PipelineConfig, preds, gt) -> None:
 
 
 def _flow_job(args):
+    from .windows import FrameSequence, frame_feature_table
     meta, frame_dir, table_path, spec, flow_cfg = args
     table = frame_feature_table(FrameSequence(meta, frame_dir), spec, flow_cfg)
     write_tensor_file(table_path, table.shape, table, DTYPE_F64)
@@ -466,7 +470,7 @@ class Pipeline:
     def stage_validate(self):
         check_videos(self.sets, self.paths.annotations)
         for aset in self.sets:
-            FrameSequence(aset.meta, self.paths.frames_dir(aset.meta.video_id))
+            frame_files(aset.meta, self.paths.frames_dir(aset.meta.video_id))
         with atomic_open(self.paths.validate_ok) as fh:
             fh.write(f"videos={len(self.sets)}\n")
 
@@ -490,6 +494,8 @@ class Pipeline:
         write_boundary_csv(self.paths.gt_csv, ground_truth(self.sets, self.config))
 
     def stage_flow(self):
+        # before _map_videos forks, so the workers inherit it (module docstring)
+        from . import windows  # noqa: F401
         # flow and window tensors written by older versions; nothing reads them
         for stale in ("flow", "windows"):
             shutil.rmtree(os.path.join(self.paths.out, stale), ignore_errors=True)
@@ -504,6 +510,7 @@ class Pipeline:
         _map_videos(_flow_job, jobs, self.config.workers)
 
     def stage_sample(self):
+        from .windows import candidate_timestamps, label_windows
         gt = read_boundary_csv(self.paths.gt_csv)
         spec = self.config.window_spec()
         rows = []
@@ -528,6 +535,10 @@ class Pipeline:
 
     def _inputs(self, aset, timestamps):
         """Classifier inputs of one video's candidates, from its feature table."""
+        import numpy as np
+
+        from .classifier import FEATURE_DIM, window_inputs
+        from .windows import window_frame_indices
         meta, m = aset.meta, self.config.m
         path = self.paths.feature_table(meta.video_id)
         dims, data = read_tensor_file(path)
@@ -540,6 +551,10 @@ class Pipeline:
         return window_inputs(data.reshape(dims), indices)
 
     def stage_train(self):
+        import numpy as np
+
+        from .classifier import save_model, train_logistic
+        from .windows import LABEL_BOUNDARY
         X, y = [], []
         for aset, timestamps, labels in self._candidates():
             pos = [i for i, lab in enumerate(labels) if lab == LABEL_BOUNDARY]
@@ -559,6 +574,7 @@ class Pipeline:
     def stage_score(self):
         # one table read and one matrix product per video: too little work
         # to pay for worker processes
+        from .classifier import load_model, score_sequence
         model = load_model(self.paths.model_json)
         sequences = [score_sequence(model, self._inputs(aset, timestamps),
                                     timestamps, aset.meta.video_id)
@@ -566,6 +582,7 @@ class Pipeline:
         write_scores_csv(self.paths.scores_csv, sequences)
 
     def stage_detect(self):
+        from .postprocess import scores_to_boundaries
         sequences = read_scores_csv(self.paths.scores_csv)
         det = self.config.detection_config()
         preds = {seq.video_id: scores_to_boundaries(seq, det)

@@ -1,13 +1,15 @@
-"""Minimal binary PGM (P5) / PPM (P6) reader and writer, 8-bit only.
+"""Minimal binary PGM (P5) / PPM (P6) reader and writer, 8-bit only, and
+the listing of frame directories.
 
 Frame directories ingested by the sampler hold one image per frame named
 ``frame_%06d.pgm`` or ``.ppm``.  Values map to floats in [0,1] on read and
-back to rounded 8-bit on write.
+back to rounded 8-bit on write.  Listing a directory reads no image, so
+it needs no numpy, and numpy is imported only by the reader and writer.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import os
 
 from .container import atomic_open
 
@@ -36,8 +38,42 @@ def _next_token(blob: bytes):
     return blob[start:i], i
 
 
-def read_pnm(path) -> np.ndarray:
+def frame_name(index: int) -> str:
+    return f"frame_{index:06d}"
+
+
+def frame_files(meta, frame_dir) -> list:
+    """Paths of the frames of the video ``meta`` (a
+    :class:`gebd.annotations.VideoMeta`) in ``frame_dir``, in index order.
+
+    They are ``frame_000000`` .. ``frame_<N-1>``, each once as ``.pgm`` or
+    ``.ppm``; a gap or another ``frame_*.pgm``/``.ppm`` raises
+    ``ValueError`` naming the first missing index, else the first unexpected
+    file.  Other files are ignored.
+    """
+    found = {}  # stem -> its frame file names
+    for name in os.listdir(frame_dir):
+        stem, ext = os.path.splitext(name)
+        if ext in (".pgm", ".ppm") and stem.startswith("frame_"):
+            found.setdefault(stem, []).append(name)
+    count = sum(map(len, found.values()))
+    names = [sorted(found.pop(frame_name(i), ()))
+             for i in range(meta.num_frames)]
+    extra = sorted([n for hits in names for n in hits[1:]]
+                   + [n for hits in found.values() for n in hits])
+    problems = ([f"missing frame index {i} ({frame_name(i)}.pgm/.ppm)"
+                 for i, hits in enumerate(names) if not hits]
+                + [f"unexpected frame file {name}" for name in extra])
+    if problems:
+        raise ValueError(
+            f"{meta.video_id}: {problems[0]}; frame directory holds "
+            f"{count} frames, metadata says {meta.num_frames}")
+    return [os.path.join(frame_dir, hits[0]) for hits in names]
+
+
+def read_pnm(path):
     """Read a P5/P6 file; returns float64 (H,W) for P5 or (H,W,3) for P6 in [0,1]."""
+    import numpy as np
     with open(path, "rb") as fh:
         blob = fh.read()
     magic, i = _next_token(blob)
@@ -65,6 +101,7 @@ def read_pnm(path) -> np.ndarray:
 
 def write_pnm(path, image) -> None:
     """Write (H,W) as P5 or (H,W,3) as P6, atomically; values clipped to [0,1]."""
+    import numpy as np
     arr = np.asarray(image, dtype=np.float64)
     if arr.ndim == 2:
         magic = b"P5"

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import DetectionConfig
 from .flow import gaussian_kernel
 
 
@@ -31,19 +32,6 @@ class ScoreSequence:
         for a, b in zip(self.timestamps, self.timestamps[1:]):
             if b <= a:
                 raise ValueError(f"{self.video_id}: timestamps not strictly ascending")
-
-
-@dataclass(frozen=True)
-class DetectionConfig:
-    smooth_sigma: float = 1.0  # in candidate steps; 0 disables smoothing
-    score_threshold: float = 0.5
-    min_separation: float = 0.5  # seconds
-
-    def validate(self) -> None:
-        if self.smooth_sigma < 0:
-            raise ValueError("smooth_sigma must be >= 0")
-        if self.min_separation < 0:
-            raise ValueError("min_separation must be >= 0")
 
 
 def gaussian_taps(sigma: float) -> np.ndarray:

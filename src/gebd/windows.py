@@ -27,15 +27,14 @@ candidate, deriving the static slots.
 from __future__ import annotations
 
 import logging
-import os
-from dataclasses import dataclass
 
 import numpy as np
 
 from .annotations import VideoMeta
 from .classifier import FEATURE_DIM, slot_features
-from .flow import PAIR_CHUNK_PIXELS, FlowConfig, _resize_planes, to_gray, video_flow
-from .pnm import read_pnm
+from .config import FlowConfig, WindowSpec
+from .flow import PAIR_CHUNK_PIXELS, _resize_planes, to_gray, video_flow
+from .pnm import frame_files, frame_name, read_pnm  # noqa: F401  -- frame_name
 
 logger = logging.getLogger(__name__)
 
@@ -43,57 +42,14 @@ LABEL_BOUNDARY = "boundary"
 LABEL_BACKGROUND = "background"
 
 
-@dataclass(frozen=True)
-class WindowSpec:
-    m: int = 5
-    candidate_stride: float = 0.25
-    image_side: int = 224
-    label_tolerance: float = 0.125
-
-    def validate(self) -> None:
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
-        if self.candidate_stride <= 0:
-            raise ValueError("candidate_stride must be positive")
-        if self.image_side < 32:
-            raise ValueError("image_side must be >= 32")
-        if self.label_tolerance < 0:
-            raise ValueError("label_tolerance must be >= 0")
-
-
-def frame_name(index: int) -> str:
-    return f"frame_{index:06d}"
-
-
 class FrameSequence:
-    """The one reader of a video's frame directory, which it lists once.
-
-    :attr:`files` is ``frame_000000`` .. ``frame_<N-1>``, each once as
-    ``.pgm`` or ``.ppm``; a gap or another ``frame_*.pgm``/``.ppm`` raises
-    ``ValueError`` naming the first missing index, else the first unexpected
-    file.  Other files are ignored."""
+    """The one reader of a video's frame directory, which it lists once
+    with :func:`gebd.pnm.frame_files`."""
 
     def __init__(self, meta: VideoMeta, frame_dir):
         self.meta = meta
         self._shape = None  # of the first frame read; every frame must match
-        found = {}  # stem -> its frame file names
-        for name in os.listdir(frame_dir):
-            stem, ext = os.path.splitext(name)
-            if ext in (".pgm", ".ppm") and stem.startswith("frame_"):
-                found.setdefault(stem, []).append(name)
-        count = sum(map(len, found.values()))
-        names = [sorted(found.pop(frame_name(i), ()))
-                 for i in range(meta.num_frames)]
-        extra = sorted([n for hits in names for n in hits[1:]]
-                       + [n for hits in found.values() for n in hits])
-        problems = ([f"missing frame index {i} ({frame_name(i)}.pgm/.ppm)"
-                     for i, hits in enumerate(names) if not hits]
-                    + [f"unexpected frame file {name}" for name in extra])
-        if problems:
-            raise ValueError(
-                f"{meta.video_id}: {problems[0]}; frame directory holds "
-                f"{count} frames, metadata says {meta.num_frames}")
-        self.files = [os.path.join(frame_dir, hits[0]) for hits in names]
+        self.files = frame_files(meta, frame_dir)
 
     def frame(self, index: int) -> np.ndarray:
         """Frame as (H,W,3) floats in [0,1]; grayscale inputs replicate channels.

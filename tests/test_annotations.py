@@ -5,7 +5,7 @@ import pytest
 
 from gebd.annotations import (AnnotationParseError, AnnotationSet,
                               AnnotationValidationError, AnnotatorTrack,
-                              RawBoundary, VideoMeta, attach_consistency,
+                              RawBoundary, VideoMeta, _mean, attach_consistency,
                               compute_f1_consistency, fnv1a64, load_annotations,
                               normalize_track,
                               pairwise_f1, parse_annotations, per_video_rng,
@@ -200,6 +200,28 @@ class TestConsistency:
         aset = make_set([[1.0, 4.0], [2.0, 7.0], [1.0, 4.0]])
         f1 = pairwise_f1(aset, 0.05)
         assert f1[0, 2] == 1.0 and f1[2, 0] == 1.0
+
+    def test_mean_is_numpy_mean_bit_for_bit(self):
+        # numpy sums fewer than 8 values in turn, up to 128 in 8 running
+        # sums, and splits longer runs in two; n up to 300 covers each
+        rng = np.random.default_rng(21)
+        for n in range(1, 301):
+            x = rng.random(n).tolist()
+            assert _mean(x) == float(np.mean(x)), n
+
+    @pytest.mark.parametrize("n_tracks", [9, 12])
+    def test_consistency_is_numpy_mean_of_pairwise_rows(self, n_tracks):
+        # 8 and 11 other annotators: the running-sum branch, with and
+        # without values left over after the whole 8s
+        rng = np.random.default_rng(n_tracks)
+        lists = [sorted(set(rng.uniform(0, 10, size=rng.integers(0, 9))
+                            .round(1).tolist())) for _ in range(n_tracks)]
+        aset = make_set(lists)
+        f1 = pairwise_f1(aset, 0.05)
+        expected = [float(np.mean(np.delete(f1[i], i))) for i in range(n_tracks)]
+        got = [c for _, c in compute_f1_consistency(aset, 0.05)]
+        assert got == expected
+        assert len(set(got)) > 1
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(9)

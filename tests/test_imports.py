@@ -1,9 +1,11 @@
 """Import budget: each command loads only the modules it runs.
 
 Every case runs in a fresh interpreter and records the modules that the
-call adds after ``import numpy``, so it holds on any supported numpy:
-numpy 1.24 loads ``numpy.ma`` and ``numpy.random`` with ``import numpy``,
-numpy 2 loads neither until they are used.
+call adds.  Most cases import numpy first, so they hold on any supported
+numpy: numpy 1.24 loads ``numpy.ma`` and ``numpy.random`` with ``import
+numpy``, numpy 2 loads neither until they are used.  The commands that
+compute no array (``gebd eval``, ``gebd validate`` and a rerun whose
+stages are all fresh) run without that, and must not load numpy.
 """
 
 import json
@@ -21,7 +23,7 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 
 PROBE = """
 import json, sys
-import numpy
+{setup}
 before = set(sys.modules)
 {body}
 print(json.dumps({{"code": code, "added": sorted(set(sys.modules) - before)}}))
@@ -31,18 +33,21 @@ print(json.dumps({{"code": code, "added": sorted(set(sys.modules) - before)}}))
 POOL = ("concurrent.futures", "multiprocessing")
 
 
-def added_modules(body):
-    """(result ``code`` of ``body``, modules it added) in a fresh interpreter."""
-    proc = subprocess.run([sys.executable, "-c", PROBE.format(body=body)],
+def added_modules(body, setup="import numpy"):
+    """(result ``code`` of ``body``, modules it added after ``setup``) in a
+    fresh interpreter."""
+    proc = subprocess.run([sys.executable, "-c",
+                           PROBE.format(setup=setup, body=body)],
                           env=dict(os.environ, PYTHONPATH=SRC),
                           capture_output=True, text=True, check=True)
     result = json.loads(proc.stdout.splitlines()[-1])
     return result["code"], set(result["added"])
 
 
-def cli_modules(*argv):
+def cli_modules(*argv, setup="import numpy"):
     return added_modules("import gebd.cli\n"
-                         f"code = gebd.cli.main({[str(a) for a in argv]!r})")
+                         f"code = gebd.cli.main({[str(a) for a in argv]!r})",
+                         setup)
 
 
 @pytest.fixture(scope="module")
@@ -84,3 +89,32 @@ def test_training_loads_no_masked_arrays():
         "code = int(numpy.isfinite(model.weights).all())")
     assert code == 1
     assert not any(m == "numpy.ma" or m.startswith("numpy.ma.") for m in added)
+
+
+def test_eval_loads_no_numpy(finished_run, tmp_path):
+    corpus, out = finished_run
+    code, added = cli_modules("eval", "--predictions", out / "predictions.csv",
+                              "--annotations", corpus / "annotations.json",
+                              "--out", tmp_path / "eval", setup="")
+    assert code == 0
+    assert "gebd.evaluation" in added
+    assert "numpy" not in added
+
+
+def test_validate_with_frames_loads_no_numpy(finished_run):
+    corpus, _ = finished_run
+    code, added = cli_modules("validate", corpus / "annotations.json",
+                              "--frames", corpus / "frames", setup="")
+    assert code == 0
+    assert "gebd.pnm" in added
+    assert "numpy" not in added
+
+
+def test_fresh_pipeline_rerun_loads_no_numpy(finished_run):
+    corpus, out = finished_run
+    code, added = cli_modules("pipeline", corpus, "--out", out, "--image-side", 32,
+                              "--m", 3, "--workers", 2, setup="")
+    assert code == 0
+    with open(out / "manifest.json", encoding="utf-8") as fh:
+        assert all(s["skipped"] for s in json.load(fh)["stages"])
+    assert "numpy" not in added

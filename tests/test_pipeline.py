@@ -623,6 +623,30 @@ class TestWorkerInvariance:
                 (outs[1] / "features" / name).read_bytes(), \
                 f"features/{name} differs between worker counts"
 
+    def test_pool_starts_no_more_workers_than_items(self, monkeypatch):
+        # under fork a pool starts all its workers at the first submit, so
+        # its size is the number of processes forked
+        import concurrent.futures
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        assert pipeline._map_videos(abs, [-1, -2], 4) == [1, 2]
+        assert pipeline._map_videos(abs, [-1, -2, -3], 2) == [1, 2, 3]
+        assert sizes == [2, 2]
+
 
 class TestGtPolicies:
     def test_weighted_policy_runs(self, corpus, tmp_path):
