@@ -30,7 +30,7 @@ from .pipeline import (GLOBAL_HEADER, Paths, Pipeline, PipelineConfig,
                        attach_stage_consistency, check_videos, ground_truth,
                        load_config, parse_mode, read_boundary_csv, run_pipeline,
                        write_eval)
-from .pnm import frame_files
+from .pnm import check_frames
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -72,7 +72,7 @@ def cmd_validate(args) -> int:
                 frames_root = None
         if frames_root is not None:
             for aset in sets:
-                frame_files(aset.meta, os.path.join(frames_root, aset.meta.video_id))
+                check_frames(aset.meta, os.path.join(frames_root, aset.meta.video_id))
     except (AnnotationParseError, AnnotationValidationError, ValueError,
             OSError) as e:
         return _fail(str(e))

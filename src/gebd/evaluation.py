@@ -28,8 +28,8 @@ admissible is part of some maximum matching, and a head too far left of the
 other list's head can match nothing later), so the suffix DP runs only when
 :func:`match_boundaries` or :func:`absolute_window_match` is asked for pairs.
 Both paths admit a pair by the same float expression, so counts agree to
-the bit.  Only the distance matrix, which pairs and greedy counts are
-built from, imports numpy, so optimal counts run without it.
+the bit.  Distances are plain Python floats in lists of rows, so matching
+and scoring under either policy run without numpy.
 """
 
 from __future__ import annotations
@@ -104,11 +104,9 @@ def _ascending_floats(values, name):
 
 
 def _distances(p, g, duration):
-    """P x G matrix of ``|p - g| / duration`` (``|p - g|`` if duration is None)."""
-    import numpy as np
-    dist = np.abs(np.asarray(p, dtype=float)[:, None]
-                  - np.asarray(g, dtype=float)[None, :])
-    return dist if duration is None else dist / duration
+    """P rows of G floats ``|p - g| / duration`` (``|p - g|`` if duration is None)."""
+    scale = 1.0 if duration is None else float(duration)  # x / 1.0 == x exactly
+    return [[abs(a - b) / scale for b in g] for a in p]
 
 
 def _suffix_table(P, G, dist, limit):
@@ -137,7 +135,7 @@ def _suffix_table(P, G, dist, limit):
 
 
 def _match_optimal(dist, limit):
-    P, G = dist.shape
+    P, G = len(dist), len(dist[0])
     card, cost = _suffix_table(P, G, dist, limit)
     target_card = card[0][0]
     target_cost = cost[0][0]
@@ -166,20 +164,19 @@ def _match_optimal(dist, limit):
 
 
 def _match_greedy(dist, limit):
-    P, G = dist.shape
-    taken = [False] * G
+    taken = set()
     pairs = []
-    for i in range(P):
+    for i, row in enumerate(dist):
         best_j = -1
         best_d = None
-        for j in range(G):
-            if taken[j] or dist[i][j] > limit:
+        for j, d in enumerate(row):
+            if d > limit or j in taken:
                 continue
-            if best_d is None or dist[i][j] < best_d:
-                best_d = dist[i][j]
+            if best_d is None or d < best_d:
+                best_d = d
                 best_j = j
         if best_j >= 0:
-            taken[best_j] = True
+            taken.add(best_j)
             pairs.append((i, best_j))
     return pairs
 
@@ -198,7 +195,7 @@ def _match(predictions, ground_truth, duration, limit, policy):
         pairs = _match_greedy(dist, limit)
     return MatchResult(
         pairs=pairs,
-        rel_distances=[float(dist[i][j]) for i, j in pairs],
+        rel_distances=[dist[i][j] for i, j in pairs],
         num_predictions=len(p),
         num_ground_truth=len(g),
     )
@@ -220,9 +217,10 @@ def absolute_window_match(predictions, ground_truth, window,
 
 
 def match_count(p, g, duration, threshold, policy="optimal") -> int:
-    """``len(match_boundaries(p, g, duration, threshold, policy).pairs)``
-    without building the pairs; with ``duration`` None, that of
-    ``absolute_window_match`` on window ``threshold`` seconds.
+    """``len(match_boundaries(p, g, duration, threshold, policy).pairs)``;
+    with ``duration`` None, that of ``absolute_window_match`` on window
+    ``threshold`` seconds.  ``optimal`` builds no pairs (one two-pointer
+    pass), ``greedy_nearest`` counts its pairs over the P x G distances.
 
     Nothing is checked, so callers check once for many counts: ``p`` and
     ``g`` must be strictly ascending floats and the other arguments pass

@@ -52,7 +52,7 @@ from .config import DetectionConfig, FlowConfig, TrainConfig, WindowSpec
 from .container import (DTYPE_F64, atomic_open, read_csv, read_csv_lines,
                         read_tensor_file, write_csv, write_tensor_file)
 from .evaluation import POLICIES, check_ascending, evaluate_corpus
-from .pnm import frame_files
+from .pnm import check_frames, frame_files
 from .report import TimelineSpec, render_class_bars, render_timeline
 
 DEFAULT_THRESHOLDS = tuple(round(0.05 * k, 2) for k in range(1, 11))
@@ -470,7 +470,7 @@ class Pipeline:
     def stage_validate(self):
         check_videos(self.sets, self.paths.annotations)
         for aset in self.sets:
-            frame_files(aset.meta, self.paths.frames_dir(aset.meta.video_id))
+            check_frames(aset.meta, self.paths.frames_dir(aset.meta.video_id))
         with atomic_open(self.paths.validate_ok) as fh:
             fh.write(f"videos={len(self.sets)}\n")
 

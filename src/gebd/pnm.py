@@ -3,8 +3,9 @@ the listing of frame directories.
 
 Frame directories ingested by the sampler hold one image per frame named
 ``frame_%06d.pgm`` or ``.ppm``.  Values map to floats in [0,1] on read and
-back to rounded 8-bit on write.  Listing a directory reads no image, so
-it needs no numpy, and numpy is imported only by the reader and writer.
+back to rounded 8-bit on write.  Listing a directory and reading headers
+read no pixels, so they need no numpy, and numpy is imported only by the
+reader and writer.
 """
 
 from __future__ import annotations
@@ -18,24 +19,49 @@ class PNMError(ValueError):
     pass
 
 
-def _next_token(blob: bytes):
-    # header tokens separated by whitespace; '#' starts a comment to end of line
-    i, n = 0, len(blob)
-    while i < n:
-        c = blob[i : i + 1]
-        if c.isspace():
-            i += 1
-        elif c == b"#":
-            while i < n and blob[i : i + 1] != b"\n":
-                i += 1
-        else:
-            break
-    start = i
-    while i < n and not blob[i : i + 1].isspace():
-        i += 1
-    if start == i:
+def _next_token(fh):
+    """The next header token of ``fh``, consuming the one whitespace byte
+    after it; ``#`` before a token starts a comment to the end of the line."""
+    c = fh.read(1)
+    while c.isspace() or c == b"#":
+        if c == b"#":
+            fh.readline()
+        c = fh.read(1)
+    token = b""
+    while c and not c.isspace():
+        token += c
+        c = fh.read(1)
+    if not c:  # every header token is followed by whitespace
         raise PNMError("truncated PNM header")
-    return blob[start:i], i
+    return token
+
+
+def read_header(fh):
+    """``(width, height, channels)`` of the P5/P6 file open for binary
+    reading in ``fh``, which is left at its first pixel byte.
+
+    A magic other than P5/P6, a maxval other than 255, a width or height
+    that is not a number, or a file shorter than its pixel data raises
+    :class:`PNMError` naming the field.
+    """
+    magic = _next_token(fh)
+    if magic not in (b"P5", b"P6"):
+        raise PNMError(f"unsupported PNM magic {magic!r}")
+    numbers = []
+    for name in ("width", "height", "maxval"):
+        token = _next_token(fh)
+        if not token.isdigit():
+            raise PNMError(f"{name} {token!r} is not a number")
+        numbers.append(int(token))
+    width, height, maxval = numbers
+    if maxval != 255:
+        raise PNMError(f"only maxval 255 supported, got {maxval}")
+    channels = 1 if magic == b"P5" else 3
+    need = width * height * channels
+    have = os.fstat(fh.fileno()).st_size - fh.tell()
+    if have < need:
+        raise PNMError(f"truncated pixel data: {have} of {need} bytes")
+    return width, height, channels
 
 
 def frame_name(index: int) -> str:
@@ -71,28 +97,35 @@ def frame_files(meta, frame_dir) -> list:
     return [os.path.join(frame_dir, hits[0]) for hits in names]
 
 
+def check_frames(meta, frame_dir) -> None:
+    """Check the frames of ``meta`` in ``frame_dir``: :func:`frame_files`
+    lists them, then every frame's :func:`read_header` is read.  A bad
+    header, or a width x height other than frame 0's, raises ``ValueError``
+    naming the video, the frame index and the field.  P5 and P6 may mix."""
+    first = None
+    for index, path in enumerate(frame_files(meta, frame_dir)):
+        where = f"{meta.video_id}: frame {index} ({os.path.basename(path)})"
+        with open(path, "rb") as fh:
+            try:
+                size = read_header(fh)[:2]
+            except PNMError as e:
+                raise ValueError(f"{where}: {e}") from None
+        if first is None:
+            first = size
+        elif size != first:
+            raise ValueError(f"{where}: width x height {size[0]}x{size[1]} "
+                             f"differs from frame 0's {first[0]}x{first[1]}")
+
+
 def read_pnm(path):
     """Read a P5/P6 file; returns float64 (H,W) for P5 or (H,W,3) for P6 in [0,1]."""
     import numpy as np
     with open(path, "rb") as fh:
-        blob = fh.read()
-    magic, i = _next_token(blob)
-    if magic not in (b"P5", b"P6"):
-        raise PNMError(f"{path}: unsupported PNM magic {magic!r}")
-    fields = []
-    for _ in range(3):
-        tok, j = _next_token(blob[i:])
-        fields.append(int(tok))
-        i += j
-    width, height, maxval = fields
-    if maxval != 255:
-        raise PNMError(f"{path}: only maxval 255 supported, got {maxval}")
-    i += 1  # single whitespace byte after maxval
-    channels = 1 if magic == b"P5" else 3
-    need = width * height * channels
-    payload = blob[i : i + need]
-    if len(payload) != need:
-        raise PNMError(f"{path}: truncated pixel data")
+        try:
+            width, height, channels = read_header(fh)
+        except PNMError as e:
+            raise PNMError(f"{path}: {e}") from None
+        payload = fh.read(width * height * channels)
     data = np.frombuffer(payload, dtype=np.uint8).astype(np.float64) / 255.0
     if channels == 1:
         return data.reshape(height, width)

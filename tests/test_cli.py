@@ -116,6 +116,53 @@ class TestSynthValidate:
         assert f"stage 'validate' failed: {vid}: missing frame index 4 " in err
         assert not (run / "features").exists()
 
+    @pytest.mark.parametrize("damage, problem", [
+        ("truncate", "truncated pixel data: 1987 of 2304 bytes"),
+        ("odd_size", "width x height 40x48 differs from frame 0's 48x48"),
+        ("maxval", "only maxval 255 supported, got 65535"),
+        ("magic", "unsupported PNM magic b'P2'"),
+    ])
+    def test_malformed_frame_named(self, corpus, tmp_path, capsys, damage,
+                                   problem):
+        corpus2 = tmp_path / "corpus"
+        shutil.copytree(corpus, corpus2)
+        vid = sorted(os.listdir(corpus2 / "frames"))[1]
+        frame = corpus2 / "frames" / vid / "frame_000005.pgm"
+        blob = frame.read_bytes()
+        assert blob.startswith(b"P5\n48 48\n255\n")
+        if damage == "truncate":
+            blob = blob[:2000]
+        elif damage == "odd_size":
+            blob = b"P5\n40 48\n255\n" + blob[13:13 + 40 * 48]
+        elif damage == "maxval":
+            blob = b"P5\n48 48\n65535\n" + blob[13:] * 2
+        else:
+            blob = b"P2" + blob[2:]
+        frame.write_bytes(blob)
+        code, values, err = run_cli(capsys, "validate",
+                                    str(corpus2 / "annotations.json"))
+        assert code == 1 and "ok" not in values
+        assert err == f"error: {vid}: frame 5 (frame_000005.pgm): {problem}\n"
+        run = tmp_path / "run"
+        code, _, err = run_cli(capsys, "pipeline", str(corpus2), "--out",
+                               str(run), "--image-side", "32")
+        assert code == 1
+        assert (f"stage 'validate' failed: {vid}: frame 5 (frame_000005.pgm): "
+                f"{problem}") in err
+        assert not (run / "features").exists()
+
+    def test_pgm_and_ppm_frames_may_mix(self, corpus, tmp_path, capsys):
+        corpus2 = tmp_path / "corpus"
+        shutil.copytree(corpus, corpus2)
+        frames = corpus2 / "frames" / sorted(os.listdir(corpus2 / "frames"))[0]
+        gray = (frames / "frame_000002.pgm").read_bytes()[13:]
+        (frames / "frame_000002.ppm").write_bytes(
+            b"P6\n48 48\n255\n" + bytes(v for v in gray for _ in range(3)))
+        os.remove(frames / "frame_000002.pgm")
+        code, values, _ = run_cli(capsys, "validate",
+                                  str(corpus2 / "annotations.json"))
+        assert code == 0 and values["ok"] == "1"
+
     def test_unchecked_frames_named(self, corpus, tmp_path, capsys):
         code, full, err = run_cli(capsys, "validate",
                                   str(corpus / "annotations.json"))

@@ -166,6 +166,20 @@ class TestMatchCount:
                 assert (match_count(preds, gts, None, w, policy)
                         == len(absolute_window_match(preds, gts, w, policy).pairs))
 
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_distances_are_the_plain_float_expression(self, policy):
+        rng = np.random.default_rng(13)
+        for _ in range(100):
+            preds, gts, duration, threshold = random_instance(rng, max_side=12)
+            p, g = preds.tolist(), gts.tolist()
+            m = match_boundaries(p, g, duration, threshold, policy)
+            assert m.rel_distances == [abs(p[i] - g[j]) / duration
+                                       for i, j in m.pairs]
+            w = absolute_window_match(p, g, threshold * duration, policy)
+            assert w.rel_distances == [abs(p[i] - g[j]) for i, j in w.pairs]
+            assert all(type(d) is float
+                       for d in m.rel_distances + w.rel_distances)
+
     def test_on_threshold_counts(self):
         assert match_count([4.5], [5.0], 10.0, 0.05) == 1
         assert match_count([4.5], [5.0], None, 0.5) == 1

@@ -4,8 +4,9 @@ Every case runs in a fresh interpreter and records the modules that the
 call adds.  Most cases import numpy first, so they hold on any supported
 numpy: numpy 1.24 loads ``numpy.ma`` and ``numpy.random`` with ``import
 numpy``, numpy 2 loads neither until they are used.  The commands that
-compute no array (``gebd eval``, ``gebd validate`` and a rerun whose
-stages are all fresh) run without that, and must not load numpy.
+compute no array (``gebd eval`` under either match policy and mode,
+``gebd validate`` and a rerun whose stages are all fresh) run without
+that, and must not load numpy.
 """
 
 import json
@@ -96,6 +97,19 @@ def test_eval_loads_no_numpy(finished_run, tmp_path):
     code, added = cli_modules("eval", "--predictions", out / "predictions.csv",
                               "--annotations", corpus / "annotations.json",
                               "--out", tmp_path / "eval", setup="")
+    assert code == 0
+    assert "gebd.evaluation" in added
+    assert "numpy" not in added
+
+
+@pytest.mark.parametrize("mode", ["relative", "window:0.5"])
+def test_greedy_eval_loads_no_numpy(finished_run, tmp_path, mode):
+    corpus, out = finished_run
+    code, added = cli_modules("eval", "--predictions", out / "predictions.csv",
+                              "--annotations", corpus / "annotations.json",
+                              "--out", tmp_path / "eval",
+                              "--match-policy", "greedy_nearest", "--mode", mode,
+                              setup="")
     assert code == 0
     assert "gebd.evaluation" in added
     assert "numpy" not in added

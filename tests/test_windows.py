@@ -8,7 +8,7 @@ from gebd.annotations import VideoMeta
 from gebd import windows
 from gebd.flow import (FlowConfig, bilinear_resize, farneback_flow, flow_stats,
                        to_gray, video_flow)
-from gebd.pnm import read_pnm, write_pnm
+from gebd.pnm import PNMError, read_header, read_pnm, write_pnm
 from gebd.classifier import (FEATURE_DIM, STATIC_FLOW_FEATURES, frame_features,
                              slot_features, window_features, window_inputs)
 from gebd.windows import (LABEL_BACKGROUND, LABEL_BOUNDARY, FrameSequence,
@@ -429,3 +429,19 @@ def test_pnm_round_trip(tmp_path, rng):
     back = read_pnm(tmp_path / "c.ppm")
     assert back.shape == (7, 5, 3)
     assert np.abs(back - color).max() <= 0.5 / 255 + 1e-9
+
+
+def test_pnm_header_comments_and_trailing_bytes(tmp_path):
+    path = tmp_path / "c.pgm"
+    comment = b"# " + b"x" * 300 + b"\n"
+    path.write_bytes(b"P5 " + comment + b"3\t" + comment + b"2\n255\n"
+                     + bytes(range(6)) + b"trailing")
+    with open(path, "rb") as fh:
+        assert read_header(fh) == (3, 2, 1)
+        assert fh.read(6) == bytes(range(6))
+    assert np.array_equal(read_pnm(path) * 255, np.arange(6.0).reshape(2, 3))
+    for blob, problem in [(b"P5\n3 2\n255", "truncated PNM header"),
+                          (b"P5\n3 -2\n255\n", "height b'-2' is not a number")]:
+        path.write_bytes(blob)
+        with pytest.raises(PNMError, match=f"{path}: {problem}"):
+            read_pnm(path)
