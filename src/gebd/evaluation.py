@@ -76,12 +76,12 @@ def _check_duration(duration):
         raise ValueError(f"duration must be positive, got {duration}")
 
 
-def _check_threshold(threshold):
+def check_threshold(threshold):
     if not 0 < threshold <= 1:
         raise ValueError(f"threshold must be in (0,1], got {threshold}")
 
 
-def _check_policy(policy):
+def check_policy(policy):
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}, expected one of {POLICIES}")
 
@@ -94,7 +94,7 @@ def check_limit(duration, threshold):
             raise ValueError(f"window must be positive, got {threshold}")
     else:
         _check_duration(duration)
-        _check_threshold(threshold)
+        check_threshold(threshold)
 
 
 def _ascending_floats(values, name):
@@ -183,7 +183,7 @@ def _match_greedy(dist, limit):
 
 def _match(predictions, ground_truth, duration, limit, policy):
     check_limit(duration, limit)
-    _check_policy(policy)
+    check_policy(policy)
     p = _ascending_floats(predictions, "predictions")
     g = _ascending_floats(ground_truth, "ground_truth")
     dist = _distances(p, g, duration)
@@ -352,7 +352,7 @@ def evaluate_corpus(predictions, ground_truth, durations, classes=None,
         if primary_threshold not in grid:
             grid = sorted(set(grid) | {primary_threshold})
         for t in grid:
-            _check_threshold(t)
+            check_threshold(t)
     elif mode == "absolute_window":
         if window is None or window <= 0:
             raise ValueError("absolute_window mode needs a positive window")
@@ -360,7 +360,7 @@ def evaluate_corpus(predictions, ground_truth, durations, classes=None,
         primary_threshold = window
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    _check_policy(policy)
+    check_policy(policy)
 
     # an optimal count is a maximum matching, so it only grows along the
     # ascending grid; once it pairs off the shorter list it stays there.

@@ -3,21 +3,24 @@
 Stages run in a fixed order - validate, consistency, select-gt, flow,
 sample, train, score, detect, eval, report.  Each declares what it reads:
 earlier stages or the external inputs ``annotations`` and ``frames``, and
-the :class:`PipelineConfig` keys it uses.  Its stamp is a sha256 of the
-tool version, its name, those key values and its dependencies' stamps; the
-``annotations`` stamp digests the file's bytes and the ``frames`` stamp
-each frame file's name, size and mtime (only frame files, so a stray file
-in a frame directory reruns nothing).  A stage is skipped only when its
-stamp equals the one ``manifest.json`` records, its outputs exist and no
-dependency ran in this invocation, so a changed key reruns exactly the
-stages that read it and those downstream.  A stage's recorded stamp is
-dropped from the manifest on disk before it starts and written back only
-after its outputs exist, so an interrupted stage never looks fresh.  Flow
-extraction dominates runtime.  The flow stage reads each frame once,
-computes the flow into it and writes the video's per-frame feature table,
-``features/<video_id>.gebt``; no flow is stored.  Its stamp alone says
-whether those tables are current, so a flow stage that was interrupted
-recomputes every video.  Sample only lists candidates and their labels.
+the :class:`PipelineConfig` keys it uses.  Flow, train and detect take
+their keys from :data:`LAYERS`, the key map that builds their layer
+configs, so no layer field misses its stage's stamp.  A stamp is a sha256
+of the tool version, the stage name, those key values and its
+dependencies' stamps; the ``annotations`` stamp digests the file's bytes
+and the ``frames`` stamp each frame file's name, size and mtime (only
+frame files, so a stray file in a frame directory reruns nothing).  A
+stage is skipped only when its stamp equals the one ``manifest.json``
+records, its outputs exist and no dependency ran in this invocation, so a
+changed key reruns exactly the stages that read it and those downstream.
+A stage's recorded stamp is dropped from the manifest on disk before it
+starts and written back only after its outputs exist, so an interrupted
+stage never looks fresh.  Flow extraction dominates runtime.  The flow
+stage reads each frame once, computes the flow into it and writes the
+video's per-frame feature table, ``features/<video_id>.gebt``; no flow is
+stored.  Its stamp alone says whether those tables are current, so a flow
+stage that was interrupted recomputes every video.  Sample only lists
+candidates and their labels.
 
 Per-video work inside a stage can fan out over worker processes; every
 worker writes its own files and aggregation orders by video_id, so results
@@ -51,7 +54,8 @@ from .annotations import (attach_consistency, load_annotations, normalize_track,
 from .config import DetectionConfig, FlowConfig, TrainConfig, WindowSpec
 from .container import (DTYPE_F64, atomic_open, read_csv, read_csv_lines,
                         read_tensor_file, write_csv, write_tensor_file)
-from .evaluation import POLICIES, check_ascending, evaluate_corpus
+from .evaluation import (check_ascending, check_policy, check_threshold,
+                         evaluate_corpus)
 from .pnm import check_frames, frame_files
 from .report import TimelineSpec, render_class_bars, render_timeline
 
@@ -98,55 +102,52 @@ class PipelineConfig:
     def __post_init__(self):
         # one type per field, so equal settings stamp alike (1 and 1.0 do not)
         for name, field in self.__dataclass_fields__.items():
-            try:
-                setattr(self, name, _typed(field.type, getattr(self, name)))
-            except (TypeError, ValueError) as e:
-                raise ValueError(f"key {name!r}: {e}") from e
+            setattr(self, name, _named(name, _typed, field.type, getattr(self, name)))
         # the stages' own checks, so a bad value fails before stage 1
-        for validate in (self.flow_config().validate, self.window_spec().validate,
-                         self.train_config().validate,
-                         self.detection_config().validate):
+        for cls in LAYERS:
             try:
-                validate()
+                self.layer(cls).validate()
             except ValueError as e:  # each message starts with its field's name
                 word = str(e).split()[0]
-                raise ValueError(f"key {_CONFIG_KEYS.get(word, word)!r}: {e}") from e
-        for key, parse in (("mode", parse_mode), ("gt_policy", parse_gt_policy)):
-            try:
-                parse(getattr(self, key))
-            except ValueError as e:
-                raise ValueError(f"key {key!r}: {e}") from e
-        if self.match_policy not in POLICIES:
-            raise ValueError(f"key 'match_policy': unknown policy "
-                             f"{self.match_policy!r}, expected one of {POLICIES}")
+                raise ValueError(f"key {_RENAMED.get(word, word)!r}: {e}") from e
+        _named("mode", parse_mode, self.mode)
+        _named("gt_policy", parse_gt_policy, self.gt_policy)
+        _named("match_policy", check_policy, self.match_policy)
+        if self.mode == "relative":  # as evaluate_corpus checks them
+            _named("threshold", check_threshold, self.threshold)
+            for t in self.thresholds:
+                _named("thresholds", check_threshold, t)
+        if not 0 < self.consistency_threshold < 1:
+            raise ValueError(f"key 'consistency_threshold': must be in (0,1), "
+                             f"got {self.consistency_threshold}")
+        if self.bg_ratio < 0:
+            raise ValueError(f"key 'bg_ratio': must be >= 0, got {self.bg_ratio}")
 
-    def flow_config(self) -> FlowConfig:
-        return FlowConfig(pyramid_levels=self.pyramid_levels,
-                          pyramid_scale=self.pyramid_scale,
-                          iterations_per_level=self.iterations,
-                          poly_window=self.poly_window,
-                          poly_sigma=self.poly_sigma,
-                          averaging_window=self.averaging_window)
-
-    def window_spec(self) -> WindowSpec:
-        return WindowSpec(m=self.m, candidate_stride=self.stride,
-                          image_side=self.image_side,
-                          label_tolerance=self.label_tolerance)
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(learning_rate=self.lr, decay_factor=self.decay_factor,
-                           decay_every=self.decay_every, epochs=self.epochs,
-                           batch_size=self.batch_size, seed=self.seed)
-
-    def detection_config(self) -> DetectionConfig:
-        return DetectionConfig(smooth_sigma=self.smooth_sigma,
-                               score_threshold=self.score_threshold,
-                               min_separation=self.min_separation)
+    def layer(self, cls):
+        """Layer config ``cls``, one of :data:`LAYERS`, built from its keys."""
+        return cls(**{field: getattr(self, key) for field, key
+                      in zip(cls.__dataclass_fields__, layer_keys(cls))})
 
 
-# library field names that differ from the config key that sets them
-_CONFIG_KEYS = {"iterations_per_level": "iterations",
-                "candidate_stride": "stride", "learning_rate": "lr"}
+# the layer configs a PipelineConfig builds, and the layer fields whose
+# config key has another name; every other field's key is its own name
+LAYERS = (FlowConfig, WindowSpec, TrainConfig, DetectionConfig)
+_RENAMED = {"iterations_per_level": "iterations",
+            "candidate_stride": "stride", "learning_rate": "lr"}
+
+
+def layer_keys(cls) -> tuple:
+    """The config key that sets each field of layer config ``cls``, in order."""
+    return tuple(_RENAMED.get(field, field) for field in cls.__dataclass_fields__)
+
+
+def _named(key, check, *args):
+    """``check(*args)``; a ValueError or TypeError it raises names ``key``."""
+    try:
+        return check(*args)
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"key {key!r}: {e}") from e
+
 
 _BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
@@ -154,8 +155,8 @@ _BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no"
 def _typed(kind: str, value):
     """``value`` as field type ``kind``; a string parses as in a config file."""
     if kind == "tuple":  # thresholds, the one tuple field
-        value = tuple(map(float, parse_thresholds(value) if isinstance(value, str)
-                          else value))
+        value = tuple(_typed("float", v) for v in (
+            parse_thresholds(value) if isinstance(value, str) else value))
         if not value or any(b <= a for a, b in zip(value, value[1:])):
             raise ValueError(f"expected a strictly ascending list, got {value}")
         return value
@@ -167,7 +168,10 @@ def _typed(kind: str, value):
     if kind == "int":  # a float is refused, not truncated
         return int(value) if isinstance(value, str) else operator.index(value)
     if kind == "float":
-        return float(value)
+        value = float(value)
+        if not math.isfinite(value):
+            raise ValueError(f"expected a finite number, got {value}")
+        return value
     return str(value)
 
 
@@ -300,7 +304,6 @@ class Paths:
     corpus: str
     out: str
 
-    validate_ok = _out_path("validate.ok")
     consistency_csv = _out_path("consistency.csv")
     gt_csv = _out_path("gt.csv")
     features_dir = _out_path("features")
@@ -471,8 +474,6 @@ class Pipeline:
         check_videos(self.sets, self.paths.annotations)
         for aset in self.sets:
             check_frames(aset.meta, self.paths.frames_dir(aset.meta.video_id))
-        with atomic_open(self.paths.validate_ok) as fh:
-            fh.write(f"videos={len(self.sets)}\n")
 
     def stage_consistency(self):
         attach_stage_consistency(self.sets, self.config)
@@ -500,7 +501,7 @@ class Pipeline:
         for stale in ("flow", "windows"):
             shutil.rmtree(os.path.join(self.paths.out, stale), ignore_errors=True)
         os.makedirs(self.paths.features_dir, exist_ok=True)
-        spec, flow_cfg = self.config.window_spec(), self.config.flow_config()
+        spec, flow_cfg = self.config.layer(WindowSpec), self.config.layer(FlowConfig)
         jobs = [(aset.meta, self.paths.frames_dir(aset.meta.video_id),
                  self.paths.feature_table(aset.meta.video_id), spec, flow_cfg)
                 for aset in self.sets]
@@ -512,7 +513,7 @@ class Pipeline:
     def stage_sample(self):
         from .windows import candidate_timestamps, label_windows
         gt = read_boundary_csv(self.paths.gt_csv)
-        spec = self.config.window_spec()
+        spec = self.config.layer(WindowSpec)
         rows = []
         for aset in self.sets:
             vid = aset.meta.video_id
@@ -567,7 +568,7 @@ class Pipeline:
             X.append(self._inputs(aset, [timestamps[i] for i in selected]))
             y.extend(1.0 if labels[i] == LABEL_BOUNDARY else 0.0 for i in selected)
         model, losses = train_logistic((np.concatenate(X), np.array(y)),
-                                       self.config.train_config())
+                                       self.config.layer(TrainConfig))
         save_model(self.paths.model_json, model)
         write_csv(self.paths.loss_csv, ("epoch", "mean_loss"), enumerate(losses))
 
@@ -584,7 +585,7 @@ class Pipeline:
     def stage_detect(self):
         from .postprocess import scores_to_boundaries
         sequences = read_scores_csv(self.paths.scores_csv)
-        det = self.config.detection_config()
+        det = self.config.layer(DetectionConfig)
         preds = {seq.video_id: scores_to_boundaries(seq, det)
                  for seq in sequences}
         write_boundary_csv(self.paths.predictions_csv, preds)
@@ -633,7 +634,7 @@ class Pipeline:
         p = self.paths
         vids = [a.meta.video_id for a in self.sets]
         table = [
-            ("validate", ("annotations", "frames"), (), [p.validate_ok]),
+            ("validate", ("annotations", "frames"), (), []),
             ("consistency", ("annotations",),
              ("consistency_threshold", "use_file_consistency"),
              [p.consistency_csv]),
@@ -642,18 +643,16 @@ class Pipeline:
              ("gt_policy", "seed") if parse_gt_policy(self.config.gt_policy)
              == ("weighted", None) else ("gt_policy",), [p.gt_csv]),
             ("flow", ("annotations", "frames"),
-             ("pyramid_levels", "pyramid_scale", "iterations", "poly_window",
-              "poly_sigma", "averaging_window", "image_side"),
+             layer_keys(FlowConfig) + ("image_side",),
              [p.feature_table(v) for v in vids]),
             ("sample", ("annotations", "select-gt"),
              ("stride", "label_tolerance"), [p.candidates_csv]),
             ("train", ("annotations", "flow", "sample"),
-             ("m", "bg_ratio", "seed", "lr", "decay_factor", "decay_every",
-              "epochs", "batch_size"), [p.model_json, p.loss_csv]),
+             ("m", "bg_ratio") + layer_keys(TrainConfig),
+             [p.model_json, p.loss_csv]),
             ("score", ("annotations", "flow", "sample", "train"), ("m",),
              [p.scores_csv]),
-            ("detect", ("score",),
-             ("smooth_sigma", "score_threshold", "min_separation"),
+            ("detect", ("score",), layer_keys(DetectionConfig),
              [p.predictions_csv]),
             ("eval", ("annotations", "select-gt", "detect"),
              ("threshold", "thresholds", "mode", "match_policy"),

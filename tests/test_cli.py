@@ -319,6 +319,19 @@ class TestEval:
         assert not (tmp_path / "eval2").exists()
         assert not (tmp_path / "run").exists()
 
+    def test_threshold_out_of_range_names_key(self, corpus, gt, tmp_path,
+                                              capsys):
+        pred_csv = tmp_path / "pred.csv"
+        write_boundary_csv(pred_csv, gt)
+        out = tmp_path / "eval"
+        code, values, err = run_cli(
+            capsys, "eval", "--predictions", str(pred_csv),
+            "--annotations", str(corpus / "annotations.json"),
+            "--threshold", "1.5", "--out", str(out))
+        assert code == 1 and values == {}
+        assert "key 'threshold': " in err
+        assert not out.exists()
+
     def test_single_annotator(self, corpus, tmp_path, capsys):
         # a lone annotator scores consistency 1 and is the ground truth
         root, track = single_annotator(corpus, tmp_path)
@@ -531,7 +544,21 @@ class TestPipelineCommand:
         (["--epochs", "0"], "epochs"),
         (["--smooth-sigma", "-1"], "smooth_sigma"),
         (["--config", "match_policy=bogus"], "match_policy"),
-        (["--gt-policy", "bogus"], "gt_policy")])
+        (["--gt-policy", "bogus"], "gt_policy"),
+        # each of these used to pass the config and fail in a later stage,
+        # or not at all
+        (["--threshold", "1.5"], "threshold"),
+        (["--thresholds", "0.05,2.0"], "thresholds"),
+        (["--thresholds", "0.05,nan"], "thresholds"),
+        (["--consistency-threshold", "1"], "consistency_threshold"),
+        (["--consistency-threshold", "nan"], "consistency_threshold"),
+        (["--bg-ratio", "-1"], "bg_ratio"),
+        (["--bg-ratio", "inf"], "bg_ratio"),
+        (["--smooth-sigma", "inf"], "smooth_sigma"),
+        (["--lr", "nan"], "lr"),
+        (["--smooth-sigma", "nan"], "smooth_sigma"),
+        (["--label-tolerance", "nan"], "label_tolerance"),
+        (["--score-threshold", "nan"], "score_threshold")])
     def test_bad_value_fails_before_any_stage(self, corpus, tmp_path, capsys,
                                               flags, key):
         if flags[0] == "--config":

@@ -1,5 +1,6 @@
 import builtins
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -14,13 +15,14 @@ import pytest
 
 import gebd
 from gebd.annotations import load_annotations
+from gebd.config import DetectionConfig, FlowConfig, TrainConfig
 from gebd.container import DTYPE_F64, read_tensor_file, write_tensor_file
 from gebd.evaluation import evaluate_corpus
 from gebd import pipeline
-from gebd.pipeline import (PipelineConfig, PipelineError, Pipeline,
-                           parse_config_text, parse_mode, parse_thresholds,
-                           read_boundary_csv, read_scores_csv, run_pipeline,
-                           write_boundary_csv, write_scores_csv)
+from gebd.pipeline import (LAYERS, PipelineConfig, PipelineError, Pipeline,
+                           layer_keys, parse_config_text, parse_mode,
+                           parse_thresholds, read_boundary_csv, read_scores_csv,
+                           run_pipeline, write_boundary_csv, write_scores_csv)
 from gebd.postprocess import ScoreSequence
 from gebd.pnm import write_pnm
 from gebd.synth import generate_corpus
@@ -81,6 +83,12 @@ class TestConfig:
         assert config.use_file_consistency is True
         with pytest.raises(ValueError, match="key 'm': "):
             PipelineConfig(m=2.5)  # refused, not truncated
+
+    @pytest.mark.parametrize("cls", LAYERS, ids=lambda c: c.__name__)
+    def test_layer_defaults_match_config_defaults(self, cls):
+        # the pipeline seeds training with 1, the library with 0
+        want = dataclasses.replace(cls(), seed=1) if cls is TrainConfig else cls()
+        assert PipelineConfig().layer(cls) == want
 
     def test_thresholds_forms(self):
         assert parse_thresholds("0.05:0.05:0.2") == (0.05, 0.1, 0.15, 0.2)
@@ -482,6 +490,13 @@ class TestStageStamps:
             assert set(deps) <= set(earlier) | {"annotations", "frames"}
         fields = set(PipelineConfig.__dataclass_fields__)
         assert declared == fields - {"workers"}
+
+    def test_layer_stages_stamp_their_layer_keys(self):
+        keys = {name: set(k) for name, _, k, _, _ in
+                Pipeline("", "", PipelineConfig(), sets=[]).stages()}
+        assert keys["flow"] >= set(layer_keys(FlowConfig)) | {"image_side"}
+        assert keys["train"] >= set(layer_keys(TrainConfig))
+        assert keys["detect"] == set(layer_keys(DetectionConfig))
 
     def test_each_stage_reads_only_its_deps_outputs(self, corpus, tmp_path,
                                                     monkeypatch):
