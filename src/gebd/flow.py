@@ -250,8 +250,9 @@ def _bilinear_sampler(ys: np.ndarray, xs: np.ndarray):
     gx, gy = 1 - fx, 1 - fy
     # flat indices into the C-ordered stack of planes
     plane = np.arange(ys.size // (h * w)).reshape(ys.shape[:-2] + (1, 1)) * (h * w)
-    i00, i01 = plane + y0 * w + x0, plane + y0 * w + x1
-    i10, i11 = plane + y1 * w + x0, plane + y1 * w + x1
+    row0, row1 = plane + y0 * w, plane + y1 * w
+    i00, i01 = row0 + x0, row0 + x1
+    i10, i11 = row1 + x0, row1 + x1
 
     def sample(field):
         return (np.take(field, i00) * gy * gx + np.take(field, i01) * gy * fx
@@ -329,9 +330,10 @@ def flow_step(p1: PolyCoeffs, p2: PolyCoeffs, prior: np.ndarray,
     db1 = -0.5 * (sample(p2.b1) - p1.b1)
     db2 = -0.5 * (sample(p2.b2) - p1.b2)
 
-    g11 = _box_average(a11 * a11 + a12 * a12, averaging_window)
+    a12_sq = a12 * a12
+    g11 = _box_average(a11 * a11 + a12_sq, averaging_window)
     g12 = _box_average(a11 * a12 + a12 * a22, averaging_window)
-    g22 = _box_average(a12 * a12 + a22 * a22, averaging_window)
+    g22 = _box_average(a12_sq + a22 * a22, averaging_window)
     h1 = _box_average(a11 * db1 + a12 * db2, averaging_window)
     h2 = _box_average(a12 * db1 + a22 * db2, averaging_window)
 
