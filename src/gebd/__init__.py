@@ -53,7 +53,6 @@ from .evaluation import (  # noqa: F401
     per_class_report,
     prf_from_counts,
     prf_from_match,
-    rel_dis,
     sweep_thresholds,
 )
 from .config import FlowConfig  # noqa: F401

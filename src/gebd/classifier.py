@@ -75,14 +75,6 @@ def _sigmoid(z):
     return out
 
 
-def frame_features(rgb, flow, prev_rgb) -> np.ndarray:
-    """27-vector for one window slot; slices are (3,S,S) RGB and (2,S,S) flow.
-
-    The one-slot case of :func:`slot_features`.
-    """
-    return slot_features(*(np.asarray(a)[None] for a in (rgb, flow, prev_rgb)))[0]
-
-
 def slot_features(rgb, flow, prev_rgb) -> np.ndarray:
     """(B, FEATURE_DIM) features of a stack of window slots: (B,3,S,S) RGB,
     (B,2,S,S) flow and the (B,3,S,S) previous RGB slots.
@@ -160,12 +152,6 @@ def window_inputs(table, indices) -> np.ndarray:
                           axis=1)
 
 
-def bce_loss(X, y, weights, bias) -> float:
-    """Mean binary cross-entropy at the given parameters (stable log-sum form)."""
-    z = X @ weights + bias
-    return float(np.mean(np.logaddexp(0.0, z) - y * z))
-
-
 def bce_gradient(X, y, weights, bias):
     """(loss, d_loss/d_weights, d_loss/d_bias) of the mean BCE."""
     z = X @ weights + bias
@@ -176,27 +162,16 @@ def bce_gradient(X, y, weights, bias):
             float(resid.mean()))
 
 
-def _as_xy(dataset):
-    if isinstance(dataset, tuple) and len(dataset) == 2:
-        X, y = dataset
-    else:
-        X = [row for row, _ in dataset]
-        y = [label for _, label in dataset]
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    return X, y
-
-
 def train_logistic(dataset, config: TrainConfig = TrainConfig()):
     """Fit a logistic model; returns (model, per-epoch mean loss list).
 
-    ``dataset`` is a list of (input vector, 0/1 label) pairs or an (X, y)
-    tuple.  Inputs are z-scored against the training set (stored with the
-    model); shuffling is seeded; the learning rate decays by ``decay_factor``
-    after every ``decay_every`` epochs.
+    ``dataset`` is an (X, y) tuple only: X holds one input vector per row
+    and y its 0/1 label.  Inputs are z-scored against the training set
+    (stored with the model); shuffling is seeded; the learning rate decays
+    by ``decay_factor`` after every ``decay_every`` epochs.
     """
     config.validate()
-    X, y = _as_xy(dataset)
+    X, y = (np.asarray(a, dtype=np.float64) for a in dataset)
     if X.ndim != 2 or len(X) == 0:
         raise ValueError("dataset must be a non-empty set of vectors")
     # a set, not np.unique, which imports numpy.ma under numpy 2 (about 16 ms

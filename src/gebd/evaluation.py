@@ -59,12 +59,6 @@ class PRF:
     threshold: float
 
 
-def rel_dis(predicted: float, ground_truth: float, duration: float) -> float:
-    """Relative distance: |predicted - ground_truth| / duration."""
-    _check_duration(duration)
-    return abs(predicted - ground_truth) / duration
-
-
 def check_ascending(values, name):
     for a, b in zip(values, values[1:]):
         if not b > a:  # also refuses NaN, which has no place in an order

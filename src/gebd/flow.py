@@ -123,6 +123,8 @@ def _resize_planes(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     slots.  Rows, then columns, are gathered with ``np.take`` along one
     axis, which is faster than fancy indexing on strided input such as a
     ``moveaxis`` view; each output is the same four-term weighted sum.
+    Sample positions use the half-pixel convention
+    src = (dst + 0.5) * in/out - 0.5, clipped to the source extent.
     """
     h, w = img.shape[-2:]
     xs = np.clip((np.arange(out_w) + 0.5) * (w / out_w) - 0.5, 0, w - 1)
@@ -147,20 +149,6 @@ def _resize_channels_last(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray
     """Bilinear resample of (..., H, W, C) arrays, such as stacks of flow fields."""
     planes = _resize_planes(np.moveaxis(img, -1, -3), out_h, out_w)
     return np.moveaxis(planes, -3, -1)
-
-
-def bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Bilinear resample to (out_h, out_w); trailing channel axis passes through.
-
-    Accepts (H, W) or (H, W, C).  Sample positions use the half-pixel
-    convention src = (dst + 0.5) * in/out - 0.5, clipped to the source extent.
-    """
-    img = np.asarray(img, dtype=np.float64)
-    if img.ndim == 2:
-        return _resize_planes(img, out_h, out_w)
-    if img.ndim == 3:
-        return _resize_channels_last(img, out_h, out_w)
-    raise ValueError(f"expected (H,W) or (H,W,C) image, got shape {img.shape}")
 
 
 def gaussian_pyramid(img: np.ndarray, levels: int, scale: float,

@@ -209,7 +209,11 @@ def parse_config_text(text: str) -> dict:
 def parse_thresholds(text: str) -> tuple:
     """Either 'lo:step:hi' or a comma-separated ascending list."""
     if ":" in text:
-        lo, step, hi = (float(v) for v in text.split(":"))
+        fields = text.split(":")
+        if len(fields) != 3:
+            raise ValueError(f"expected lo:step:hi, got {text!r}")
+        # an infinite bound would never end the loop below
+        lo, step, hi = (_typed("float", v) for v in fields)
         if not step > 0:
             raise ValueError(f"thresholds step must be positive, got {step}")
         values = []
@@ -767,7 +771,7 @@ def parse_mode(text: str):
     if text == "relative":
         return "relative", None
     if text.startswith("window:"):
-        window = float(text.split(":", 1)[1])
+        window = _typed("float", text.split(":", 1)[1])
         if not window > 0:
             raise ValueError(f"evaluation window must be positive, got {text!r}")
         return "absolute_window", window

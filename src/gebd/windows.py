@@ -34,7 +34,7 @@ from .annotations import VideoMeta
 from .classifier import FEATURE_DIM, slot_features
 from .config import FlowConfig, WindowSpec
 from .flow import PAIR_CHUNK_PIXELS, _resize_planes, to_gray, video_flow
-from .pnm import frame_files, frame_name, read_pnm  # noqa: F401  -- frame_name
+from .pnm import frame_files, read_pnm
 
 logger = logging.getLogger(__name__)
 

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from gebd.classifier import (FEATURE_DIM, LogisticModel, TrainConfig,
-                             bce_gradient, bce_loss, frame_features, load_model,
-                             pc_concat, save_model, score_sequence,
-                             slot_features, train_logistic, window_features)
+                             bce_gradient, load_model, pc_concat, save_model,
+                             score_sequence, slot_features, train_logistic,
+                             window_features)
 from gebd.flow import to_gray
 
 from conftest import separable_dataset
@@ -20,7 +20,7 @@ class TestFrameFeatures:
     def test_degenerate_constant_input(self):
         rgb = np.full((3, 8, 8), 0.5)
         flow = np.zeros((2, 8, 8))
-        f = frame_features(rgb, flow, rgb)
+        f = slot_features(rgb[None], flow[None], rgb[None])[0]
         assert f.shape == (FEATURE_DIM,)
         assert f[0] == 0.0 and f[1] == 0.0  # magnitudes
         assert f[2:10] == pytest.approx(np.full(8, 0.125))  # angle histogram
@@ -30,7 +30,7 @@ class TestFrameFeatures:
     def test_constant_345_flow(self):
         rgb = np.full((3, 8, 8), 0.5)
         flow = np.stack([np.full((8, 8), 3.0), np.full((8, 8), 4.0)])
-        f = frame_features(rgb, flow, rgb)
+        f = slot_features(rgb[None], flow[None], rgb[None])[0]
         assert f[0] == pytest.approx(5.0)
         assert f[1] == pytest.approx(5.0)
 
@@ -38,7 +38,7 @@ class TestFrameFeatures:
         rgb = rng.random((3, 6, 6))
         prev = rng.random((3, 6, 6))
         flow = rng.normal(size=(2, 6, 6))
-        f = frame_features(rgb, flow, prev)
+        f = slot_features(rgb[None], flow[None], prev[None])[0]
 
         def luma(img):
             return 0.299 * img[0] + 0.587 * img[1] + 0.114 * img[2]
@@ -61,19 +61,19 @@ class TestFrameFeatures:
         assert f[26] == pytest.approx(np.abs(gray - luma(prev)).mean())
 
     def test_histograms_sum_to_one(self, rng):
-        f = frame_features(rng.random((3, 5, 5)), rng.normal(size=(2, 5, 5)),
-                           rng.random((3, 5, 5)))
+        f = slot_features(rng.random((1, 3, 5, 5)), rng.normal(size=(1, 2, 5, 5)),
+                          rng.random((1, 3, 5, 5)))[0]
         assert f[2:10].sum() == pytest.approx(1.0, abs=1e-6)
         assert f[10:26].sum() == pytest.approx(1.0, abs=1e-6)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            frame_features(np.zeros((3, 4, 4)), np.zeros((2, 5, 5)),
-                           np.zeros((3, 4, 4)))
+            slot_features(np.zeros((1, 3, 4, 4)), np.zeros((1, 2, 5, 5)),
+                          np.zeros((1, 3, 4, 4)))
 
 
 def histogram_features(rgb, flow, prev_rgb):
-    """frame_features as first written: one slot at a time, with
+    """slot_features as first written: one slot at a time, with
     np.histogram for the intensity bins."""
     rgb, flow, prev_rgb = (np.asarray(a, dtype=np.float64)
                            for a in (rgb, flow, prev_rgb))
@@ -139,7 +139,8 @@ class TestSlotFeatures:
         for k in range(6):
             want = histogram_features(rgb[k], flow[k], prev[k])
             assert np.array_equal(got[k], want), k
-            assert np.array_equal(frame_features(rgb[k], flow[k], prev[k]), want)
+            assert np.array_equal(
+                slot_features(rgb[k][None], flow[k][None], prev[k][None])[0], want)
         assert np.all(got[1, 2:10] == 1 / 8) and got[1, 0] == 0.0
 
     def test_row_does_not_depend_on_batch(self, rng):
@@ -214,9 +215,11 @@ class TestTraining:
             for k in range(5):
                 e = np.zeros(5)
                 e[k] = h
-                num = (bce_loss(X, y, w + e, b) - bce_loss(X, y, w - e, b)) / (2 * h)
+                num = (bce_gradient(X, y, w + e, b)[0]
+                       - bce_gradient(X, y, w - e, b)[0]) / (2 * h)
                 worst = max(worst, abs(num - gw[k]) / max(abs(num), abs(gw[k]), 1e-8))
-            num_b = (bce_loss(X, y, w, b + h) - bce_loss(X, y, w, b - h)) / (2 * h)
+            num_b = (bce_gradient(X, y, w, b + h)[0]
+                     - bce_gradient(X, y, w, b - h)[0]) / (2 * h)
             worst = max(worst, abs(num_b - gb) / max(abs(num_b), abs(gb), 1e-8))
         assert worst < 1e-4
 
@@ -281,14 +284,6 @@ class TestTraining:
         other, _ = train_logistic((scaled, y), cfg)
         assert other.weights == pytest.approx(base.weights, abs=1e-9)
 
-    def test_dataset_as_pairs(self, rng):
-        X, y = separable_dataset(rng, n=40, margin=0.5)
-        pairs = list(zip(X, y))
-        m1, l1 = train_logistic(pairs, TrainConfig(seed=1, epochs=2))
-        m2, l2 = train_logistic((X, y), TrainConfig(seed=1, epochs=2))
-        assert m1.weights == pytest.approx(m2.weights)
-        assert l1 == l2
-
 
 class TestScoring:
     def test_scores_monotone_in_margin(self, rng):
@@ -347,9 +342,9 @@ def test_window_features_shape(rng):
     out = window_features(rgb, flow)
     assert out.shape == (2 * FEATURE_DIM,)
     # first slot's difference term is zero by the self-pair rule
-    feats0 = frame_features(rgb[0], flow[0], rgb[0])
+    feats0 = slot_features(rgb[0][None], flow[0][None], rgb[0][None])[0]
     assert out[:FEATURE_DIM][26] == pytest.approx(
-        np.mean([frame_features(rgb[k], flow[k],
-                                rgb[k - 1] if k else rgb[0])[26]
+        np.mean([slot_features(rgb[k][None], flow[k][None],
+                               (rgb[k - 1] if k else rgb[0])[None])[0][26]
                  for k in range(3)]))
     assert feats0[26] == 0.0

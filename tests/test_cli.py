@@ -558,7 +558,11 @@ class TestPipelineCommand:
         (["--lr", "nan"], "lr"),
         (["--smooth-sigma", "nan"], "smooth_sigma"),
         (["--label-tolerance", "nan"], "label_tolerance"),
-        (["--score-threshold", "nan"], "score_threshold")])
+        (["--score-threshold", "nan"], "score_threshold"),
+        # an infinite threshold bound never ended the range loop
+        (["--thresholds", "0.05:0.05:inf"], "thresholds"),
+        (["--thresholds=-inf:0.05:0.5"], "thresholds"),
+        (["--mode", "window:inf"], "mode")])
     def test_bad_value_fails_before_any_stage(self, corpus, tmp_path, capsys,
                                               flags, key):
         if flags[0] == "--config":

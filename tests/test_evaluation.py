@@ -4,7 +4,7 @@ import pytest
 from gebd.evaluation import (POLICIES, absolute_window_match, evaluate_corpus,
                              f1_from_pr, match_boundaries, match_count,
                              per_class_report, prf_from_counts, prf_from_match,
-                             rel_dis, sweep_thresholds)
+                             sweep_thresholds)
 
 from conftest import enumerate_matchings, max_matching_cardinality
 
@@ -21,19 +21,6 @@ def random_instance(rng, max_side=8, duration=10.0):
         gts = np.sort(rng.uniform(0, duration, size=n_g))
     threshold = float(rng.uniform(0.01, 0.3))
     return preds, gts, duration, threshold
-
-
-class TestRelDis:
-    def test_direct(self):
-        assert rel_dis(4.8, 5.0, 10.0) == pytest.approx(0.02)
-        assert rel_dis(1.0, 9.0, 10.0) == pytest.approx(0.8)
-
-    def test_identity(self):
-        assert rel_dis(3.3, 3.3, 7.0) == 0.0
-
-    def test_bad_duration(self):
-        with pytest.raises(ValueError):
-            rel_dis(1.0, 2.0, 0.0)
 
 
 class TestMatching:

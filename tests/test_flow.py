@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from gebd.flow import (SINGULAR_DET, FlowConfig, PolyCoeffs, _bilinear_sampler,
-                       _box_average, _mirror_slices, _resize_planes,
-                       bilinear_resize, farneback_flow, flow_stats, flow_step,
+                       _box_average, _mirror_slices, _resize_channels_last,
+                       _resize_planes, farneback_flow, flow_stats, flow_step,
                        gaussian_kernel, gaussian_pyramid, poly_expansion,
                        sep_correlate, to_gray, video_flow)
 
@@ -403,7 +403,7 @@ class TestFlowUpsampling:
         field = np.zeros((16, 16, 2))
         field[..., 0] = 1.5
         field[..., 1] = -0.75
-        up = bilinear_resize(field, 32, 32) / 0.5
+        up = _resize_channels_last(field, 32, 32) / 0.5
         assert up[..., 0] == pytest.approx(np.full((32, 32), 3.0))
         assert up[..., 1] == pytest.approx(np.full((32, 32), -1.5))
 

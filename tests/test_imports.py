@@ -9,6 +9,9 @@ compute no array (``gebd eval`` under either match policy and mode,
 that, and must not load numpy.
 """
 
+import ast
+import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -132,3 +135,19 @@ def test_fresh_pipeline_rerun_loads_no_numpy(finished_run):
     with open(out / "manifest.json", encoding="utf-8") as fh:
         assert all(s["skipped"] for s in json.load(fh)["stages"])
     assert "numpy" not in added
+
+
+def test_package_surface_resolves():
+    """Every name that ``gebd/__init__.py`` imports is its module's object,
+    and every lazy flow name is the :mod:`gebd.flow` function of that name."""
+    import gebd
+    import gebd.flow
+    for node in ast.parse(inspect.getsource(gebd)).body:
+        if isinstance(node, ast.ImportFrom):
+            module = importlib.import_module("." + node.module, "gebd")
+            for alias in node.names:
+                assert getattr(gebd, alias.name) is getattr(module, alias.name)
+    for name in gebd._FLOW_NAMES:
+        fn = getattr(gebd.flow, name)
+        assert inspect.isfunction(fn) and fn.__module__ == "gebd.flow"
+        assert getattr(gebd, name) is fn

@@ -93,6 +93,8 @@ class TestConfig:
     def test_thresholds_forms(self):
         assert parse_thresholds("0.05:0.05:0.2") == (0.05, 0.1, 0.15, 0.2)
         assert parse_thresholds("0.1,0.3") == (0.1, 0.3)
+        with pytest.raises(ValueError, match="expected lo:step:hi, got '0.05:0.05'"):
+            parse_thresholds("0.05:0.05")
 
     def test_mode_forms(self):
         assert parse_mode("relative") == ("relative", None)

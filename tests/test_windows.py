@@ -6,14 +6,14 @@ import pytest
 
 from gebd.annotations import VideoMeta
 from gebd import windows
-from gebd.flow import (FlowConfig, bilinear_resize, farneback_flow, flow_stats,
+from gebd.flow import (FlowConfig, _resize_planes, farneback_flow, flow_stats,
                        to_gray, video_flow)
-from gebd.pnm import PNMError, read_header, read_pnm, write_pnm
-from gebd.classifier import (FEATURE_DIM, STATIC_FLOW_FEATURES, frame_features,
-                             slot_features, window_features, window_inputs)
+from gebd.pnm import PNMError, frame_name, read_header, read_pnm, write_pnm
+from gebd.classifier import (FEATURE_DIM, STATIC_FLOW_FEATURES, slot_features,
+                             window_features, window_inputs)
 from gebd.windows import (LABEL_BACKGROUND, LABEL_BOUNDARY, FrameSequence,
                           WindowSpec, candidate_timestamps, extract_window,
-                          frame_feature_table, frame_name, label_windows,
+                          frame_feature_table, label_windows,
                           window_frame_indices)
 
 from conftest import smooth_texture
@@ -253,8 +253,7 @@ class TestExtractWindow:
         big, _ = extract_window(seq, WindowSpec(m=2, image_side=64), 1.0, flow)
         small, _ = extract_window(seq, WindowSpec(m=2, image_side=32), 1.0, flow)
         for slot in range(4):
-            down = np.stack([bilinear_resize(big[slot, ch], 32, 32)
-                             for ch in range(3)])
+            down = _resize_planes(big[slot], 32, 32)
             assert np.abs(down - small[slot]).mean() < 2 / 255
 
 
@@ -353,7 +352,8 @@ class TestFrameFeatureTable:
         # stored rows are moving slots: a window at frame k has frames k-1, k
         for k in range(1, 20):
             rgb, flo = extract_window(seq, spec, k / seq.meta.fps, flow)
-            assert np.array_equal(table[k], frame_features(rgb[1], flo[1], rgb[0]))
+            assert np.array_equal(
+                table[k], slot_features(rgb[1][None], flo[1][None], rgb[0][None])[0])
         assert np.all(table[1:, 26] > 0.0)  # textures differ frame to frame
         # frame 0 has zero flow and a zero difference
         assert table[0, 0] == table[0, 1] == 0.0
