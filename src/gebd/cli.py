@@ -53,7 +53,7 @@ def cmd_synth(args) -> int:
         generate_corpus(args.out, args.n_videos, args.seed,
                         duration=args.duration, fps=args.fps,
                         image_size=args.image_size)
-    except OSError as e:
+    except (OSError, ValueError) as e:
         return _fail(f"cannot write corpus: {e}")
     _emit(videos=args.n_videos, out=args.out, seed=args.seed)
     return EXIT_OK

@@ -4,16 +4,16 @@ Each frame is approximated locally, at every pixel, by a quadratic model
 
     f(x + d) ~= d^T A d + b^T d + c
 
-fitted by Gaussian-weighted least squares over an odd window (the classic
-polynomial-expansion formulation).  For a pure translation ``s`` between two
-frames the models relate as ``A2 = A1`` and ``b2 = b1 - 2 A1 s``, so the
-displacement solves ``Abar d = db`` with ``Abar = (A1 + A2)/2`` and
-``db = -(b2 - b1)/2``.  The practical estimator samples frame 2's
-coefficients at prior-displaced coordinates, averages the normal equations
-``Abar^T Abar`` and ``Abar^T db`` over a neighborhood window, solves the 2x2
-system per pixel, and adds the correction to the prior.  A Gaussian pyramid
-makes the whole thing coarse-to-fine so shifts larger than the window are
-recovered.
+fitted by Gaussian-weighted least squares over an odd window (G. Farneback,
+"Two-Frame Motion Estimation Based on Polynomial Expansion", SCIA 2003).
+For a pure translation ``s`` between two frames the models relate as
+``A2 = A1`` and ``b2 = b1 - 2 A1 s``, so the displacement solves
+``Abar d = db`` with ``Abar = (A1 + A2)/2`` and ``db = -(b2 - b1)/2``.  The
+practical estimator samples frame 2's coefficients at prior-displaced
+coordinates, averages the normal equations ``Abar^T Abar`` and
+``Abar^T db`` over a neighborhood window, solves the 2x2 system per pixel,
+and adds the correction to the prior.  A Gaussian pyramid makes the whole
+thing coarse-to-fine so shifts larger than the window are recovered.
 
 Flow is computed per video: :func:`video_flow` takes an ``(N, H, W)``
 stack of consecutive frames, builds each frame's pyramid and polynomial
@@ -88,20 +88,35 @@ def correlate1d(img: np.ndarray, kernel, axis: int) -> np.ndarray:
     """Correlation along one axis with mirror (reflect) padding.
 
     out[x] = sum_d kernel[d + n] * img[x + d] for d in [-n, n].  ``axis``
-    may be negative; every other axis passes through unchanged.
+    may be negative; every other axis passes through unchanged.  The sum
+    starts from the first tap's product, so no output is zeroed first.
     """
     kernel = np.asarray(kernel, dtype=np.float64)
-    n = len(kernel) // 2
-    pad = [(0, 0)] * img.ndim
-    pad[axis] = (n, n)
-    padded = np.pad(img, pad, mode="reflect")
-    out = np.zeros(img.shape, dtype=np.float64)
     size = img.shape[axis]
-    window = [slice(None)] * img.ndim
-    for t, k in enumerate(kernel):
-        window[axis] = slice(t, t + size)
-        out += k * padded[tuple(window)]
+    left, right = _mirror_slices(img, len(kernel) // 2, axis)
+    padded = np.concatenate([left, img, right], axis=axis)
+    out = kernel[0] * padded[_along(img.ndim, axis, slice(0, size))]
+    for t in range(1, len(kernel)):
+        out += kernel[t] * padded[_along(img.ndim, axis, slice(t, t + size))]
     return out
+
+
+def _along(ndim: int, axis: int, index) -> tuple:
+    """Index tuple applying ``index`` to ``axis`` and passing every other axis."""
+    out = [slice(None)] * ndim
+    out[axis] = index
+    return tuple(out)
+
+
+def _mirror_slices(img: np.ndarray, n: int, axis: int):
+    """The ``n`` samples that numpy's "reflect" padding puts before and
+    after ``img`` along ``axis``, for any ``n >= 0``: a position outside the
+    axis folds back with period ``2 * (size - 1)``, as numpy's does when
+    ``n`` exceeds ``size - 1``."""
+    size = img.shape[axis]
+    period = max(2 * (size - 1), 1)
+    sides = (np.arange(-n, 0) % period, np.arange(size, size + n) % period)
+    return tuple(np.take(img, np.minimum(f, period - f), axis=axis) for f in sides)
 
 
 def sep_correlate(img: np.ndarray, kx, ky) -> np.ndarray:
@@ -184,19 +199,17 @@ def gaussian_pyramid(img: np.ndarray, levels: int, scale: float,
     return pyramid
 
 
-def _basis_exponents():
-    # basis (1, x, y, x^2, y^2, xy) as (p, q) exponent pairs
-    return [(0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1)]
-
-
 def poly_expansion(img: np.ndarray, window: int, sigma: float) -> PolyCoeffs:
     """Fit the quadratic model at every pixel by Gaussian-weighted least squares.
 
     ``img`` is (..., H, W); leading batch axes pass through.  The
-    applicability weight is separable and the basis monomials factor into
-    x- and y-parts, so each weighted moment is two 1-D correlations, and
-    moments sharing an x-part share the row pass.  The (constant) 6x6
-    normal matrix is inverted once and applied per pixel.  Borders see the
+    applicability is separable and the basis (1, x, y, x^2, y^2, xy) factors
+    into x- and y-parts, so each weighted moment is two 1-D correlations,
+    and moments sharing an x-part share the row pass.  Each normal-matrix
+    entry is a product of sums s_k = sum_x g(x) x^k over the odd window;
+    g is even, so the odd sums vanish and the equations split in closed
+    form: b1, b2 and a12 are one moment over its diagonal entry each, and
+    c, a11, a22 solve the (1, x^2, y^2) block.  Borders see the
     mirror-padded image.
     """
     img = np.asarray(img, dtype=np.float64)
@@ -208,20 +221,20 @@ def poly_expansion(img: np.ndarray, window: int, sigma: float) -> PolyCoeffs:
     n = window // 2
     x = np.arange(-n, n + 1, dtype=np.float64)
     g = np.exp(-(x * x) / (2.0 * sigma * sigma))
-
-    # separable sums S[k] = sum_x g(x) x^k give every normal-matrix entry
-    s = [float(np.sum(g * x**k)) for k in range(5)]
-    exps = _basis_exponents()
-    G = np.empty((6, 6))
-    for i, (pi, qi) in enumerate(exps):
-        for j, (pj, qj) in enumerate(exps):
-            G[i, j] = s[pi + pj] * s[qi + qj]
-    Ginv = np.linalg.inv(G)
+    s0, s2, s4 = (float(np.sum(g * x**k)) for k in (0, 2, 4))
 
     rows = [correlate1d(img, g * x**p, axis=-1) for p in range(3)]
-    moments = [correlate1d(rows[p], g * x**q, axis=-2) for p, q in exps]
-    r = [sum(Ginv[i, j] * moments[j] for j in range(6)) for i in range(6)]
-    return PolyCoeffs(c=r[0], b1=r[1], b2=r[2], a11=r[3], a22=r[4], a12=0.5 * r[5])
+    m1, mx, my, mxx, myy, mxy = (correlate1d(rows[p], g * x**q, axis=-2) for p, q in
+                                 ((0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1)))
+    # block [[a, b, b], [b, c4, d], [b, d, c4]]: its last two rows' difference
+    # gives v = a11 - a22, their sum and the first row c and u = a11 + a22
+    a, b, c4, d = s0 * s0, s0 * s2, s0 * s4, s2 * s2
+    det = a * (c4 + d) - 2 * b * b
+    u = (a * (mxx + myy) - 2 * b * m1) / det
+    v = (mxx - myy) / (c4 - d)
+    return PolyCoeffs(c=((c4 + d) * m1 - b * (mxx + myy)) / det,
+                      b1=mx / b, b2=my / b, a11=0.5 * (u + v), a22=0.5 * (u - v),
+                      a12=mxy / (2 * d))
 
 
 def _bilinear_sampler(ys: np.ndarray, xs: np.ndarray):
@@ -249,23 +262,6 @@ def _bilinear_sampler(ys: np.ndarray, xs: np.ndarray):
     return sample
 
 
-def _along(ndim: int, axis: int, index) -> tuple:
-    """Index tuple applying ``index`` to ``axis`` and passing every other axis."""
-    out = [slice(None)] * ndim
-    out[axis] = index
-    return tuple(out)
-
-
-def _mirror_slices(img: np.ndarray, n: int, axis: int):
-    """The ``n`` samples that np.pad's "reflect" mode puts before and after
-    ``img`` along ``axis``, as views; needs ``n <= size - 1``."""
-    size = img.shape[axis]
-    left = img[_along(img.ndim, axis, slice(n, 0, -1))]
-    # two steps: the one-slice form img[size-2:size-2-n:-1] is empty at n == size-1
-    right = img[_along(img.ndim, axis, slice(size - 2, None, -1))]
-    return left, right[_along(img.ndim, axis, slice(None, n))]
-
-
 def _running_mean(img: np.ndarray, window: int, axis: int) -> np.ndarray:
     """Mean of the ``window`` mirror-padded samples centred on each sample
     along ``axis``: a running sum, so the cost does not grow with the window."""
@@ -283,7 +279,7 @@ def _running_mean(img: np.ndarray, window: int, axis: int) -> np.ndarray:
 
 def _box_average(img: np.ndarray, window: int) -> np.ndarray:
     h, w = img.shape[-2:]
-    # mirror padding needs window <= 2*dim - 1; clamp for tiny pyramid levels
+    # at most 2*dim - 1 on tiny pyramid levels, so the mirror pad never wraps
     window = min(window, 2 * min(h, w) - 1)
     if window % 2 == 0:
         window -= 1

@@ -71,6 +71,7 @@ from .pnm import check_frames, frame_files
 from .report import TimelineSpec, render_class_bars, render_timeline
 
 DEFAULT_THRESHOLDS = tuple(round(0.05 * k, 2) for k in range(1, 11))
+MAX_RANGE_VALUES = 10_000  # per lo:step:hi range; relative steps down to 1e-4
 
 
 @dataclass
@@ -218,9 +219,12 @@ def parse_thresholds(text: str) -> tuple:
             raise ValueError(f"thresholds step must be positive, got {step}")
         values = []
         t = lo
-        while t <= hi + 1e-12:
+        # the count bounds the loop too: a step lost in rounding never moves t
+        while t <= hi + 1e-12 and len(values) <= MAX_RANGE_VALUES:
             values.append(round(t, 10))
             t += step
+        if len(values) > MAX_RANGE_VALUES:
+            raise ValueError(f"range {text!r} has more than {MAX_RANGE_VALUES} values")
         return tuple(values)
     return tuple(float(v) for v in text.split(","))
 

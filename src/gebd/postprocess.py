@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DetectionConfig
-from .flow import gaussian_kernel
+from .flow import _mirror_slices, gaussian_kernel
 
 
 @dataclass
@@ -50,7 +50,8 @@ def smooth_scores(seq: ScoreSequence, sigma: float) -> ScoreSequence:
     else:
         taps = gaussian_taps(sigma)
         radius = len(taps) // 2
-        padded = np.pad(scores, radius, mode="reflect")
+        left, right = _mirror_slices(scores, radius, axis=0)
+        padded = np.concatenate([left, scores, right])
         smoothed = np.convolve(padded, taps[::-1], mode="valid")
     return ScoreSequence(video_id=seq.video_id, timestamps=list(seq.timestamps),
                          scores=[float(s) for s in smoothed])

@@ -41,6 +41,7 @@ SPEED_BURST = 4.0  # px/frame added right after a boundary
 BURST_DECAY = 0.35  # seconds; burst exponential time constant
 BOUNDARY_FLASH = 0.15  # brightness pulse on the transition frame
 RANGE_PROB = 0.3  # chance an annotator records a boundary as a range
+RECT_HALF = 7.0  # px; one size keeps motion features comparable across classes
 
 
 def smooth_noise(rng, h, w, sigma):
@@ -117,8 +118,6 @@ def generate_video(video_id, class_idx, rng, duration, fps, image_size):
 
     background = 0.30 + 0.40 * smooth_noise(rng, image_size, image_size, sigma=5.0)
     rect_tex = smooth_noise(rng, image_size, image_size, sigma=2.0) - 0.5
-    # constant size keeps the motion-feature scale comparable across classes
-    rect_half = 7.0
     base_speed = 0.4 + 0.1 * (class_idx % 3)
 
     headings, levels = _segment_params(rng, n_boundaries + 1,
@@ -127,8 +126,8 @@ def generate_video(video_id, class_idx, rng, duration, fps, image_size):
     # the opening segment cruises without a burst; bursts mark boundaries only
     burst_origins = [-1e9] + planted
 
-    cx = float(rng.uniform(rect_half + 2, image_size - rect_half - 2))
-    cy = float(rng.uniform(rect_half + 2, image_size - rect_half - 2))
+    cx = float(rng.uniform(RECT_HALF + 2, image_size - RECT_HALF - 2))
+    cy = float(rng.uniform(RECT_HALF + 2, image_size - RECT_HALF - 2))
 
     ys_grid, xs_grid = np.mgrid[0:image_size, 0:image_size].astype(np.float64)
     frames = np.empty((n_frames, image_size, image_size))
@@ -144,17 +143,17 @@ def generate_video(video_id, class_idx, rng, duration, fps, image_size):
         vy = speed * np.sin(heading)
         # bounce off the borders, keeping the rectangle fully inside
         nx, ny = cx + vx, cy + vy
-        if not rect_half <= nx <= image_size - rect_half:
+        if not RECT_HALF <= nx <= image_size - RECT_HALF:
             vx = -vx
             headings[segment] = np.pi - headings[segment]
-        if not rect_half <= ny <= image_size - rect_half:
+        if not RECT_HALF <= ny <= image_size - RECT_HALF:
             vy = -vy
             headings[segment] = -headings[segment]
         cx += vx
         cy += vy
 
-        cov = (_coverage(cy, rect_half, image_size)[:, None]
-               * _coverage(cx, rect_half, image_size)[None, :])
+        cov = (_coverage(cy, RECT_HALF, image_size)[:, None]
+               * _coverage(cx, RECT_HALF, image_size)[None, :])
         tex = _bilinear_wrap(rect_tex, ys_grid - cy, xs_grid - cx)
         patch = np.clip(levels[segment] + 0.2 * tex, 0.0, 1.0)
         frame = background * (1 - cov) + patch * cov
@@ -193,10 +192,18 @@ def generate_corpus(out_root, n_videos, seed, duration=10.0, fps=10.0,
     """Write frame directories and the annotation file; returns planted times.
 
     Layout: ``<out_root>/frames/<video_id>/frame_%06d.pgm`` plus
-    ``<out_root>/annotations.json``.
+    ``<out_root>/annotations.json``.  Arguments are checked before any write.
     """
     if n_videos < 1:
-        raise ValueError("n_videos must be >= 1")
+        raise ValueError(f"n_videos must be >= 1, got {n_videos}")
+    if not 2 * BOUNDARY_MARGIN < duration < np.inf:
+        raise ValueError(f"duration {duration} is not finite or too short to plant "
+                         f"boundaries {BOUNDARY_MARGIN:g} s from each end")
+    if not 0 < fps < np.inf or duration * fps <= 0.5:
+        raise ValueError(f"fps must be positive, finite and give a frame, got {fps}")
+    if image_size < 2 * (RECT_HALF + 2):  # the rectangle starts 2 px inside
+        raise ValueError(f"image_size must be >= {2 * (RECT_HALF + 2):g}, "
+                         f"got {image_size}")
     os.makedirs(os.path.join(out_root, "frames"), exist_ok=True)
     sets = []
     planted_map = {}

@@ -6,22 +6,14 @@ candidates near the clip edges clamp-and-repeat frames so the candidate grid
 stays uniform.  Each candidate gets a boundary/background label from a
 ground-truth boundary list.
 
-:func:`extract_window` turns a directory of per-frame images
-(``frame_%06d.pgm``/``.ppm``) and the video's ``[N, H, W, 2]`` flow (row
-``i`` the flow into frame ``i``, row 0 zero) into two window tensors
-
-    rgb  : (2m, 3, S, S)   frame intensities in [0,1]
-    flow : (2m, 2, S, S)   (dx, dy) in resized-pixel units
-
-Flow slot ``k`` holds the flow between the frames at window positions
-``k-1`` and ``k``; position 0 (and any clamped repeat) is zero.  A slot's
-classifier features therefore depend only on its frame and on whether it
-is such a "static" slot or a "moving" one, and a static slot's features are
-its moving ones with the flow and difference columns set to those of zero
-flow.  So the pipeline materializes neither windows nor flow:
-:func:`frame_feature_table` computes every frame's moving row in one pass
-over the video, and :func:`gebd.classifier.window_inputs` gathers them per
-candidate, deriving the static slots.
+The pipeline builds no window tensors and keeps no flow:
+:func:`frame_feature_table` computes every frame's row as a "moving" slot,
+with the flow and difference from the frame before, in one pass over the
+video, and :func:`gebd.classifier.window_inputs` gathers the rows per
+candidate.  A window's first slot and any clamped repeat are "static": their
+rows are the moving ones with the columns of zero flow and no difference.
+:func:`extract_window` builds one window's ``(2m, 3, S, S)`` RGB and
+``(2m, 2, S, S)`` flow tensors; the tests hold the tables to it.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@ import argparse
 import csv
 import json
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -74,6 +75,34 @@ class TestSynthValidate:
         assert code == 0
         assert values["ok"] == "1"
         assert values["videos"] == "2"
+
+    @pytest.mark.parametrize("flags, argument", [
+        (["--fps", "0"], "fps"),
+        (["--fps", "-5"], "fps"),
+        (["--fps", "inf"], "fps"),
+        (["--fps", "0.01"], "fps"),  # no frame in 10 s
+        (["--n-videos", "0"], "n_videos"),
+        (["--duration", "1.5"], "duration"),
+        (["--duration", "2"], "duration"),
+        (["--duration", "nan"], "duration"),
+        (["--image-size", "16"], "image_size"),
+        (["--image-size", "17"], "image_size")])
+    def test_bad_synth_argument_writes_nothing(self, tmp_path, capsys, flags,
+                                               argument):
+        out = tmp_path / "c"
+        code, values, err = run_cli(capsys, "synth", "--out", str(out), *flags)
+        assert code == 1 and values == {}
+        assert err.startswith(f"error: cannot write corpus: {argument} ")
+        assert not out.exists()
+
+    def test_smallest_synth_arguments_validate(self, tmp_path, capsys):
+        out = tmp_path / "c"
+        code, _, _ = run_cli(capsys, "synth", "--out", str(out), "--n-videos",
+                             "1", "--duration", "2.1", "--fps", "1",
+                             "--image-size", "18")
+        assert code == 0
+        code, values, _ = run_cli(capsys, "validate", str(out / "annotations.json"))
+        assert code == 0 and values["ok"] == "1"
 
     def test_validate_rejects_malformed(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -620,6 +649,32 @@ import gebd
 for info in pkgutil.iter_modules(gebd.__path__):
     importlib.import_module("gebd." + info.name)
 """
+
+
+def _capped_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("thresholds", ["1e20:1:2e20", "0:1e-12:1",
+                                        "0.5:1e-20:0.5"])
+def test_unbounded_threshold_range_refused_at_once(corpus, tmp_path, thresholds):
+    # a step lost in rounding never ends the loop and a tiny one builds 10**12
+    # values: run it capped in memory and time, so a regression fails here
+    # instead of hanging or exhausting the host
+    empty = tmp_path / "empty.csv"
+    empty.write_text("video_id,timestamp\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(gebd.__file__))]
+        + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    done = subprocess.run(
+        [sys.executable, "-m", "gebd.cli", "eval", "--predictions", str(empty),
+         "--annotations", str(corpus / "annotations.json"),
+         "--out", str(tmp_path / "out"), "--thresholds", thresholds],
+        capture_output=True, text=True, env=env, timeout=60,
+        preexec_fn=_capped_memory)
+    assert done.returncode == 1
+    assert done.stderr == (f"error: key 'thresholds': range {thresholds!r} "
+                           f"has more than 10000 values\n")
 
 
 def test_imports_nothing_but_numpy():

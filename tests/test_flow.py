@@ -80,6 +80,19 @@ class TestMirrorPad:
             assert np.array_equal(np.concatenate([left, img, right], axis=axis),
                                   np.pad(img, pad, mode="reflect")), n
 
+    @pytest.mark.parametrize("shape", [(2, 5, 7), (3, 2, 1)])
+    @pytest.mark.parametrize("axis", [-1, -2])
+    def test_wider_than_the_axis_matches_np_pad(self, rng, shape, axis):
+        # from n == size - 1 on, the padding folds back more than once
+        img = rng.random(shape)
+        size = img.shape[axis]
+        for n in range(max(size - 1, 0), 3 * size + 1):
+            left, right = _mirror_slices(img, n, axis)
+            pad = [(0, 0)] * img.ndim
+            pad[axis] = (n, n)
+            assert np.array_equal(np.concatenate([left, img, right], axis=axis),
+                                  np.pad(img, pad, mode="reflect")), n
+
 
 class TestBoxAverage:
     @pytest.mark.parametrize("shape", [(8, 64, 64), (2, 5, 7), (2, 7, 5),
@@ -214,6 +227,17 @@ class TestPolyExpansion:
     def test_even_window_rejected(self):
         with pytest.raises(ValueError):
             poly_expansion(np.zeros((10, 10)), 4, 1.0)
+
+    @pytest.mark.parametrize("window", [3, 5, 7, 9])
+    @pytest.mark.parametrize("sigma", [0.6, 1.1, 2.0, 4.0])
+    def test_closed_form_matches_dense_least_squares(self, rng, window, sigma):
+        img = rng.random((11, 13))
+        pc = poly_expansion(img, window, sigma)
+        for y in range(11):
+            for x in range(13):
+                for name, value in dense_poly_fit(img, window, sigma, y, x).items():
+                    assert getattr(pc, name)[y, x] == pytest.approx(value, rel=0,
+                                                                    abs=1e-12)
 
 
 def analytic_coeffs(shape, A, b0, shift=(0.0, 0.0)):

@@ -56,6 +56,15 @@ class TestSmoothing:
         with pytest.raises(ValueError):
             smooth_scores(seq([0.1]), -1.0)
 
+    def test_radius_past_both_ends_matches_np_pad(self):
+        # sigma 5 has radius 15, so six scores are reflected several times
+        scores = np.array([0.1, 0.9, 0.3, 0.7, 0.2, 0.5])
+        taps = gaussian_taps(5.0)
+        assert len(taps) // 2 == 15
+        want = np.convolve(np.pad(scores, 15, mode="reflect"), taps[::-1], "valid")
+        got = np.array(smooth_scores(seq(scores), 5.0).scores)
+        assert got.tobytes() == want.tobytes()
+
 
 class TestDetectPeaks:
     def test_single_maximum(self):

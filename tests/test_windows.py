@@ -257,6 +257,26 @@ class TestExtractWindow:
             assert np.abs(down - small[slot]).mean() < 2 / 255
 
 
+class TestStaticVideo:
+    def test_black_then_constant_rows_are_zero_flow_rows(self, tmp_path):
+        # no frame has a gradient, so every flow is zero: every row holds the
+        # zero-flow columns and one full intensity bin, and all but the first
+        # gray frame a zero difference, bit for bit (-0.0 shows in the bytes)
+        meta = VideoMeta("btc", "c", 2.0, 10.0, 20)
+        frames = [np.zeros((40, 40))] * 10 + [np.full((40, 40), 0.5)] * 10
+        seq = FrameSequence(meta, write_video(tmp_path, meta, frames))
+        table = frame_feature_table(seq, WindowSpec(m=3, image_side=40),
+                                    FLOW_CONFIG)
+        gray = to_gray(seq.frame(10))[0, 0]
+        want = np.zeros((20, FEATURE_DIM))
+        want[:, :len(STATIC_FLOW_FEATURES)] = STATIC_FLOW_FEATURES
+        want[:10, 10] = 1.0
+        want[10:, 10 + int(gray * 16)] = 1.0
+        assert table[10, -1] == pytest.approx(gray, rel=1e-6)  # a float32 slot
+        want[10, -1] = table[10, -1]
+        assert table.tobytes() == want.tobytes()
+
+
 def count_reads(monkeypatch):
     reads = []
 
