@@ -70,6 +70,8 @@ class TrainConfig:
         for name in ("decay_every", "epochs", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.seed < 0:  # np.random.default_rng refuses it only in stage train
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

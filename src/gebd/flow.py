@@ -28,6 +28,8 @@ front of ``(H, W)``.
 
 All images are float arrays scaled to [0,1]; flow fields are (H, W, 2)
 arrays holding (dx, dy) in pixels, x along columns and y along rows.
+Every sliding window (the correlations, the box average, and the score
+smoothing in :mod:`gebd.postprocess`) reflect-pads through :func:`_mirror_pad`.
 Everything here is elementwise numpy except the running sums of the box
 average, and each of those stays within one row or one column of one
 plane, never across frames, so results are bit-identical no matter how
@@ -85,7 +87,7 @@ def to_gray(rgb: np.ndarray) -> np.ndarray:
 
 
 def correlate1d(img: np.ndarray, kernel, axis: int) -> np.ndarray:
-    """Correlation along one axis with mirror (reflect) padding.
+    """Correlation along one axis, reflect-padded by :func:`_mirror_pad`.
 
     out[x] = sum_d kernel[d + n] * img[x + d] for d in [-n, n].  ``axis``
     may be negative; every other axis passes through unchanged.  The sum
@@ -93,8 +95,7 @@ def correlate1d(img: np.ndarray, kernel, axis: int) -> np.ndarray:
     """
     kernel = np.asarray(kernel, dtype=np.float64)
     size = img.shape[axis]
-    left, right = _mirror_slices(img, len(kernel) // 2, axis)
-    padded = np.concatenate([left, img, right], axis=axis)
+    padded = _mirror_pad(img, len(kernel) // 2, axis)
     out = kernel[0] * padded[_along(img.ndim, axis, slice(0, size))]
     for t in range(1, len(kernel)):
         out += kernel[t] * padded[_along(img.ndim, axis, slice(t, t + size))]
@@ -108,15 +109,15 @@ def _along(ndim: int, axis: int, index) -> tuple:
     return tuple(out)
 
 
-def _mirror_slices(img: np.ndarray, n: int, axis: int):
-    """The ``n`` samples that numpy's "reflect" padding puts before and
-    after ``img`` along ``axis``, for any ``n >= 0``: a position outside the
-    axis folds back with period ``2 * (size - 1)``, as numpy's does when
-    ``n`` exceeds ``size - 1``."""
+def _mirror_pad(img: np.ndarray, n: int, axis: int) -> np.ndarray:
+    """``img`` with ``n`` samples of numpy's "reflect" padding on both ends
+    of ``axis``, for any ``n >= 0``: a position outside the axis folds back
+    with period ``2 * (size - 1)``, as numpy's does when ``n`` exceeds
+    ``size - 1``, and the whole result is one ``np.take``."""
     size = img.shape[axis]
     period = max(2 * (size - 1), 1)
-    sides = (np.arange(-n, 0) % period, np.arange(size, size + n) % period)
-    return tuple(np.take(img, np.minimum(f, period - f), axis=axis) for f in sides)
+    folded = np.arange(-n, size + n) % period
+    return np.take(img, np.minimum(folded, period - folded), axis=axis)
 
 
 def sep_correlate(img: np.ndarray, kx, ky) -> np.ndarray:
@@ -262,28 +263,23 @@ def _bilinear_sampler(ys: np.ndarray, xs: np.ndarray):
     return sample
 
 
-def _running_mean(img: np.ndarray, window: int, axis: int) -> np.ndarray:
-    """Mean of the ``window`` mirror-padded samples centred on each sample
-    along ``axis``: a running sum, so the cost does not grow with the window."""
-    size = img.shape[axis]
-    left, right = _mirror_slices(img, window // 2, axis)
-    shape = list(img.shape)
-    shape[axis] = 1
-    sums = np.concatenate([np.zeros(shape), left, img, right], axis=axis)
-    np.cumsum(sums, axis=axis, out=sums)
-    out = sums[_along(img.ndim, axis, slice(window, window + size))] \
-        - sums[_along(img.ndim, axis, slice(0, size))]
-    out /= window
-    return out
-
-
 def _box_average(img: np.ndarray, window: int) -> np.ndarray:
+    """Mean of the mirror-padded ``window`` x ``window`` square around each
+    sample, from running sums along rows, then columns."""
     h, w = img.shape[-2:]
-    # at most 2*dim - 1 on tiny pyramid levels, so the mirror pad never wraps
+    # at most 2*dim - 1 on tiny pyramid levels, so _mirror_pad never wraps
     window = min(window, 2 * min(h, w) - 1)
     if window % 2 == 0:
         window -= 1
-    return _running_mean(_running_mean(img, window, axis=-1), window, axis=-2)
+    for axis in (-1, -2):
+        sums = _mirror_pad(img, window // 2, axis)
+        np.cumsum(sums, axis=axis, out=sums)
+        # out[0] = sums[window-1], out[k] = sums[k+window-1] - sums[k-1]
+        img = sums[_along(img.ndim, axis, slice(window - 1, None))].copy()
+        img[_along(img.ndim, axis, slice(1, None))] -= \
+            sums[_along(img.ndim, axis, slice(0, -window))]
+        img /= window
+    return img
 
 
 def flow_step(p1: PolyCoeffs, p2: PolyCoeffs, prior: np.ndarray,
@@ -303,9 +299,8 @@ def flow_step(p1: PolyCoeffs, p2: PolyCoeffs, prior: np.ndarray,
         raise ValueError(
             f"prior flow shape {prior.shape} does not match fields {p1.shape}")
     h, w = p1.shape[-2:]
-    ys_grid, xs_grid = np.mgrid[0:h, 0:w].astype(np.float64)
-    xs = np.clip(xs_grid + prior[..., 0], 0, w - 1)
-    ys = np.clip(ys_grid + prior[..., 1], 0, h - 1)
+    xs = np.clip(np.arange(w) + prior[..., 0], 0, w - 1)
+    ys = np.clip(np.arange(h)[:, None] + prior[..., 1], 0, h - 1)
     sample = _bilinear_sampler(ys, xs)
 
     a11 = 0.5 * (p1.a11 + sample(p2.a11))

@@ -134,6 +134,8 @@ class PipelineConfig:
                              f"got {self.consistency_threshold}")
         if self.bg_ratio < 0:
             raise ValueError(f"key 'bg_ratio': must be >= 0, got {self.bg_ratio}")
+        if self.workers < 1:
+            raise ValueError(f"key 'workers': must be >= 1, got {self.workers}")
 
     def layer(self, cls):
         """Layer config ``cls``, one of :data:`LAYERS`, built from its keys."""

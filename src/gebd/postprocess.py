@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DetectionConfig
-from .flow import _mirror_slices, gaussian_kernel
+from .flow import _mirror_pad, gaussian_kernel
 
 
 @dataclass
@@ -40,7 +40,8 @@ def gaussian_taps(sigma: float) -> np.ndarray:
 
 
 def smooth_scores(seq: ScoreSequence, sigma: float) -> ScoreSequence:
-    """Gaussian-smoothed copy (reflect padding); sigma 0 returns an identical copy."""
+    """Gaussian-smoothed copy, reflect-padded by :func:`gebd.flow._mirror_pad`;
+    sigma 0 returns an identical copy."""
     seq.validate()
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
@@ -49,10 +50,8 @@ def smooth_scores(seq: ScoreSequence, sigma: float) -> ScoreSequence:
         smoothed = scores.copy()
     else:
         taps = gaussian_taps(sigma)
-        radius = len(taps) // 2
-        left, right = _mirror_slices(scores, radius, axis=0)
-        padded = np.concatenate([left, scores, right])
-        smoothed = np.convolve(padded, taps[::-1], mode="valid")
+        smoothed = np.convolve(_mirror_pad(scores, len(taps) // 2, axis=0),
+                               taps[::-1], mode="valid")
     return ScoreSequence(video_id=seq.video_id, timestamps=list(seq.timestamps),
                          scores=[float(s) for s in smoothed])
 

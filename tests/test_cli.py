@@ -591,7 +591,11 @@ class TestPipelineCommand:
         # an infinite threshold bound never ended the range loop
         (["--thresholds", "0.05:0.05:inf"], "thresholds"),
         (["--thresholds=-inf:0.05:0.5"], "thresholds"),
-        (["--mode", "window:inf"], "mode")])
+        (["--mode", "window:inf"], "mode"),
+        # a negative seed failed in stage train, after flow; workers < 1 ran
+        (["--seed", "-1"], "seed"),
+        (["--workers", "0"], "workers"),
+        (["--workers", "-3"], "workers")])
     def test_bad_value_fails_before_any_stage(self, corpus, tmp_path, capsys,
                                               flags, key):
         if flags[0] == "--config":

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gebd.flow import (SINGULAR_DET, FlowConfig, PolyCoeffs, _bilinear_sampler,
-                       _box_average, _mirror_slices, _resize_channels_last,
+                       _box_average, _mirror_pad, _resize_channels_last,
                        _resize_planes, farneback_flow, flow_stats, flow_step,
                        gaussian_kernel, gaussian_pyramid, poly_expansion,
                        sep_correlate, to_gray, video_flow)
@@ -74,10 +74,9 @@ class TestMirrorPad:
         img = rng.random((2, 5, 7))
         size = img.shape[axis]
         for n in range(size):
-            left, right = _mirror_slices(img, n, axis)
             pad = [(0, 0)] * img.ndim
             pad[axis] = (n, n)
-            assert np.array_equal(np.concatenate([left, img, right], axis=axis),
+            assert np.array_equal(_mirror_pad(img, n, axis),
                                   np.pad(img, pad, mode="reflect")), n
 
     @pytest.mark.parametrize("shape", [(2, 5, 7), (3, 2, 1)])
@@ -87,10 +86,9 @@ class TestMirrorPad:
         img = rng.random(shape)
         size = img.shape[axis]
         for n in range(max(size - 1, 0), 3 * size + 1):
-            left, right = _mirror_slices(img, n, axis)
             pad = [(0, 0)] * img.ndim
             pad[axis] = (n, n)
-            assert np.array_equal(np.concatenate([left, img, right], axis=axis),
+            assert np.array_equal(_mirror_pad(img, n, axis),
                                   np.pad(img, pad, mode="reflect")), n
 
 
@@ -108,6 +106,40 @@ class TestBoxAverage:
         k = np.full(w, 1.0 / w)
         assert np.abs(_box_average(img, window)
                       - sep_correlate(img, k, k)).max() < 1e-12
+
+    @pytest.mark.parametrize("shape", [(8, 64, 64), (2, 5, 7), (2, 7, 5),
+                                       (2, 8, 8), (3, 1, 4)])
+    @pytest.mark.parametrize("window", [1, 3, 15])
+    def test_equals_zero_led_running_sum(self, rng, shape, window):
+        img = rng.random(shape) - 0.5
+        assert _box_average(img, window).tobytes() \
+            == zero_led_box_average(img, window).tobytes()
+        # runs of +0.0 and -0.0: a window summing a leading -0.0 and zeros
+        # may give -0.0 where the zero-led sum gives +0.0, an equal value
+        zeros = np.where(rng.random(shape) < 0.5, -0.0, 0.0)
+        img[..., : shape[-2] // 2, :] = zeros[..., : shape[-2] // 2, :]
+        img[..., -(shape[-1] // 3):] = zeros[..., -(shape[-1] // 3):]
+        assert np.array_equal(_box_average(img, window),
+                              zero_led_box_average(img, window))
+
+
+def zero_led_box_average(img, window):
+    """The box average over np.pad's reflect padding, from a cumulative sum
+    led by a zero: out[k] = sums[k + window] - sums[k]."""
+    h, w = img.shape[-2:]
+    window = min(window, 2 * min(h, w) - 1)
+    if window % 2 == 0:
+        window -= 1
+    for axis in (-1, -2):
+        size = img.shape[axis]
+        pad = [(0, 0)] * img.ndim
+        pad[axis] = (window // 2, window // 2)
+        padded = np.pad(img, pad, mode="reflect")
+        zero = np.zeros_like(np.take(padded, [0], axis=axis))
+        sums = np.cumsum(np.concatenate([zero, padded], axis=axis), axis=axis)
+        img = (np.take(sums, np.arange(window, window + size), axis=axis)
+               - np.take(sums, np.arange(size), axis=axis)) / window
+    return img
 
 
 def fancy_resize_planes(img, out_h, out_w):
