@@ -20,6 +20,7 @@ The file format is a JSON list, one object per video::
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .evaluation import check_limit, match_count, prf_from_counts
@@ -68,67 +69,63 @@ class BoundaryList:
     timestamps: list  # strictly ascending seconds
 
 
-def validate_meta(meta: VideoMeta) -> None:
-    vid = meta.video_id
-    if meta.duration <= 0:
-        raise AnnotationValidationError(f"{vid}: duration must be positive")
-    if meta.fps <= 0:
-        raise AnnotationValidationError(f"{vid}: fps must be positive")
-    if meta.num_frames < 1:
-        raise AnnotationValidationError(f"{vid}: num_frames must be >= 1")
-    if abs(meta.num_frames / meta.fps - meta.duration) > 1.0 / meta.fps:
-        raise AnnotationValidationError(
-            f"{vid}: num_frames inconsistent with duration and fps")
-
-
-def validate_set(aset: AnnotationSet) -> None:
-    validate_meta(aset.meta)
-    vid = aset.meta.video_id
-    dur = aset.meta.duration
-    if not aset.tracks:
-        raise AnnotationValidationError(f"{vid}: annotators must be non-empty")
-    seen = set()
-    for track in aset.tracks:
-        if track.annotator_id in seen:
-            raise AnnotationValidationError(
-                f"{vid}: duplicate annotator_id {track.annotator_id!r}")
-        seen.add(track.annotator_id)
-        prev = None
-        for b in track.boundaries:
-            if b.kind == "instant":
-                if not 0 <= b.start <= dur:
-                    raise AnnotationValidationError(
-                        f"{vid}/{track.annotator_id}: boundary t out of [0,duration]")
-            elif b.kind == "range":
-                if b.end is None or not 0 <= b.start <= b.end <= dur:
-                    raise AnnotationValidationError(
-                        f"{vid}/{track.annotator_id}: range start/end out of order "
-                        f"or outside [0,duration]")
-            else:
-                raise AnnotationValidationError(
-                    f"{vid}/{track.annotator_id}: unknown boundary kind {b.kind!r}")
-            if prev is not None and b.start < prev:
-                raise AnnotationValidationError(
-                    f"{vid}/{track.annotator_id}: boundaries not sorted by start")
-            prev = b.start
-        if track.f1_consistency is not None and not 0 <= track.f1_consistency <= 1:
-            raise AnnotationValidationError(
-                f"{vid}/{track.annotator_id}: f1_consistency outside [0,1]")
-
-
-def _boundary_from_json(obj, where):
-    if not isinstance(obj, dict):
-        raise AnnotationValidationError(f"{where}: boundary entries must be objects")
-    if "t" in obj:
-        return RawBoundary("instant", float(obj["t"]))
-    if "start" in obj and "end" in obj:
-        return RawBoundary("range", float(obj["start"]), float(obj["end"]))
+def _number(obj, key, where) -> float:
+    """``obj[key]`` as a float; anything but a finite JSON number (Python's
+    json reads ``NaN`` and ``Infinity`` too) is refused naming ``where`` and
+    ``key``."""
+    value = obj[key]
+    if type(value) in (float, int):  # not a bool
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
     raise AnnotationValidationError(
-        f"{where}: boundary needs either 't' or 'start'+'end'")
+        f"{where}: {key} must be a finite number, got {value!r}")
+
+
+def _boundaries_from_json(entries, where, duration) -> list:
+    """The boundary list ``entries`` of annotator ``where``, each within
+    [0, duration] and sorted by start."""
+    if not isinstance(entries, list):
+        raise AnnotationValidationError(f"{where}: boundaries must be a list")
+    out = []
+    prev = 0.0  # every start is at least 0
+    for obj in entries:
+        if not isinstance(obj, dict):
+            raise AnnotationValidationError(
+                f"{where}: boundary entries must be objects")
+        if "t" in obj:
+            start = _number(obj, "t", where)
+            if not 0 <= start <= duration:
+                raise AnnotationValidationError(
+                    f"{where}: boundary t out of [0,duration]")
+            out.append(RawBoundary("instant", start))
+        elif "start" in obj and "end" in obj:
+            start, end = _number(obj, "start", where), _number(obj, "end", where)
+            if not 0 <= start <= end <= duration:
+                raise AnnotationValidationError(
+                    f"{where}: range start/end out of order "
+                    f"or outside [0,duration]")
+            out.append(RawBoundary("range", start, end))
+        else:
+            raise AnnotationValidationError(
+                f"{where}: boundary needs either 't' or 'start'+'end'")
+        if start < prev:
+            raise AnnotationValidationError(
+                f"{where}: boundaries not sorted by start")
+        prev = start
+    return out
 
 
 def parse_annotations(text: str) -> list:
-    """Parse annotation JSON text into validated AnnotationSets."""
+    """Parse annotation JSON text into validated AnnotationSets.
+
+    Each field is checked where it is read; a missing, wrong-typed,
+    non-finite or out-of-range value raises
+    :class:`AnnotationValidationError` naming the video, the annotator when
+    there is one, and the field.
+    """
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as e:
@@ -148,29 +145,51 @@ def parse_annotations(text: str) -> list:
         for key in ("class_label", "duration", "fps", "num_frames", "annotators"):
             if key not in entry:
                 raise AnnotationValidationError(f"{vid}: missing field {key}")
-        meta = VideoMeta(
-            video_id=vid,
-            class_label=str(entry["class_label"]),
-            duration=float(entry["duration"]),
-            fps=float(entry["fps"]),
-            num_frames=int(entry["num_frames"]),
-        )
+        duration = _number(entry, "duration", vid)
+        if duration <= 0:
+            raise AnnotationValidationError(f"{vid}: duration must be positive")
+        fps = _number(entry, "fps", vid)
+        if fps <= 0:
+            raise AnnotationValidationError(f"{vid}: fps must be positive")
+        num_frames = _number(entry, "num_frames", vid)
+        if not num_frames.is_integer():  # refused, not truncated
+            raise AnnotationValidationError(
+                f"{vid}: num_frames must be an integer, got {entry['num_frames']!r}")
+        if num_frames < 1:
+            raise AnnotationValidationError(f"{vid}: num_frames must be >= 1")
+        if abs(num_frames / fps - duration) > 1.0 / fps:
+            raise AnnotationValidationError(
+                f"{vid}: num_frames inconsistent with duration and fps")
+        meta = VideoMeta(video_id=vid, class_label=str(entry["class_label"]),
+                         duration=duration, fps=fps, num_frames=int(num_frames))
+        annotators = entry["annotators"]
+        if not isinstance(annotators, list):
+            raise AnnotationValidationError(f"{vid}: annotators must be a list")
+        if not annotators:
+            raise AnnotationValidationError(f"{vid}: annotators must be non-empty")
         tracks = []
-        for ann in entry["annotators"]:
+        for ann in annotators:
+            if not isinstance(ann, dict):
+                raise AnnotationValidationError(
+                    f"{vid}: annotator entries must be objects")
             if "annotator_id" not in ann:
                 raise AnnotationValidationError(f"{vid}: missing field annotator_id")
+            aid = str(ann["annotator_id"])
+            if any(t.annotator_id == aid for t in tracks):
+                raise AnnotationValidationError(
+                    f"{vid}: duplicate annotator_id {aid!r}")
             where = f"{vid}/{ann['annotator_id']}"
-            boundaries = [_boundary_from_json(b, where)
-                          for b in ann.get("boundaries", [])]
-            cons = ann.get("f1_consistency")
-            tracks.append(AnnotatorTrack(
-                annotator_id=str(ann["annotator_id"]),
-                boundaries=boundaries,
-                f1_consistency=None if cons is None else float(cons),
-            ))
-        aset = AnnotationSet(meta=meta, tracks=tracks)
-        validate_set(aset)
-        sets.append(aset)
+            boundaries = _boundaries_from_json(ann.get("boundaries", []), where,
+                                               duration)
+            cons = None
+            if ann.get("f1_consistency") is not None:
+                cons = _number(ann, "f1_consistency", where)
+                if not 0 <= cons <= 1:
+                    raise AnnotationValidationError(
+                        f"{where}: f1_consistency outside [0,1]")
+            tracks.append(AnnotatorTrack(annotator_id=aid, boundaries=boundaries,
+                                         f1_consistency=cons))
+        sets.append(AnnotationSet(meta=meta, tracks=tracks))
     return sets
 
 

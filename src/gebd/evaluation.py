@@ -66,7 +66,7 @@ def check_ascending(values, name):
 
 
 def _check_duration(duration):
-    if duration <= 0:
+    if not duration > 0:  # so NaN is refused too
         raise ValueError(f"duration must be positive, got {duration}")
 
 
@@ -84,7 +84,7 @@ def check_limit(duration, threshold):
     """The argument checks of :func:`match_boundaries`; with ``duration``
     None, those of :func:`absolute_window_match` on window ``threshold``."""
     if duration is None:
-        if threshold <= 0:
+        if not threshold > 0:
             raise ValueError(f"window must be positive, got {threshold}")
     else:
         _check_duration(duration)
@@ -348,7 +348,7 @@ def evaluate_corpus(predictions, ground_truth, durations, classes=None,
         for t in grid:
             check_threshold(t)
     elif mode == "absolute_window":
-        if window is None or window <= 0:
+        if window is None or not window > 0:
             raise ValueError("absolute_window mode needs a positive window")
         grid = [window]
         primary_threshold = window

@@ -19,8 +19,14 @@ stage never looks fresh.  Flow extraction dominates runtime.  The flow
 stage reads each frame once, computes the flow into it and writes the
 video's per-frame feature table, ``features/<video_id>.gebt``; no flow is
 stored.  Its stamp alone says whether those tables are current, so a flow
-stage that was interrupted recomputes every video.  Sample only lists
-candidates and their labels.
+stage that was interrupted recomputes every video.  The ``frames`` stamp is
+its whole input: of a video's annotation, a table reads only the video's
+id and ``num_frames``, and the frames stamp lists every video by id with
+its frame files, which :func:`gebd.pnm.frame_files` accepts only when they
+are exactly ``num_frames``.  So a changed ``num_frames`` changes the frames
+stamp (the listing, or its failure to list), and needs no stamp of its
+own, while an edit of boundaries, labels, fps or duration reruns no flow.
+Sample only lists candidates and their labels.
 
 Per-video work inside a stage can fan out over worker processes; every
 worker writes its own files and aggregation orders by video_id, so results
@@ -678,8 +684,7 @@ class Pipeline:
              # only a bare "weighted" policy reads seed
              ("gt_policy", "seed") if parse_gt_policy(self.config.gt_policy)
              == ("weighted", None) else ("gt_policy",), [p.gt_csv]),
-            ("flow", ("annotations", "frames"),
-             layer_keys(FlowConfig) + ("image_side",),
+            ("flow", ("frames",), layer_keys(FlowConfig) + ("image_side",),
              [p.feature_table(v) for v in vids]),
             ("sample", ("annotations", "select-gt"),
              ("stride", "label_tolerance"), [p.candidates_csv]),

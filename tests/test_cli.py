@@ -120,6 +120,42 @@ class TestSynthValidate:
         assert code == 1
         assert "duration" in err
 
+    @pytest.mark.parametrize("path, value, message", [
+        ((), {"fps": float("nan")}, "v: fps must be a finite number, got nan"),
+        ((), {"fps": float("inf")}, "v: fps must be a finite number, got inf"),
+        # a NaN duration would never end stage sample's candidate grid
+        ((), {"duration": float("nan"), "annotators": [{"annotator_id": "a0"}]},
+         "v: duration must be a finite number, got nan"),
+        ((), {"duration": "abc"}, "v: duration must be a finite number, got 'abc'"),
+        ((), {"num_frames": 100.5}, "v: num_frames must be an integer, got 100.5"),
+        ((), {"annotators": 5}, "v: annotators must be a list"),
+        ((), {"annotators": [5]}, "v: annotator entries must be objects"),
+        (("annotators", 0), {"boundaries": None}, "v/a0: boundaries must be a list"),
+        (("annotators", 0), {"f1_consistency": "x"},
+         "v/a0: f1_consistency must be a finite number, got 'x'"),
+        (("annotators", 0, "boundaries", 0), {"t": None},
+         "v/a0: t must be a finite number, got None"),
+        (("annotators", 0), {"boundaries": [{"start": 1.0, "end": True}]},
+         "v/a0: end must be a finite number, got True")],
+        ids=["fps-nan", "fps-inf", "duration-nan", "duration-text",
+             "num_frames-fraction", "annotators-number", "annotator-number",
+             "boundaries-null", "consistency-text", "t-null", "end-bool"])
+    def test_validate_names_wrong_typed_value(self, tmp_path, capsys, path,
+                                              value, message):
+        doc = {"video_id": "v", "class_label": "c", "duration": 10.0,
+               "fps": 10.0, "num_frames": 100,
+               "annotators": [{"annotator_id": "a0",
+                               "boundaries": [{"t": 1.0}]}]}
+        target = doc
+        for key in path:
+            target = target[key]
+        target.update(value)
+        bad = tmp_path / "annotations.json"
+        bad.write_text(json.dumps([doc]))
+        code, values, err = run_cli(capsys, "validate", str(bad))
+        assert code == 1 and values == {}
+        assert err == f"error: {message}\n"
+
     def test_validate_refuses_no_videos(self, tmp_path, capsys):
         empty = tmp_path / "annotations.json"
         empty.write_text("[]")

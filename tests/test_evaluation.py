@@ -185,6 +185,7 @@ class TestMatchCount:
                   r"threshold must be in \(0,1\], got 0.0"),
                  (({}, gt, {"v": 0.0}), {}, "duration must be positive, got 0.0"),
                  (({}, gt, {"v": -1.0}), {}, "duration must be positive, got -1.0"),
+                 (({}, gt, {"v": float("nan")}), {}, "duration must be positive, got nan"),
                  (({}, gt, durations), {"policy": "bogus"}, "unknown policy 'bogus'"),
                  # a NaN in the middle would stall the count's two pointers
                  (({"v": [1.0, float("nan"), 2.0]}, gt, durations), {},
@@ -275,8 +276,9 @@ class TestAbsoluteWindow:
         assert len(absolute_window_match([4.8], [5.0], 0.1).pairs) == 0
 
     def test_bad_window(self):
-        with pytest.raises(ValueError):
-            absolute_window_match([1.0], [1.0], 0.0)
+        for window in (0.0, float("nan")):
+            with pytest.raises(ValueError, match="window must be positive"):
+                absolute_window_match([1.0], [1.0], window)
 
     def test_equivalence_with_relative(self):
         rng = np.random.default_rng(7)

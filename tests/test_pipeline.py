@@ -577,6 +577,60 @@ class TestStageStamps:
             [f"timeline_{vid}.svg" for vid in kept]
         assert (out / "features" / "notes.txt").exists()
 
+    @staticmethod
+    def edited_copy(corpus, tmp_path, edit):
+        """A copy of ``corpus``, frames and their mtimes kept, whose
+        annotation list ``edit`` changed in place."""
+        edited = tmp_path / "corpus"
+        shutil.copytree(corpus, edited)
+        doc = json.loads((edited / "annotations.json").read_text())
+        edit(doc)
+        (edited / "annotations.json").write_text(json.dumps(doc))
+        return edited
+
+    @staticmethod
+    def move_boundary(doc):
+        doc[0]["annotators"][0]["boundaries"][0]["t"] += 0.1
+
+    @staticmethod
+    def relabel(doc):
+        doc[0]["class_label"] = "relabelled"
+
+    @pytest.mark.parametrize("edit", ["move_boundary", "relabel"])
+    def test_annotation_edit_reruns_no_flow(self, copied_run, tmp_path, edit):
+        # a feature table reads no boundary, label, fps or duration
+        corpus, out = copied_run
+        edited = self.edited_copy(corpus, tmp_path, getattr(self, edit))
+        tables = sorted((out / "features").glob("*.gebt"))
+        before = [(t.read_bytes(), t.stat().st_mtime_ns) for t in tables]
+        manifest = run_pipeline(edited, out, PipelineConfig(**CFG))
+        reasons = {s["name"]: s["reason"] for s in manifest["stages"]}
+        assert reasons["flow"] == "fresh"
+        assert ran_stages(manifest) == [s for s in STAGE_NAMES if s != "flow"]
+        assert len(tables) == 3
+        assert [(t.read_bytes(), t.stat().st_mtime_ns) for t in tables] == before
+        clean = tmp_path / "clean"
+        run_pipeline(edited, clean, PipelineConfig(**CFG))
+        for name in ("scores.csv", "predictions.csv", "eval_global.csv",
+                     "eval_per_video.csv", "eval_per_class.csv", "model.json"):
+            assert (out / name).read_bytes() == (clean / name).read_bytes(), name
+
+    def test_fewer_frames_reruns_flow(self, copied_run, tmp_path):
+        corpus, out = copied_run
+
+        def drop_last_frame(doc):
+            doc[0]["num_frames"] -= 1
+        edited = self.edited_copy(corpus, tmp_path, drop_last_frame)
+        vid = json.loads((edited / "annotations.json").read_text())[0]["video_id"]
+        frames = sorted((edited / "frames" / vid).glob("frame_*"))
+        os.remove(frames[-1])
+        manifest = run_pipeline(edited, out, PipelineConfig(**CFG))
+        reasons = {s["name"]: s["reason"] for s in manifest["stages"]}
+        assert reasons["flow"] == "stamp-mismatch"
+        assert ran_stages(manifest) == STAGE_NAMES
+        dims, _ = read_tensor_file(out / "features" / f"{vid}.gebt")
+        assert dims == [len(frames) - 1, 27]
+
     def test_stage_seconds_ignore_wall_clock_steps(self, copied_run,
                                                    monkeypatch):
         corpus, out = copied_run
