@@ -60,7 +60,6 @@ import json
 import math
 import operator
 import os
-import shutil
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -538,9 +537,6 @@ class Pipeline:
     def stage_flow(self):
         # before _map_videos forks, so the workers inherit it (module docstring)
         from . import windows  # noqa: F401
-        # flow and window tensors written by older versions; nothing reads them
-        for stale in ("flow", "windows"):
-            shutil.rmtree(os.path.join(self.paths.out, stale), ignore_errors=True)
         os.makedirs(self.paths.features_dir, exist_ok=True)
         spec, flow_cfg = self.config.layer(WindowSpec), self.config.layer(FlowConfig)
         jobs = [(aset.meta, self.paths.frames_dir(aset.meta.video_id),
@@ -757,18 +753,20 @@ class Pipeline:
     def manifest(self) -> dict:
         cfg = {k: (list(v) if isinstance(v, tuple) else v)
                for k, v in self.config.__dict__.items()}
+        rel = Paths("", "")  # names relative to corpus_root, out_dir
         return {
             "tool_version": __version__,
             "config": cfg,
             "corpus_root": self.paths.corpus,
             "out_dir": self.paths.out,
             "inputs": {
-                "annotations": self.paths.annotations,
-                "frame_dirs": [self.paths.frames_dir(a.meta.video_id)
+                "annotations": rel.annotations,
+                "frame_dirs": [rel.frames_dir(a.meta.video_id)
                                for a in self.sets],
             },
             "stages": self.stage_log,
-            "outputs": self._outputs,
+            "outputs": {name: [os.path.relpath(f, self.paths.out) for f in outs]
+                        for name, outs in self._outputs.items()},
             "stamps": self._stamps,
         }
 

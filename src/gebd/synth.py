@@ -11,7 +11,8 @@ annotators mark every planted boundary with clipped Gaussian timing jitter
 boundaries as ranges centered on their jittered timestamp.
 
 Everything derives from per-video RNG streams, so a corpus is byte-identical
-across runs and independent of generation order.
+across runs and independent of generation order.  Each frame is written as
+it is drawn, so memory does not grow with video length.
 """
 
 from __future__ import annotations
@@ -110,8 +111,8 @@ def _coverage(center, half, size):
     return hi - lo
 
 
-def generate_video(video_id, class_idx, rng, duration, fps, image_size):
-    """Frames plus planted boundary times for one video."""
+def generate_video(frame_dir, class_idx, rng, duration, fps, image_size):
+    """Draw one video into ``frame_dir``; returns ``(n_frames, planted)``."""
     n_frames = int(round(duration * fps))
     n_boundaries = int(rng.integers(BOUNDARY_COUNTS[0], BOUNDARY_COUNTS[1] + 1))
     planted = _plant_boundaries(rng, duration, n_boundaries)
@@ -129,8 +130,7 @@ def generate_video(video_id, class_idx, rng, duration, fps, image_size):
     cx = float(rng.uniform(RECT_HALF + 2, image_size - RECT_HALF - 2))
     cy = float(rng.uniform(RECT_HALF + 2, image_size - RECT_HALF - 2))
 
-    ys_grid, xs_grid = np.mgrid[0:image_size, 0:image_size].astype(np.float64)
-    frames = np.empty((n_frames, image_size, image_size))
+    grid = np.arange(image_size, dtype=np.float64)
     segment = 0
     for f in range(n_frames):
         t = f / fps
@@ -154,14 +154,14 @@ def generate_video(video_id, class_idx, rng, duration, fps, image_size):
 
         cov = (_coverage(cy, RECT_HALF, image_size)[:, None]
                * _coverage(cx, RECT_HALF, image_size)[None, :])
-        tex = _bilinear_wrap(rect_tex, ys_grid - cy, xs_grid - cx)
+        tex = _bilinear_wrap(rect_tex, (grid - cy)[:, None], grid - cx)
         patch = np.clip(levels[segment] + 0.2 * tex, 0.0, 1.0)
         frame = background * (1 - cov) + patch * cov
         if segment > 0 and f == int(np.ceil(seg_starts[segment] * fps)):
             # global brightness pulse on the first frame of a new segment
             frame = np.clip(frame + BOUNDARY_FLASH, 0.0, 1.0)
-        frames[f] = frame
-    return frames, planted
+        write_pnm(os.path.join(frame_dir, f"frame_{f:06d}.pgm"), frame)
+    return n_frames, planted
 
 
 def annotate_video(video_id, class_idx, planted, rng, duration, fps, n_frames):
@@ -192,7 +192,8 @@ def generate_corpus(out_root, n_videos, seed, duration=10.0, fps=10.0,
     """Write frame directories and the annotation file; returns planted times.
 
     Layout: ``<out_root>/frames/<video_id>/frame_%06d.pgm`` plus
-    ``<out_root>/annotations.json``.  Arguments are checked before any write.
+    ``<out_root>/annotations.json``.  Arguments are checked before any write;
+    the frame files already in a video's directory are removed before it is drawn.
     """
     if n_videos < 1:
         raise ValueError(f"n_videos must be >= 1, got {n_videos}")
@@ -211,14 +212,15 @@ def generate_corpus(out_root, n_videos, seed, duration=10.0, fps=10.0,
         video_id = f"synth_{v:04d}"
         class_idx = v % len(CLASS_NAMES)
         rng = per_video_rng(seed, video_id)
-        frames, planted = generate_video(video_id, class_idx, rng, duration,
-                                         fps, image_size)
         frame_dir = os.path.join(out_root, "frames", video_id)
         os.makedirs(frame_dir, exist_ok=True)
-        for f in range(frames.shape[0]):
-            write_pnm(os.path.join(frame_dir, f"frame_{f:06d}.pgm"), frames[f])
+        for name in os.listdir(frame_dir):  # the files pnm.frame_files counts
+            if name.startswith("frame_") and name.endswith((".pgm", ".ppm")):
+                os.remove(os.path.join(frame_dir, name))
+        n_frames, planted = generate_video(frame_dir, class_idx, rng, duration,
+                                           fps, image_size)
         sets.append(annotate_video(video_id, class_idx, planted, rng,
-                                   duration, fps, frames.shape[0]))
+                                   duration, fps, n_frames))
         planted_map[video_id] = planted
     with atomic_open(os.path.join(out_root, "annotations.json")) as fh:
         fh.write(serialize_annotations(sets))

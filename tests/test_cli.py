@@ -95,6 +95,23 @@ class TestSynthValidate:
         assert err.startswith(f"error: cannot write corpus: {argument} ")
         assert not out.exists()
 
+    def test_shorter_synth_into_a_corpus_validates(self, tmp_path, capsys):
+        out = tmp_path / "c"
+        notes = out / "frames" / "synth_0000" / "notes.txt"
+        for videos, duration in (("2", "10"), ("1", "5")):
+            if notes.parent.exists():
+                notes.write_text("kept")
+            code, _, _ = run_cli(capsys, "synth", "--out", str(out),
+                                 "--n-videos", videos, "--seed", "1",
+                                 "--duration", duration, "--image-size", "32")
+            assert code == 0
+        code, values, err = run_cli(capsys, "validate",
+                                    str(out / "annotations.json"))
+        assert code == 0 and values["ok"] == "1", err
+        # only frame files go; the video no longer made keeps its frames
+        assert notes.read_text() == "kept"
+        assert len(os.listdir(out / "frames" / "synth_0001")) == 100
+
     def test_smallest_synth_arguments_validate(self, tmp_path, capsys):
         out = tmp_path / "c"
         code, _, _ = run_cli(capsys, "synth", "--out", str(out), "--n-videos",

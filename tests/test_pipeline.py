@@ -186,7 +186,25 @@ class TestRun:
         assert not any(s["skipped"] for s in manifest["stages"])
         for files in manifest["outputs"].values():
             for f in files:
-                assert os.path.exists(f)
+                assert os.path.exists(os.path.join(out, f))
+
+    def test_manifest_names_the_output_dir_only_as_out_dir(self, finished_run):
+        corpus, out, _ = finished_run
+        with open(os.path.join(out, "manifest.json")) as fh:
+            manifest = json.load(fh)
+        assert manifest["out_dir"] == str(out)
+        assert manifest["inputs"]["annotations"] == "annotations.json"
+        del manifest["out_dir"]
+        assert str(out) not in json.dumps(manifest)
+
+    def test_cold_run_keeps_other_directories(self, corpus, tmp_path):
+        out = tmp_path / "run"
+        for name in ("flow", "windows"):
+            (out / name).mkdir(parents=True)
+            (out / name / "notes.txt").write_text(name)
+        run_pipeline(corpus, out, PipelineConfig(**CFG))
+        for name in ("flow", "windows"):
+            assert (out / name / "notes.txt").read_text() == name
 
     def test_rerun_skips_everything(self, finished_run):
         corpus, out, _ = finished_run
@@ -528,10 +546,10 @@ class TestStageStamps:
             assert path in allowed, \
                 f"stage {name!r} reads {path}, the output of no stage it declares"
 
-    def test_stale_windows_tree_removed(self, copied_run):
+    def test_stale_windows_tree_kept(self, copied_run):
         corpus, out = copied_run
         # an output directory from before feature tables: window tensors,
-        # and a manifest without stamps
+        # which nothing reads or deletes, and a manifest without stamps
         stale = out / "windows" / "v000"
         stale.mkdir(parents=True)
         write_tensor_file(stale / "win_000000_rgb.gebt", [2], np.zeros(2))
@@ -540,12 +558,12 @@ class TestStageStamps:
         (out / "manifest.json").write_text(json.dumps(doc))
         manifest = run_pipeline(corpus, out, PipelineConfig(**CFG))
         assert "sample" in ran_stages(manifest)
-        assert not (out / "windows").exists()
+        assert (stale / "win_000000_rgb.gebt").exists()
 
-    def test_stale_flow_dirs_removed(self, copied_run):
+    def test_stale_flow_dirs_kept(self, copied_run):
         corpus, out = copied_run
-        # flow written by older versions: a tensor per video, or one file per
-        # frame pair and a config sidecar per video
+        # flow written by older versions, which nothing reads or deletes: a
+        # tensor per video, or one file per frame pair and a config sidecar
         for vid in video_ids(corpus):
             stale = out / "flow" / vid
             stale.mkdir(parents=True)
@@ -556,7 +574,7 @@ class TestStageStamps:
         manifest = run_pipeline(corpus, out, PipelineConfig(**CFG))
         reasons = {s["name"]: s["reason"] for s in manifest["stages"]}
         assert reasons["flow"] == "missing-output"
-        assert not (out / "flow").exists()
+        assert (stale / "flow_config.json").exists()
 
     def test_removed_video_leaves_no_per_video_files(self, copied_run,
                                                      tmp_path):

@@ -1,6 +1,8 @@
 import builtins
 import hashlib
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +12,18 @@ from gebd import synth
 from gebd.pnm import write_pnm
 from gebd.synth import CLASS_NAMES, JITTER_SIGMA, generate_corpus
 from gebd.windows import FrameSequence
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
+
+# one 128x128 video of argv[2] seconds; prints the process's peak RSS in KB
+MEMORY_PROBE = """
+import resource, sys
+from gebd.synth import generate_corpus
+generate_corpus(sys.argv[1], n_videos=1, seed=1, duration=float(sys.argv[2]),
+                fps=10.0, image_size=128)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
 
 
 def corpus_digest(root):
@@ -127,6 +141,20 @@ class TestFrames:
             before = seq.frame(f - 1).mean()
             at = seq.frame(f).mean()
             assert at > before + 0.05
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_maxrss is in KB on Linux only")
+def test_memory_does_not_grow_with_video_length(tmp_path):
+    peaks = []
+    for seconds in (3, 60):
+        proc = subprocess.run([sys.executable, "-c", MEMORY_PROBE,
+                               str(tmp_path / f"c{seconds}"), str(seconds)],
+                              env=dict(os.environ, PYTHONPATH=SRC),
+                              capture_output=True, text=True, check=True)
+        peaks.append(int(proc.stdout.split()[-1]) / 1024)
+    # keeping 600 float64 frames of 128x128 would add about 75 MB
+    assert abs(peaks[1] - peaks[0]) < 16, peaks
 
 
 def test_too_short_duration_rejected(tmp_path):
