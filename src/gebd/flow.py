@@ -30,14 +30,15 @@ All images are float arrays scaled to [0,1]; flow fields are (H, W, 2)
 arrays holding (dx, dy) in pixels, x along columns and y along rows.
 Every sliding window (the correlations, the box average, and the score
 smoothing in :mod:`gebd.postprocess`) reflect-pads through :func:`_mirror_pad`.
-Everything here is elementwise numpy except the running sums of the box
-average, and each of those stays within one row or one column of one
-plane, never across frames, so results are bit-identical no matter how
-callers batch or partition the work.
+Everything here is elementwise numpy except the box average, a matrix
+product per plane (``np.matmul`` calls gemm once for each one) that never
+mixes frames, so results are bit-identical no matter how callers batch or
+partition the work.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, fields
 
@@ -263,23 +264,62 @@ def _bilinear_sampler(ys: np.ndarray, xs: np.ndarray):
     return sample
 
 
+# Outputs per box-average tile: an axis of at most this many samples is one
+# matrix product, and a longer one is cut so the work per sample stays bounded.
+_BOX_TILE = 64
+
+
+@functools.lru_cache(maxsize=64)
+def _box_operator(size: int, window: int) -> tuple:
+    """Tiles of the ``window``-wide reflect-padded box average along an axis
+    of ``size`` samples, as ``(inputs, outputs, matrix)``: output sample
+    ``k`` in the ``outputs`` slice is ``x[inputs] @ matrix[:, k]``.
+
+    Entry ``[i, k]`` counts the positions of output ``k``'s window that fold
+    onto input ``i`` under :func:`_mirror_pad`'s reflection, divided by
+    ``window``.  Each tile covers up to :data:`_BOX_TILE` outputs and the
+    ``window - 1`` inputs around them; ``window`` is at most
+    ``2 * size - 1``, so a fold lands inside that span.  The matrices are
+    cached per ``(size, window)`` and read-only.
+    """
+    n = window // 2
+    period = max(2 * (size - 1), 1)
+    tiles = []
+    for start in range(0, size, _BOX_TILE):
+        stop = min(start + _BOX_TILE, size)
+        lo, hi = max(start - n, 0), min(stop + n, size)
+        folded = (np.arange(start, stop)[:, None] + np.arange(-n, n + 1)) % period
+        matrix = np.zeros((hi - lo, stop - start))
+        np.add.at(matrix, (np.minimum(folded, period - folded) - lo,
+                           np.arange(stop - start)[:, None]), 1.0)
+        matrix /= window
+        matrix.flags.writeable = False
+        tiles.append((slice(lo, hi), slice(start, stop), matrix))
+    return tuple(tiles)
+
+
 def _box_average(img: np.ndarray, window: int) -> np.ndarray:
     """Mean of the mirror-padded ``window`` x ``window`` square around each
-    sample, from running sums along rows, then columns."""
+    sample: a product with :func:`_box_operator`'s matrices along rows
+    (``img @ op``), then along columns (``op.T @ img``).
+
+    Each output is one gemm dot product of its window's inputs with the
+    fold counts, so no difference of long sums cancels digits; ``np.matmul``
+    calls gemm once per plane, so a plane gives the same bytes alone or in
+    a stack.
+    """
     h, w = img.shape[-2:]
-    # at most 2*dim - 1 on tiny pyramid levels, so _mirror_pad never wraps
+    # at most 2*dim - 1 on tiny pyramid levels, so reflection folds once
     window = min(window, 2 * min(h, w) - 1)
     if window % 2 == 0:
         window -= 1
-    for axis in (-1, -2):
-        sums = _mirror_pad(img, window // 2, axis)
-        np.cumsum(sums, axis=axis, out=sums)
-        # out[0] = sums[window-1], out[k] = sums[k+window-1] - sums[k-1]
-        img = sums[_along(img.ndim, axis, slice(window - 1, None))].copy()
-        img[_along(img.ndim, axis, slice(1, None))] -= \
-            sums[_along(img.ndim, axis, slice(0, -window))]
-        img /= window
-    return img
+    rows = np.empty(img.shape)
+    for inputs, outputs, op in _box_operator(w, window):
+        np.matmul(img[..., inputs], op, out=rows[..., outputs])
+    out = np.empty(img.shape)
+    for inputs, outputs, op in _box_operator(h, window):
+        np.matmul(op.T, rows[..., inputs, :], out=out[..., outputs, :])
+    return out
 
 
 def flow_step(p1: PolyCoeffs, p2: PolyCoeffs, prior: np.ndarray,

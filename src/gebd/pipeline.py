@@ -406,6 +406,22 @@ def _remove_unlisted(directory, prefix, suffix, keep) -> None:
             os.remove(path)
 
 
+def _remove_temp_files(paths) -> None:
+    """Delete the ``<path>.tmp.<pid>`` files beside each of ``paths``: those
+    an :func:`gebd.container.atomic_open` killed before its ``os.replace``
+    left behind.  Each directory is listed once."""
+    names = {}
+    for path in paths:
+        names.setdefault(os.path.dirname(path), set()).add(os.path.basename(path))
+    for directory, outputs in names.items():
+        if not os.path.isdir(directory):
+            continue
+        for name in os.listdir(directory):
+            output, tmp, _ = name.rpartition(".tmp.")
+            if tmp and output in outputs:
+                os.remove(os.path.join(directory, name))
+
+
 def _keep_freed_heap() -> None:
     """Have glibc's malloc keep freed memory in the heap, for this process
     and the workers it forks (module docstring); a no-op on another libc."""
@@ -712,6 +728,7 @@ class Pipeline:
 
     def run(self) -> dict:
         os.makedirs(self.paths.out, exist_ok=True)
+        _remove_temp_files([self.paths.manifest_json])
         self._stamps = self._recorded_stamps()
         with open(self.paths.annotations, "rb") as fh:
             stamps = {"annotations": _sha256(fh.read())}
@@ -734,6 +751,7 @@ class Pipeline:
                 ran.add(name)
                 self._stamps.pop(name, None)
                 self._write_manifest()
+                _remove_temp_files(outs)
                 start = time.perf_counter()
                 try:
                     body()

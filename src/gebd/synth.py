@@ -112,7 +112,13 @@ def _coverage(center, half, size):
 
 
 def generate_video(frame_dir, class_idx, rng, duration, fps, image_size):
-    """Draw one video into ``frame_dir``; returns ``(n_frames, planted)``."""
+    """Draw one video into ``frame_dir``; returns ``(n_frames, planted,
+    centres)``, ``centres`` being the (n_frames, 2) rectangle centre (x, y)
+    of each frame, in pixels from the top-left corner of the image.
+
+    Between frames the rectangle translates by the difference of its
+    centres over a static background, so a frame pair's true flow is known.
+    """
     n_frames = int(round(duration * fps))
     n_boundaries = int(rng.integers(BOUNDARY_COUNTS[0], BOUNDARY_COUNTS[1] + 1))
     planted = _plant_boundaries(rng, duration, n_boundaries)
@@ -131,6 +137,7 @@ def generate_video(frame_dir, class_idx, rng, duration, fps, image_size):
     cy = float(rng.uniform(RECT_HALF + 2, image_size - RECT_HALF - 2))
 
     grid = np.arange(image_size, dtype=np.float64)
+    centres = np.empty((n_frames, 2))
     segment = 0
     for f in range(n_frames):
         t = f / fps
@@ -151,6 +158,7 @@ def generate_video(frame_dir, class_idx, rng, duration, fps, image_size):
             headings[segment] = -headings[segment]
         cx += vx
         cy += vy
+        centres[f] = cx, cy
 
         cov = (_coverage(cy, RECT_HALF, image_size)[:, None]
                * _coverage(cx, RECT_HALF, image_size)[None, :])
@@ -161,7 +169,7 @@ def generate_video(frame_dir, class_idx, rng, duration, fps, image_size):
             # global brightness pulse on the first frame of a new segment
             frame = np.clip(frame + BOUNDARY_FLASH, 0.0, 1.0)
         write_pnm(os.path.join(frame_dir, f"frame_{f:06d}.pgm"), frame)
-    return n_frames, planted
+    return n_frames, planted, centres
 
 
 def annotate_video(video_id, class_idx, planted, rng, duration, fps, n_frames):
@@ -217,8 +225,8 @@ def generate_corpus(out_root, n_videos, seed, duration=10.0, fps=10.0,
         for name in os.listdir(frame_dir):  # the files pnm.frame_files counts
             if name.startswith("frame_") and name.endswith((".pgm", ".ppm")):
                 os.remove(os.path.join(frame_dir, name))
-        n_frames, planted = generate_video(frame_dir, class_idx, rng, duration,
-                                           fps, image_size)
+        n_frames, planted, _ = generate_video(frame_dir, class_idx, rng,
+                                              duration, fps, image_size)
         sets.append(annotate_video(video_id, class_idx, planted, rng,
                                    duration, fps, n_frames))
         planted_map[video_id] = planted

@@ -206,6 +206,22 @@ class TestRun:
         for name in ("flow", "windows"):
             assert (out / name / "notes.txt").read_text() == name
 
+    def test_cold_run_removes_temp_files_of_killed_writes(self, corpus, tmp_path):
+        # atomic_open removes its temp file only when an exception unwinds;
+        # a killed writer leaves <output>.tmp.<pid>
+        out = tmp_path / "run"
+        (out / "features").mkdir(parents=True)
+        (out / "report").mkdir()
+        vid = video_ids(corpus)[0]
+        left = ["manifest.json.tmp.4242", "scores.csv.tmp.7",
+                f"features/{vid}.gebt.tmp.4242", "features/candidates.csv.tmp.1",
+                f"report/timeline_{vid}.svg.tmp.99", "notes.tmp.txt"]
+        for name in left:
+            (out / name).write_text("partial")
+        run_pipeline(corpus, out, PipelineConfig(**CFG))
+        assert sorted(str(p.relative_to(out)) for p in out.rglob("*.tmp.*")) == \
+            ["notes.tmp.txt"]
+
     def test_rerun_skips_everything(self, finished_run):
         corpus, out, _ = finished_run
         manifest = run_pipeline(corpus, out, PipelineConfig(**CFG))
