@@ -28,12 +28,18 @@ front of ``(H, W)``.
 
 All images are float arrays scaled to [0,1]; flow fields are (H, W, 2)
 arrays holding (dx, dy) in pixels, x along columns and y along rows.
-Every sliding window (the correlations, the box average, and the score
-smoothing in :mod:`gebd.postprocess`) reflect-pads through :func:`_mirror_pad`.
-Everything here is elementwise numpy except the box average, a matrix
-product per plane (``np.matmul`` calls gemm once for each one) that never
-mixes frames, so results are bit-identical no matter how callers batch or
-partition the work.
+Every sliding window reflect-pads as numpy's "reflect" mode does
+(:func:`_reflect`; the score smoothing in :mod:`gebd.postprocess` pads
+through :func:`_mirror_pad`).  The linear filters are products with
+cached, read-only axis operators cut into tiles of at most :data:`_TILE`
+outputs (:func:`_tiles`), of three kinds: box-average fold counts
+(:func:`_box_operator`), reflect-folded correlation taps
+(:func:`_taps_operator`, for :func:`correlate1d`) and half-pixel bilinear
+weights (:func:`_resize_operator`, for :func:`_resize_planes`).
+:func:`_apply_operator` multiplies C-contiguous planes by them, and
+``np.matmul`` calls gemm once per plane, so no product mixes frames.
+Everything else is elementwise numpy or gathers, so results are
+bit-identical no matter how callers batch or partition the work.
 """
 
 from __future__ import annotations
@@ -88,37 +94,34 @@ def to_gray(rgb: np.ndarray) -> np.ndarray:
 
 
 def correlate1d(img: np.ndarray, kernel, axis: int) -> np.ndarray:
-    """Correlation along one axis, reflect-padded by :func:`_mirror_pad`.
+    """Correlation along one axis, reflect-padded as :func:`_mirror_pad` pads.
 
     out[x] = sum_d kernel[d + n] * img[x + d] for d in [-n, n].  ``axis``
-    may be negative; every other axis passes through unchanged.  The sum
-    starts from the first tap's product, so no output is zeroed first.
+    may be negative; every other axis passes through unchanged.  The taps,
+    folded onto the axis by the reflection, form :func:`_taps_operator`'s
+    matrices, so each output is one gemm dot product (see
+    :func:`_apply_operator`).
     """
     kernel = np.asarray(kernel, dtype=np.float64)
-    size = img.shape[axis]
-    padded = _mirror_pad(img, len(kernel) // 2, axis)
-    out = kernel[0] * padded[_along(img.ndim, axis, slice(0, size))]
-    for t in range(1, len(kernel)):
-        out += kernel[t] * padded[_along(img.ndim, axis, slice(t, t + size))]
-    return out
+    return _apply_operator(img, _taps_operator(img.shape[axis], kernel.tobytes()),
+                           axis)
 
 
-def _along(ndim: int, axis: int, index) -> tuple:
-    """Index tuple applying ``index`` to ``axis`` and passing every other axis."""
-    out = [slice(None)] * ndim
-    out[axis] = index
-    return tuple(out)
+def _reflect(positions: np.ndarray, size: int) -> np.ndarray:
+    """The samples of an axis of ``size`` that numpy's "reflect" padding
+    reads at ``positions``, which may lie any distance outside the axis:
+    they fold back with period ``2 * (size - 1)``."""
+    period = max(2 * (size - 1), 1)
+    folded = positions % period
+    return np.minimum(folded, period - folded)
 
 
 def _mirror_pad(img: np.ndarray, n: int, axis: int) -> np.ndarray:
     """``img`` with ``n`` samples of numpy's "reflect" padding on both ends
-    of ``axis``, for any ``n >= 0``: a position outside the axis folds back
-    with period ``2 * (size - 1)``, as numpy's does when ``n`` exceeds
-    ``size - 1``, and the whole result is one ``np.take``."""
+    of ``axis``, for any ``n >= 0`` (see :func:`_reflect`), as one
+    ``np.take``."""
     size = img.shape[axis]
-    period = max(2 * (size - 1), 1)
-    folded = np.arange(-n, size + n) % period
-    return np.take(img, np.minimum(folded, period - folded), axis=axis)
+    return np.take(img, _reflect(np.arange(-n, size + n), size), axis=axis)
 
 
 def sep_correlate(img: np.ndarray, kx, ky) -> np.ndarray:
@@ -137,29 +140,15 @@ def _resize_planes(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Bilinear resample of the last two axes; leading axes pass through.
 
     Serves the pyramid, the flow upsample between levels and the window
-    slots.  Rows, then columns, are gathered with ``np.take`` along one
-    axis, which is faster than fancy indexing on strided input such as a
-    ``moveaxis`` view; each output is the same four-term weighted sum.
-    Sample positions use the half-pixel convention
+    slots.  Rows, then columns, are products with
+    :func:`_resize_operator`'s matrices (see :func:`_apply_operator`), so
+    each output is a gemm dot product of its two neighbours' weights along
+    each axis.  Sample positions use the half-pixel convention
     src = (dst + 0.5) * in/out - 0.5, clipped to the source extent.
     """
     h, w = img.shape[-2:]
-    xs = np.clip((np.arange(out_w) + 0.5) * (w / out_w) - 0.5, 0, w - 1)
-    ys = np.clip((np.arange(out_h) + 0.5) * (h / out_h) - 0.5, 0, h - 1)
-    x0 = np.floor(xs).astype(np.intp)
-    y0 = np.floor(ys).astype(np.intp)
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    fx = xs - x0
-    fy = ys - y0
-    w00 = (1 - fy)[:, None] * (1 - fx)[None, :]
-    w01 = (1 - fy)[:, None] * fx[None, :]
-    w10 = fy[:, None] * (1 - fx)[None, :]
-    w11 = fy[:, None] * fx[None, :]
-    rows0 = np.take(img, y0, axis=-2)
-    rows1 = np.take(img, y1, axis=-2)
-    return (np.take(rows0, x0, axis=-1) * w00 + np.take(rows0, x1, axis=-1) * w01
-            + np.take(rows1, x0, axis=-1) * w10 + np.take(rows1, x1, axis=-1) * w11)
+    rows = _apply_operator(img, _resize_operator(w, out_w), -1)
+    return _apply_operator(rows, _resize_operator(h, out_h), -2)
 
 
 def _resize_channels_last(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
@@ -242,84 +231,142 @@ def poly_expansion(img: np.ndarray, window: int, sigma: float) -> PolyCoeffs:
 def _bilinear_sampler(ys: np.ndarray, xs: np.ndarray):
     """Sampler of (..., H, W) fields at in-range coordinates ``ys``, ``xs``
     of the same shape: sample(field)[..., i, j] interpolates
-    field[..., ys[..., i, j], xs[..., i, j]] within its own plane."""
+    field[..., ys[..., i, j], xs[..., i, j]] within its own plane.
+
+    Each pixel reads the 2x2 block whose top-left corner is its truncated
+    coordinate clamped to ``(H - 2, W - 2)``, so planes must be at least
+    2x2; at the last row or column the clamp gives the far corners weight
+    1.  One flat index serves all four corners, gathered from the offset
+    views ``flat``, ``flat[1:]``, ``flat[W:]`` and ``flat[W + 1:]`` of the
+    flattened field, and the four corner weights are formed once.
+    """
     h, w = ys.shape[-2:]
-    x0 = np.floor(xs).astype(np.intp)
-    y0 = np.floor(ys).astype(np.intp)
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
+    x0 = np.minimum(xs.astype(np.intp), w - 2)
+    y0 = np.minimum(ys.astype(np.intp), h - 2)
     fx = xs - x0
     fy = ys - y0
     gx, gy = 1 - fx, 1 - fy
-    # flat indices into the C-ordered stack of planes
+    w00, w01, w10, w11 = gy * gx, gy * fx, fy * gx, fy * fx
+    # flat indices of the top-left corners in the C-ordered stack of planes
     plane = np.arange(ys.size // (h * w)).reshape(ys.shape[:-2] + (1, 1)) * (h * w)
-    row0, row1 = plane + y0 * w, plane + y1 * w
-    i00, i01 = row0 + x0, row0 + x1
-    i10, i11 = row1 + x0, row1 + x1
+    index = plane + y0 * w + x0
 
     def sample(field):
-        return (np.take(field, i00) * gy * gx + np.take(field, i01) * gy * fx
-                + np.take(field, i10) * fy * gx + np.take(field, i11) * fy * fx)
+        flat = field.reshape(-1)
+        return (np.take(flat, index) * w00 + np.take(flat[1:], index) * w01
+                + np.take(flat[w:], index) * w10 + np.take(flat[w + 1:], index) * w11)
 
     return sample
 
 
-# Outputs per box-average tile: an axis of at most this many samples is one
+# Outputs per operator tile: an axis of at most this many samples is one
 # matrix product, and a longer one is cut so the work per sample stays bounded.
-_BOX_TILE = 64
+_TILE = 64
 
 
-@functools.lru_cache(maxsize=64)
-def _box_operator(size: int, window: int) -> tuple:
-    """Tiles of the ``window``-wide reflect-padded box average along an axis
-    of ``size`` samples, as ``(inputs, outputs, matrix)``: output sample
-    ``k`` in the ``outputs`` slice is ``x[inputs] @ matrix[:, k]``.
+def _tiles(index: np.ndarray, weight: np.ndarray, divisor: float = 1.0) -> tuple:
+    """Read-only tiles of the axis operator whose output ``k`` is
+    ``sum_t weight[k, t] * x[index[k, t]] / divisor``, as
+    ``(inputs, outputs, matrix)``: output ``k`` in the ``outputs`` slice is
+    ``x[inputs] @ matrix[:, k]``.
 
-    Entry ``[i, k]`` counts the positions of output ``k``'s window that fold
-    onto input ``i`` under :func:`_mirror_pad`'s reflection, divided by
-    ``window``.  Each tile covers up to :data:`_BOX_TILE` outputs and the
-    ``window - 1`` inputs around them; ``window`` is at most
-    ``2 * size - 1``, so a fold lands inside that span.  The matrices are
-    cached per ``(size, window)`` and read-only.
+    Each tile covers up to :data:`_TILE` outputs and the span of inputs
+    they read.  Terms that read the same input are summed into one entry,
+    then the entries are divided by ``divisor``.
     """
-    n = window // 2
-    period = max(2 * (size - 1), 1)
     tiles = []
-    for start in range(0, size, _BOX_TILE):
-        stop = min(start + _BOX_TILE, size)
-        lo, hi = max(start - n, 0), min(stop + n, size)
-        folded = (np.arange(start, stop)[:, None] + np.arange(-n, n + 1)) % period
+    for start in range(0, len(index), _TILE):
+        stop = min(start + _TILE, len(index))
+        reads = index[start:stop]
+        lo, hi = int(reads.min()), int(reads.max()) + 1
         matrix = np.zeros((hi - lo, stop - start))
-        np.add.at(matrix, (np.minimum(folded, period - folded) - lo,
-                           np.arange(stop - start)[:, None]), 1.0)
-        matrix /= window
+        np.add.at(matrix, (reads - lo, np.arange(stop - start)[:, None]),
+                  weight[start:stop])
+        matrix /= divisor
         matrix.flags.writeable = False
         tiles.append((slice(lo, hi), slice(start, stop), matrix))
     return tuple(tiles)
 
 
+def _window_index(size: int, n: int) -> np.ndarray:
+    """(size, 2n + 1) inputs read by each output's reflect-padded window."""
+    return _reflect(np.arange(size)[:, None] + np.arange(-n, n + 1), size)
+
+
+@functools.lru_cache(maxsize=64)
+def _box_operator(size: int, window: int) -> tuple:
+    """:func:`_tiles` of the ``window``-wide reflect-padded box average
+    along an axis of ``size`` samples: entry ``[i, k]`` counts the positions
+    of output ``k``'s window that fold onto input ``i``, divided by
+    ``window``.  Cached per ``(size, window)``."""
+    index = _window_index(size, window // 2)
+    return _tiles(index, np.ones(index.shape), window)
+
+
+@functools.lru_cache(maxsize=128)
+def _taps_operator(size: int, kernel: bytes) -> tuple:
+    """:func:`_tiles` of the reflect-padded correlation with the float64
+    taps whose bytes are ``kernel``: entry ``[i, k]`` sums the taps of
+    output ``k`` that fold onto input ``i``.  Cached per
+    ``(size, kernel)``."""
+    taps = np.frombuffer(kernel)
+    index = _window_index(size, len(taps) // 2)
+    return _tiles(index, np.broadcast_to(taps, index.shape))
+
+
+@functools.lru_cache(maxsize=64)
+def _resize_operator(size: int, out_size: int) -> tuple:
+    """:func:`_tiles` of the half-pixel bilinear resample of an axis from
+    ``size`` to ``out_size`` samples: output ``k`` weighs the two inputs
+    around src = (k + 0.5) * size/out_size - 0.5, clipped to the axis.
+    Cached per ``(size, out_size)``."""
+    src = np.clip((np.arange(out_size) + 0.5) * (size / out_size) - 0.5, 0, size - 1)
+    x0 = np.floor(src).astype(np.intp)
+    frac = (src - x0)[:, None]
+    return _tiles(np.stack([x0, np.minimum(x0 + 1, size - 1)], axis=1),
+                  np.hstack([1 - frac, frac]))
+
+
+def _apply_operator(img: np.ndarray, tiles: tuple, axis: int) -> np.ndarray:
+    """``img`` mapped along ``axis`` by an operator's :func:`_tiles`: the
+    last axis as ``img @ op``, the one before as ``op.T @ img``, and any
+    other by moving it second to last; every other axis passes through.
+
+    The input is made C-contiguous first: ``np.matmul`` calls gemm once per
+    plane only on such operands, and falls back to its own loop, which
+    rounds differently, on strided ones.  So a plane gives the same bytes
+    alone, in a stack or as a strided view.
+    """
+    img = np.ascontiguousarray(img)
+    axis %= img.ndim
+    if axis < img.ndim - 2:
+        moved = _apply_operator(np.moveaxis(img, axis, -2), tiles, -2)
+        return np.moveaxis(moved, -2, axis)
+    shape = list(img.shape)
+    shape[axis] = tiles[-1][1].stop
+    out = np.empty(shape)
+    for inputs, outputs, op in tiles:
+        if axis == img.ndim - 1:
+            np.matmul(img[..., inputs], op, out=out[..., outputs])
+        else:
+            np.matmul(op.T, img[..., inputs, :], out=out[..., outputs, :])
+    return out
+
+
 def _box_average(img: np.ndarray, window: int) -> np.ndarray:
     """Mean of the mirror-padded ``window`` x ``window`` square around each
-    sample: a product with :func:`_box_operator`'s matrices along rows
-    (``img @ op``), then along columns (``op.T @ img``).
+    sample: :func:`_box_operator` along rows, then along columns.
 
     Each output is one gemm dot product of its window's inputs with the
-    fold counts, so no difference of long sums cancels digits; ``np.matmul``
-    calls gemm once per plane, so a plane gives the same bytes alone or in
-    a stack.
+    fold counts, so no difference of long sums cancels digits.
     """
     h, w = img.shape[-2:]
     # at most 2*dim - 1 on tiny pyramid levels, so reflection folds once
     window = min(window, 2 * min(h, w) - 1)
     if window % 2 == 0:
         window -= 1
-    rows = np.empty(img.shape)
-    for inputs, outputs, op in _box_operator(w, window):
-        np.matmul(img[..., inputs], op, out=rows[..., outputs])
-    out = np.empty(img.shape)
-    for inputs, outputs, op in _box_operator(h, window):
-        np.matmul(op.T, rows[..., inputs, :], out=out[..., outputs, :])
-    return out
+    rows = _apply_operator(img, _box_operator(w, window), -1)
+    return _apply_operator(rows, _box_operator(h, window), -2)
 
 
 def flow_step(p1: PolyCoeffs, p2: PolyCoeffs, prior: np.ndarray,
@@ -329,9 +376,10 @@ def flow_step(p1: PolyCoeffs, p2: PolyCoeffs, prior: np.ndarray,
     Coefficient fields are (..., H, W) and ``prior`` is (..., H, W, 2);
     leading batch axes pair up element by element.  Frame 2 coefficients
     are sampled at prior-displaced coordinates (bilinear, clipped at
-    borders).  Normal equations are box-averaged over the neighborhood
-    window before the per-pixel 2x2 solve, a divide masked to the pixels
-    with ``|det| >= SINGULAR_DET``; the others keep the prior exactly.
+    borders), so fields must be at least 2x2.  Normal equations are
+    box-averaged over the neighborhood window before the per-pixel 2x2
+    solve, a divide masked to the pixels with ``|det| >= SINGULAR_DET``;
+    the others keep the prior exactly.
     """
     if p1.shape != p2.shape:
         raise ValueError(f"coefficient grids disagree: {p1.shape} vs {p2.shape}")
@@ -339,15 +387,19 @@ def flow_step(p1: PolyCoeffs, p2: PolyCoeffs, prior: np.ndarray,
         raise ValueError(
             f"prior flow shape {prior.shape} does not match fields {p1.shape}")
     h, w = p1.shape[-2:]
+    if h < 2 or w < 2:
+        raise ValueError(f"fields must be at least 2x2 to sample, got {h}x{w}")
     xs = np.clip(np.arange(w) + prior[..., 0], 0, w - 1)
     ys = np.clip(np.arange(h)[:, None] + prior[..., 1], 0, h - 1)
     sample = _bilinear_sampler(ys, xs)
 
-    a11 = 0.5 * (p1.a11 + sample(p2.a11))
-    a12 = 0.5 * (p1.a12 + sample(p2.a12))
-    a22 = 0.5 * (p1.a22 + sample(p2.a22))
-    db1 = -0.5 * (sample(p2.b1) - p1.b1)
-    db2 = -0.5 * (sample(p2.b2) - p1.b2)
+    # twice Abar and db: doubling is exact, so the normal equations are 4x
+    # and det 16x theirs and the solve gives the same bytes
+    a11 = p1.a11 + sample(p2.a11)
+    a12 = p1.a12 + sample(p2.a12)
+    a22 = p1.a22 + sample(p2.a22)
+    db1 = p1.b1 - sample(p2.b1)
+    db2 = p1.b2 - sample(p2.b2)
 
     a12_sq = a12 * a12
     g11 = _box_average(a11 * a11 + a12_sq, averaging_window)
@@ -357,7 +409,7 @@ def flow_step(p1: PolyCoeffs, p2: PolyCoeffs, prior: np.ndarray,
     h2 = _box_average(a12 * db1 + a22 * db2, averaging_window)
 
     det = g11 * g22 - g12 * g12
-    ok = np.abs(det) >= SINGULAR_DET
+    ok = np.abs(det) >= 16 * SINGULAR_DET
     step = np.zeros(prior.shape)
     np.divide(g22 * h1 - g12 * h2, det, out=step[..., 0], where=ok)
     np.divide(g11 * h2 - g12 * h1, det, out=step[..., 1], where=ok)

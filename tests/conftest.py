@@ -86,6 +86,28 @@ def naive_correlate2d(img, kernel2d):
     return out
 
 
+def tap_loop_correlate1d(img, kernel, axis):
+    """:func:`gebd.flow.correlate1d` as a loop over the taps, each one
+    scaling a shifted slice of the reflect-padded input, the sum starting
+    from the first tap's product: the kernel as it was before it became a
+    matrix product, byte for byte."""
+    kernel = np.asarray(kernel, dtype=np.float64)
+    size = img.shape[axis]
+    pad = [(0, 0)] * img.ndim
+    pad[axis] = (len(kernel) // 2, len(kernel) // 2)
+    padded = np.pad(img, pad, mode="reflect")
+
+    def shifted(t):
+        index = [slice(None)] * img.ndim
+        index[axis] = slice(t, t + size)
+        return padded[tuple(index)]
+
+    out = kernel[0] * shifted(0)
+    for t in range(1, len(kernel)):
+        out += kernel[t] * shifted(t)
+    return out
+
+
 def smooth_texture(rng, h, w, sigma=3.0):
     """Blurred uniform noise stretched to [0,1]."""
     k = gaussian_kernel(sigma, int(3 * sigma))

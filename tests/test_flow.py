@@ -6,14 +6,16 @@ import pytest
 
 from gebd.flow import (SINGULAR_DET, FlowConfig, PolyCoeffs, _bilinear_sampler,
                        _box_average, _box_operator, _mirror_pad,
-                       _resize_channels_last, _resize_planes, farneback_flow,
-                       flow_stats, flow_step, gaussian_kernel, gaussian_pyramid,
+                       _resize_channels_last, _resize_operator, _resize_planes,
+                       _taps_operator, correlate1d, farneback_flow, flow_stats,
+                       flow_step, gaussian_kernel, gaussian_pyramid,
                        poly_expansion, sep_correlate, to_gray, video_flow)
 from gebd.annotations import per_video_rng
 from gebd.pnm import read_pnm
 from gebd.synth import RECT_HALF, generate_video
 
-from conftest import naive_correlate2d, shifted_pair, smooth_texture
+from conftest import (naive_correlate2d, shifted_pair, smooth_texture,
+                      tap_loop_correlate1d)
 
 
 def dense_poly_fit(img, window, sigma, y, x):
@@ -72,6 +74,87 @@ class TestSeparableConvolution:
         fast = sep_correlate(img, g * x, g)
         naive = naive_correlate2d(img, np.outer(g, g * x))
         assert np.abs(fast - naive).max() < 1e-6
+
+
+POLY_TAPS = [np.exp(-np.arange(-3.0, 4.0) ** 2 / 2.42) * np.arange(-3.0, 4.0) ** p
+             for p in range(3)]
+
+
+class TestCorrelate1d:
+    @pytest.mark.parametrize("kernel", POLY_TAPS + [gaussian_kernel(0.866, 3),
+                                                    gaussian_kernel(5.0, 15)])
+    @pytest.mark.parametrize("shape, axis", [((2, 40, 40), -1), ((2, 40, 40), -2),
+                                             ((1, 5, 300), -1)])
+    def test_error_against_exact_reference(self, rng, kernel, shape, axis):
+        # each output errs by at most (taps + 1) roundings of its terms'
+        # magnitudes: one per product and sum, one where folded taps add
+        img = rng.random(shape) - 0.5
+        err, scale = exact_correlation_error(correlate1d(img, kernel, axis), img,
+                                             kernel, axis)
+        assert (err <= (len(kernel) + 1) * 2 ** -53 * scale).all()
+
+    @pytest.mark.parametrize("kernel", POLY_TAPS + [gaussian_kernel(5.0, 15)])
+    @pytest.mark.parametrize("axis", [-1, -2])
+    def test_tiled_axis_matches_tap_loop(self, rng, kernel, axis):
+        # 300 samples: five tiles of up to 64 outputs
+        img = rng.random((2, 300, 300))
+        assert np.abs(correlate1d(img, kernel, axis)
+                      - tap_loop_correlate1d(img, kernel, axis)).max() < 1e-14
+
+    def test_leading_axis_matches_tap_loop(self, rng):
+        img = rng.random((30, 4, 5))
+        kernel = gaussian_kernel(1.0, 3)
+        assert np.abs(correlate1d(img, kernel, 0)
+                      - tap_loop_correlate1d(img, kernel, 0)).max() < 1e-15
+
+    @pytest.mark.parametrize("axis", [-1, -2])
+    def test_strided_input_equals_contiguous(self, rng, axis):
+        planes = np.moveaxis(rng.random((3, 70, 90, 2)), -1, -3)
+        assert not planes.flags.c_contiguous
+        want = correlate1d(np.ascontiguousarray(planes), POLY_TAPS[1], axis)
+        assert correlate1d(planes, POLY_TAPS[1], axis).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", [(8, 64, 64), (3, 300, 200)])
+    def test_plane_alone_equals_plane_in_stack(self, rng, shape):
+        img = rng.random(shape) - 0.5
+        k = gaussian_kernel(2.0, 6)
+        stacked = sep_correlate(img, k, POLY_TAPS[2])
+        for i in range(len(img)):
+            alone = sep_correlate(img[i], k, POLY_TAPS[2])
+            assert alone.tobytes() == stacked[i].tobytes()
+
+    def test_operator_cached_and_read_only(self):
+        taps = gaussian_kernel(5.0, 15)
+        tiles = _taps_operator(130, taps.tobytes())
+        assert _taps_operator(130, taps.tobytes()) is tiles
+        # each tile holds at most 64 outputs and the 15 inputs beside them
+        assert [(i.start, i.stop, o.start, o.stop) for i, o, _ in tiles] == \
+            [(0, 79, 0, 64), (49, 130, 64, 128), (113, 130, 128, 130)]
+        for _, _, matrix in tiles:
+            assert not matrix.flags.writeable
+        # a tap folded onto its own output by the reflection adds to it
+        assert tiles[0][2][1, 0] == taps[14] + taps[16]
+
+
+def exact_correlation_error(got, img, kernel, axis):
+    """Per-output absolute error of ``got`` against the exact correlation of
+    ``img`` with ``kernel`` along ``axis``, reflect-padded, in ``Fraction``s;
+    also each output's sum of term magnitudes, sum |kernel[t] * x|."""
+    n = len(kernel) // 2
+    pad = [(0, 0)] * img.ndim
+    pad[axis] = (n, n)
+    padded = np.moveaxis(np.pad(img, pad, mode="reflect"), axis, -1)
+    size = img.shape[axis]
+    taps = [Fraction(float(k)) for k in kernel]
+    got = np.moveaxis(got, axis, -1)
+    err, scale = np.empty(got.shape), np.empty(got.shape)
+    for index in np.ndindex(got.shape[:-1]):
+        row = [Fraction(float(v)) for v in padded[index]]
+        for x in range(size):
+            terms = [k * v for k, v in zip(taps, row[x:x + len(taps)])]
+            err[index + (x,)] = abs(Fraction(float(got[index + (x,)])) - sum(terms))
+            scale[index + (x,)] = sum(abs(t) for t in terms)
+    return err, scale
 
 
 class TestMirrorPad:
@@ -197,25 +280,81 @@ def fancy_resize_planes(img, out_h, out_w):
             + rows1[..., x1] * (fy[:, None] * fx[None, :]))
 
 
+def exact_resize_error(got, img):
+    """Largest absolute error of a resize of ``img`` into ``got`` against
+    exact bilinear interpolation, in ``Fraction``s, at the float64 sample
+    positions src = (dst + 0.5) * in/out - 0.5, clipped to the source."""
+    def taps(size, out):
+        src = np.clip((np.arange(out) + 0.5) * (size / out) - 0.5, 0, size - 1)
+        lo = np.floor(src).astype(int)
+        return [(int(i), min(int(i) + 1, size - 1), Fraction(float(s)) - int(i))
+                for i, s in zip(lo, src)]
+
+    rows = taps(img.shape[-2], got.shape[-2])
+    cols = taps(img.shape[-1], got.shape[-1])
+    err = 0
+    for plane, out in zip(img.reshape((-1,) + img.shape[-2:]),
+                          got.reshape((-1,) + got.shape[-2:])):
+        exact = [[Fraction(float(v)) for v in row] for row in plane]
+        for i, (y0, y1, fy) in enumerate(rows):
+            for j, (x0, x1, fx) in enumerate(cols):
+                want = ((1 - fy) * ((1 - fx) * exact[y0][x0] + fx * exact[y0][x1])
+                        + fy * ((1 - fx) * exact[y1][x0] + fx * exact[y1][x1]))
+                err = max(err, abs(Fraction(float(out[i, j])) - want))
+    return float(err)
+
+
 class TestResizePlanes:
     @pytest.mark.parametrize("shape, out", [
-        ((3, 64, 64), (32, 32)),      # pyramid downsample
+        ((2, 64, 64), (32, 32)),      # pyramid downsample
         ((2, 16, 16), (32, 32)),      # flow upsample between levels
-        ((3, 64, 64), (224, 224)),    # window slot at the default side
+        ((1, 24, 40), (30, 18)),      # non-square, down in x and up in y
+        ((1, 4, 256), (5, 128)),      # a tiled downsample
+        ((1, 8, 64), (6, 224)),       # a tiled upsample
+    ])
+    def test_error_against_exact_reference(self, rng, shape, out):
+        # the four-gather resize erred by up to 1.2e-16 on such inputs
+        img = rng.random(shape) - 0.5
+        assert exact_resize_error(_resize_planes(img, *out), img) < 2 * 2 ** -53
+
+    @pytest.mark.parametrize("shape, out", [
+        ((3, 64, 64), (32, 32)),
+        ((2, 16, 16), (32, 32)),
+        ((3, 64, 64), (224, 224)),    # window slot at the default side, tiled
         ((2, 24, 40), (30, 18)),      # non-square, down in x and up in y
         ((5, 33, 17), (17, 33)),
+        ((2, 256, 100), (128, 150)),  # tiled on both axes
     ])
-    def test_matches_fancy_indexing(self, rng, shape, out):
+    def test_matches_four_gather_reference(self, rng, shape, out):
         img = rng.random(shape)
-        assert np.array_equal(_resize_planes(img, *out),
-                              fancy_resize_planes(img, *out))
+        assert np.abs(_resize_planes(img, *out)
+                      - fancy_resize_planes(img, *out)).max() < 1e-15
 
-    def test_strided_input(self, rng):
+    def test_strided_input_equals_contiguous(self, rng):
         field = rng.normal(size=(4, 40, 40, 2))
         planes = np.moveaxis(field, -1, -3)  # what flow slots resize
         assert not planes.flags.c_contiguous
-        assert np.array_equal(_resize_planes(planes, 32, 32),
-                              fancy_resize_planes(planes, 32, 32))
+        want = _resize_planes(np.ascontiguousarray(planes), 224, 224)
+        assert _resize_planes(planes, 224, 224).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape, out", [((8, 64, 64), (224, 224)),
+                                            ((3, 300, 200), (128, 100))])
+    def test_plane_alone_equals_plane_in_stack(self, rng, shape, out):
+        img = rng.random(shape) - 0.5
+        stacked = _resize_planes(img, *out)
+        for i in range(len(img)):
+            assert _resize_planes(img[i], *out).tobytes() == stacked[i].tobytes()
+
+    def test_operator_cached_and_read_only(self):
+        tiles = _resize_operator(64, 224)
+        assert _resize_operator(64, 224) is tiles
+        assert [(o.start, o.stop) for _, o, _ in tiles] == \
+            [(0, 64), (64, 128), (128, 192), (192, 224)]
+        for inputs, _, matrix in tiles:
+            assert not matrix.flags.writeable
+            assert matrix.shape[0] == inputs.stop - inputs.start
+            # every output's two weights sum to 1
+            assert np.allclose(matrix.sum(axis=0), 1.0)
 
     def test_float32_input(self, rng):
         img = rng.normal(size=(2, 2, 40, 40)).astype(np.float32)
@@ -385,6 +524,13 @@ class TestFlowStep:
         assert ok.any() and not ok.all()
         assert np.array_equal(got, want)
         assert np.array_equal(got[~ok], prior[~ok])
+
+    @pytest.mark.parametrize("shape", [(1, 8), (8, 1)])
+    def test_fields_narrower_than_two_rejected(self, shape):
+        # the sampler's 2x2 blocks would read outside a 1-pixel plane
+        p = PolyCoeffs(*(np.ones(shape) for _ in range(6)))
+        with pytest.raises(ValueError, match="at least 2x2"):
+            flow_step(p, p, np.zeros(shape + (2,)), 3)
 
     def test_dimension_mismatch(self):
         p1 = poly_expansion(np.zeros((16, 16)), 5, 1.0)

@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 from gebd.annotations import load_annotations, normalize_track
-from gebd import synth
+from gebd import flow, synth
 from gebd.pnm import write_pnm
 from gebd.synth import CLASS_NAMES, JITTER_SIGMA, generate_corpus
 from gebd.windows import FrameSequence
+
+from conftest import tap_loop_correlate1d
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
@@ -61,6 +63,25 @@ class TestDeterminism:
         generate_corpus(a, n_videos=1, seed=1, duration=5.0, image_size=40)
         generate_corpus(b, n_videos=1, seed=2, duration=5.0, image_size=40)
         assert corpus_digest(a) != corpus_digest(b)
+
+    def test_frames_do_not_depend_on_the_blur_kernel(self, tmp_path, monkeypatch):
+        # textures blur through gebd.flow.sep_correlate; its matrix products
+        # round differently from the tap loop they replaced, and the frames,
+        # quantized to 8 bits, must not show it
+        a = tmp_path / "a"
+        b = tmp_path / "b"
+        pa = generate_corpus(a, n_videos=3, seed=1, duration=3.0, image_size=64)
+        calls = []
+
+        def tap_loop(img, kernel, axis):
+            calls.append(axis)
+            return tap_loop_correlate1d(img, kernel, axis)
+
+        monkeypatch.setattr(flow, "correlate1d", tap_loop)
+        pb = generate_corpus(b, n_videos=3, seed=1, duration=3.0, image_size=64)
+        assert len(calls) == 3 * 2 * 2  # two textures per video, two axes each
+        assert pa == pb
+        assert corpus_digest(a) == corpus_digest(b)
 
 
 class TestAnnotations:
