@@ -9,7 +9,7 @@ quadratic fit.
 
 import numpy as np
 
-from gebd.flow import (FlowConfig, farneback_flow, flow_stats, gaussian_kernel,
+from gebd.flow import (FlowConfig, farneback_flow, flow_stats_rows, gaussian_kernel,
                        gaussian_pyramid, poly_expansion, sep_correlate)
 
 rng = np.random.default_rng(0)
@@ -51,7 +51,9 @@ print(f"mean endpoint error (central region): {epe.mean():.3f} px")
 print(f"median recovered vector: "
       f"({np.median(inner[..., 0]):.3f}, {np.median(inner[..., 1]):.3f})")
 
-mean_mag, max_mag, hist = flow_stats(flow)
-print(f"flow stats: mean magnitude {mean_mag:.2f} px, max {max_mag:.2f} px")
+# one field as one row of each component
+mean_mag, max_mag, hist = flow_stats_rows(flow[..., 0].reshape(1, -1),
+                                          flow[..., 1].reshape(1, -1))
+print(f"flow stats: mean magnitude {mean_mag[0]:.2f} px, max {max_mag[0]:.2f} px")
 print("angle histogram (8 bins, magnitude weighted):")
-print("  " + " ".join(f"{v:.2f}" for v in hist))
+print("  " + " ".join(f"{v:.2f}" for v in hist[0]))

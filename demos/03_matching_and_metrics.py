@@ -7,8 +7,7 @@ summary the way the evaluation stage does.
 """
 
 from gebd.evaluation import (absolute_window_match, evaluate_corpus, f1_from_pr,
-                             match_boundaries, per_class_report, prf_from_match,
-                             sweep_thresholds)
+                             match_boundaries, prf_from_match)
 
 # Two predictions, two ground-truth boundaries, tight threshold.  Greedy lets
 # the first prediction grab the nearest ground truth and strands the second.
@@ -21,8 +20,9 @@ for policy in ("greedy_nearest", "optimal"):
 print("\nthreshold sweep for a noisier clip:")
 preds = [1.1, 3.9, 5.2, 7.7]
 gts = [1.0, 4.3, 5.0, 9.0]
-for prf in sweep_thresholds(preds, gts, duration=10.0,
-                            thresholds=[0.02, 0.05, 0.1, 0.2]):
+for threshold in (0.02, 0.05, 0.1, 0.2):
+    prf = prf_from_match(match_boundaries(preds, gts, duration=10.0,
+                                          threshold=threshold), threshold)
     print(f"  thr {prf.threshold:>4}: P={prf.precision:.2f} "
           f"R={prf.recall:.2f} F1={prf.f1:.2f}")
 
@@ -43,7 +43,4 @@ report = evaluate_corpus(predictions, ground_truth, durations, classes,
 g = report.global_prf[0]
 print(f"\ncorpus micro PRF@5%: P={g.precision:.2f} R={g.recall:.2f} "
       f"F1={g.f1:.2f}")
-ranked = per_class_report({vid: rows[0].f1
-                           for vid, rows in report.per_video.items()},
-                          classes, k=2)
-print("class means:", ranked.top)
+print("class means:", report.per_class)

@@ -19,9 +19,8 @@ Library surface:
 * :mod:`gebd.config` - the flow, window, training and detection settings
 
 Importing the package loads no numpy.  The flow names below
-(``farneback_flow``, ``flow_stats``, ``gaussian_pyramid``,
-``poly_expansion``, ``to_gray``) import :mod:`gebd.flow`, and with it
-numpy, on first use.
+(``farneback_flow``, ``gaussian_pyramid``, ``poly_expansion``,
+``to_gray``) import :mod:`gebd.flow`, and with it numpy, on first use.
 """
 
 __version__ = "0.2.0"
@@ -50,15 +49,12 @@ from .evaluation import (  # noqa: F401
     f1_from_pr,
     match_boundaries,
     match_count,
-    per_class_report,
     prf_from_counts,
     prf_from_match,
-    sweep_thresholds,
 )
 from .config import FlowConfig  # noqa: F401
 
-_FLOW_NAMES = ("farneback_flow", "flow_stats", "gaussian_pyramid",
-               "poly_expansion", "to_gray")
+_FLOW_NAMES = ("farneback_flow", "gaussian_pyramid", "poly_expansion", "to_gray")
 
 
 def __getattr__(name):

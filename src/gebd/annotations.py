@@ -84,6 +84,15 @@ def _number(obj, key, where) -> float:
         f"{where}: {key} must be a finite number, got {value!r}")
 
 
+def _string(obj, key, where) -> str:
+    """``obj[key]`` if it is a string, else refused naming ``where`` and ``key``."""
+    value = obj[key]
+    if isinstance(value, str):
+        return value
+    raise AnnotationValidationError(
+        f"{where}: {key} must be a string, got {value!r}")
+
+
 def _boundaries_from_json(entries, where, duration) -> list:
     """The boundary list ``entries`` of annotator ``where``, each within
     [0, duration] and sorted by start."""
@@ -160,7 +169,7 @@ def parse_annotations(text: str) -> list:
         if abs(num_frames / fps - duration) > 1.0 / fps:
             raise AnnotationValidationError(
                 f"{vid}: num_frames inconsistent with duration and fps")
-        meta = VideoMeta(video_id=vid, class_label=str(entry["class_label"]),
+        meta = VideoMeta(video_id=vid, class_label=_string(entry, "class_label", vid),
                          duration=duration, fps=fps, num_frames=int(num_frames))
         annotators = entry["annotators"]
         if not isinstance(annotators, list):
@@ -174,11 +183,11 @@ def parse_annotations(text: str) -> list:
                     f"{vid}: annotator entries must be objects")
             if "annotator_id" not in ann:
                 raise AnnotationValidationError(f"{vid}: missing field annotator_id")
-            aid = str(ann["annotator_id"])
+            aid = _string(ann, "annotator_id", vid)
             if any(t.annotator_id == aid for t in tracks):
                 raise AnnotationValidationError(
                     f"{vid}: duplicate annotator_id {aid!r}")
-            where = f"{vid}/{ann['annotator_id']}"
+            where = f"{vid}/{aid}"
             boundaries = _boundaries_from_json(ann.get("boundaries", []), where,
                                                duration)
             cons = None
@@ -248,7 +257,9 @@ def normalize_track(track: AnnotatorTrack, meta: VideoMeta) -> BoundaryList:
 
 
 def _pairwise_rows(aset: AnnotationSet, threshold: float) -> list:
-    """The rows of :func:`pairwise_f1` as lists of floats."""
+    """n lists of n floats: F1 of annotator i's boundaries scored against
+    annotator j's, 1 on the diagonal.  Each unordered pair is matched once:
+    swapping the lists swaps precision and recall, not F1."""
     n = len(aset.tracks)
     duration = aset.meta.duration
     # normalized timestamps are strictly ascending floats, as match_count needs
@@ -262,19 +273,6 @@ def _pairwise_rows(aset: AnnotationSet, threshold: float) -> list:
             out[i][j] = out[j][i] = prf_from_counts(
                 matched, len(lists[i]), len(lists[j])).f1
     return out
-
-
-def pairwise_f1(aset: AnnotationSet, threshold: float = 0.05):
-    """F1 of annotator i's boundaries scored against annotator j's, all i, j.
-
-    Row i holds annotator i as predictions versus annotator j as ground
-    truth; the diagonal is 1 by construction (identical lists).  Each
-    unordered pair is matched once: swapping the lists swaps precision and
-    recall, which leaves F1 the same float.  Returns an (n, n) array.
-    """
-    import numpy as np
-    n = len(aset.tracks)
-    return np.array(_pairwise_rows(aset, threshold), dtype=float).reshape(n, n)
 
 
 def _pairwise_sum(values) -> float:

@@ -31,7 +31,7 @@ from .postprocess import ScoreSequence
 FEATURE_DIM = 27
 FEATURE_SCHEMA_VERSION = 1
 # flow columns [0:10] of a window's first slot or a clamped repeat: the
-# flow_stats of a zero field, written out so that importing runs no kernel
+# flow_stats_rows of a zero field, written out so that importing runs no kernel
 STATIC_FLOW_FEATURES = np.array([0.0, 0.0] + [1.0 / 8.0] * 8)
 
 ADAM_BETA1 = 0.9
@@ -106,25 +106,16 @@ def slot_features(rgb, flow, prev_rgb) -> np.ndarray:
                            intensity_hist, diff[:, None]], axis=1)
 
 
-def pc_concat(before, after) -> np.ndarray:
-    """Mean of the before-features concatenated with mean of the after-features."""
-    before = np.asarray(before, dtype=np.float64)
-    after = np.asarray(after, dtype=np.float64)
-    if before.ndim != 2 or after.ndim != 2 or before.shape != after.shape:
-        raise ValueError(
-            f"before/after must both be (m, d), got {before.shape} and {after.shape}")
-    return np.concatenate([before.mean(axis=0), after.mean(axis=0)])
-
-
 def window_features(rgb_window, flow_window) -> np.ndarray:
-    """Classifier input for one extracted window ((2m,3,S,S), (2m,2,S,S))."""
+    """Classifier input for one extracted window ((2m,3,S,S), (2m,2,S,S)):
+    the mean features of its first m slots, then those of its last m."""
     n = rgb_window.shape[0]
     if n % 2 != 0 or flow_window.shape[0] != n:
         raise ValueError("windows must hold 2m matching slots")
     prev = np.concatenate([rgb_window[:1], rgb_window[:-1]])
     feats = slot_features(rgb_window, flow_window, prev)
     m = n // 2
-    return pc_concat(feats[:m], feats[m:])
+    return np.concatenate([feats[:m].mean(axis=0), feats[m:].mean(axis=0)])
 
 
 def window_inputs(table, indices) -> np.ndarray:

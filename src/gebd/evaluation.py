@@ -266,56 +266,11 @@ def f1_from_pr(precision: float, recall: float) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
-def sweep_thresholds(predictions, ground_truth, duration, thresholds,
-                     policy="optimal"):
-    """One PRF per threshold (ascending, each in (0,1]) with the given policy."""
-    thresholds = list(thresholds)
-    if not thresholds:
-        raise ValueError("threshold list must be non-empty")
-    check_ascending(thresholds, "thresholds")
-    out = []
-    for t in thresholds:
-        m = match_boundaries(predictions, ground_truth, duration, t, policy)
-        out.append(prf_from_match(m, threshold=t))
-    return out
-
-
-@dataclass
-class ClassReport:
-    top: list  # (class_label, mean_f1) descending
-    bottom: list  # (class_label, mean_f1) ascending
-    k_clamped: bool = False  # True when k exceeded the number of classes
-
-
-def per_class_report(per_video_f1, classes, k) -> ClassReport:
-    """Mean per-video F1 by class; top-k descending and bottom-k ascending.
-
-    ``per_video_f1`` maps video_id -> F1 at the primary threshold and
-    ``classes`` maps video_id -> class label.  Ties order by class name.
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    sums = {}
-    counts = {}
-    for vid, f1 in per_video_f1.items():
-        if vid not in classes:
-            raise ValueError(f"video {vid!r} has no class label")
-        label = classes[vid]
-        sums[label] = sums.get(label, 0.0) + f1
-        counts[label] = counts.get(label, 0) + 1
-    means = [(label, sums[label] / counts[label]) for label in sums]
-    clamped = k > len(means)
-    kk = min(k, len(means))
-    top = sorted(means, key=lambda lv: (-lv[1], lv[0]))[:kk]
-    bottom = sorted(means, key=lambda lv: (lv[1], lv[0]))[:kk]
-    return ClassReport(top=top, bottom=bottom, k_clamped=clamped)
-
-
 @dataclass
 class EvalReport:
     global_prf: list  # PRF per threshold, micro-aggregated over videos
     per_video: dict  # video_id -> list of PRF over thresholds
-    per_class: list  # (class_label, mean per-video F1 at the primary threshold)
+    per_class: list  # (class_label, mean F1 at the primary threshold), descending
     mode: str  # "relative" | "absolute_window"
     primary_threshold: float
 
@@ -332,7 +287,8 @@ def evaluate_corpus(predictions, ground_truth, durations, classes=None,
     videos before dividing, so aggregation is independent of video order.
     In ``absolute_window`` mode the single ``window`` (seconds) replaces the
     threshold sweep and is echoed in the threshold column.  Per-class means
-    aggregate per-video F1 at the primary threshold.
+    sum per-video F1 at the primary threshold in ``video_id`` order, ties
+    ordered by class label; a video ``classes`` lacks raises ``ValueError``.
     """
     unknown = sorted(set(predictions) - set(ground_truth))
     if unknown:
@@ -388,8 +344,13 @@ def evaluate_corpus(predictions, ground_truth, durations, classes=None,
     per_class = []
     if classes is not None:
         idx = grid.index(primary_threshold)
-        values = {vid: per_video[vid][idx].f1 for vid in video_ids}
-        rep = per_class_report(values, classes,
-                               k=max(1, len(set(classes.values()))))
-        per_class = rep.top  # full descending list
+        sums, counts = {}, {}
+        for vid in video_ids:
+            if vid not in classes:
+                raise ValueError(f"video {vid!r} has no class label")
+            label = classes[vid]
+            sums[label] = sums.get(label, 0.0) + per_video[vid][idx].f1
+            counts[label] = counts.get(label, 0) + 1
+        per_class = sorted(((label, sums[label] / counts[label]) for label in sums),
+                           key=lambda lv: (-lv[1], lv[0]))
     return EvalReport(global_prf, per_video, per_class, mode, primary_threshold)

@@ -29,13 +29,12 @@ front of ``(H, W)``.
 All images are float arrays scaled to [0,1]; flow fields are (H, W, 2)
 arrays holding (dx, dy) in pixels, x along columns and y along rows.
 Every sliding window reflect-pads as numpy's "reflect" mode does
-(:func:`_reflect`; the score smoothing in :mod:`gebd.postprocess` pads
-through :func:`_mirror_pad`).  The linear filters are products with
-cached, read-only axis operators cut into tiles of at most :data:`_TILE`
-outputs (:func:`_tiles`), of three kinds: box-average fold counts
-(:func:`_box_operator`), reflect-folded correlation taps
-(:func:`_taps_operator`, for :func:`correlate1d`) and half-pixel bilinear
-weights (:func:`_resize_operator`, for :func:`_resize_planes`).
+(:func:`_reflect`).  The linear filters are products with cached,
+read-only axis operators cut into tiles of at most :data:`_TILE` outputs
+(:func:`_tiles`), of two kinds: reflect-folded correlation taps
+(:func:`_taps_operator`, for :func:`correlate1d`, whose uniform taps are
+the box average :func:`_box_average`) and half-pixel bilinear weights
+(:func:`_resize_operator`, for :func:`_resize_planes`).
 :func:`_apply_operator` multiplies C-contiguous planes by them, and
 ``np.matmul`` calls gemm once per plane, so no product mixes frames.
 Everything else is elementwise numpy or gathers, so results are
@@ -94,7 +93,7 @@ def to_gray(rgb: np.ndarray) -> np.ndarray:
 
 
 def correlate1d(img: np.ndarray, kernel, axis: int) -> np.ndarray:
-    """Correlation along one axis, reflect-padded as :func:`_mirror_pad` pads.
+    """Correlation along one axis, reflect-padded as ``np.pad``'s "reflect" mode.
 
     out[x] = sum_d kernel[d + n] * img[x + d] for d in [-n, n].  ``axis``
     may be negative; every other axis passes through unchanged.  The taps,
@@ -114,14 +113,6 @@ def _reflect(positions: np.ndarray, size: int) -> np.ndarray:
     period = max(2 * (size - 1), 1)
     folded = positions % period
     return np.minimum(folded, period - folded)
-
-
-def _mirror_pad(img: np.ndarray, n: int, axis: int) -> np.ndarray:
-    """``img`` with ``n`` samples of numpy's "reflect" padding on both ends
-    of ``axis``, for any ``n >= 0`` (see :func:`_reflect`), as one
-    ``np.take``."""
-    size = img.shape[axis]
-    return np.take(img, _reflect(np.arange(-n, size + n), size), axis=axis)
 
 
 def sep_correlate(img: np.ndarray, kx, ky) -> np.ndarray:
@@ -264,15 +255,14 @@ def _bilinear_sampler(ys: np.ndarray, xs: np.ndarray):
 _TILE = 64
 
 
-def _tiles(index: np.ndarray, weight: np.ndarray, divisor: float = 1.0) -> tuple:
+def _tiles(index: np.ndarray, weight: np.ndarray) -> tuple:
     """Read-only tiles of the axis operator whose output ``k`` is
-    ``sum_t weight[k, t] * x[index[k, t]] / divisor``, as
-    ``(inputs, outputs, matrix)``: output ``k`` in the ``outputs`` slice is
+    ``sum_t weight[k, t] * x[index[k, t]]``, as ``(inputs, outputs,
+    matrix)``: output ``k`` in the ``outputs`` slice is
     ``x[inputs] @ matrix[:, k]``.
 
     Each tile covers up to :data:`_TILE` outputs and the span of inputs
-    they read.  Terms that read the same input are summed into one entry,
-    then the entries are divided by ``divisor``.
+    they read.  Terms that read the same input are summed into one entry.
     """
     tiles = []
     for start in range(0, len(index), _TILE):
@@ -282,7 +272,6 @@ def _tiles(index: np.ndarray, weight: np.ndarray, divisor: float = 1.0) -> tuple
         matrix = np.zeros((hi - lo, stop - start))
         np.add.at(matrix, (reads - lo, np.arange(stop - start)[:, None]),
                   weight[start:stop])
-        matrix /= divisor
         matrix.flags.writeable = False
         tiles.append((slice(lo, hi), slice(start, stop), matrix))
     return tuple(tiles)
@@ -291,16 +280,6 @@ def _tiles(index: np.ndarray, weight: np.ndarray, divisor: float = 1.0) -> tuple
 def _window_index(size: int, n: int) -> np.ndarray:
     """(size, 2n + 1) inputs read by each output's reflect-padded window."""
     return _reflect(np.arange(size)[:, None] + np.arange(-n, n + 1), size)
-
-
-@functools.lru_cache(maxsize=64)
-def _box_operator(size: int, window: int) -> tuple:
-    """:func:`_tiles` of the ``window``-wide reflect-padded box average
-    along an axis of ``size`` samples: entry ``[i, k]`` counts the positions
-    of output ``k``'s window that fold onto input ``i``, divided by
-    ``window``.  Cached per ``(size, window)``."""
-    index = _window_index(size, window // 2)
-    return _tiles(index, np.ones(index.shape), window)
 
 
 @functools.lru_cache(maxsize=128)
@@ -354,19 +333,20 @@ def _apply_operator(img: np.ndarray, tiles: tuple, axis: int) -> np.ndarray:
 
 
 def _box_average(img: np.ndarray, window: int) -> np.ndarray:
-    """Mean of the mirror-padded ``window`` x ``window`` square around each
-    sample: :func:`_box_operator` along rows, then along columns.
+    """Mean of the reflect-padded ``window`` x ``window`` square around
+    each sample: :func:`sep_correlate` with ``window`` uniform taps of
+    ``1 / window``.
 
     Each output is one gemm dot product of its window's inputs with the
-    fold counts, so no difference of long sums cancels digits.
+    folded taps, so no difference of long sums cancels digits.
     """
     h, w = img.shape[-2:]
     # at most 2*dim - 1 on tiny pyramid levels, so reflection folds once
     window = min(window, 2 * min(h, w) - 1)
     if window % 2 == 0:
         window -= 1
-    rows = _apply_operator(img, _box_operator(w, window), -1)
-    return _apply_operator(rows, _box_operator(h, window), -2)
+    taps = np.full(window, 1.0 / window)
+    return sep_correlate(img, taps, taps)
 
 
 def flow_step(p1: PolyCoeffs, p2: PolyCoeffs, prior: np.ndarray,
@@ -458,26 +438,15 @@ def farneback_flow(frame1: np.ndarray, frame2: np.ndarray,
     return video_flow(np.stack([f1, f2]), config)[0]
 
 
-def flow_stats(flow: np.ndarray):
-    """(mean magnitude, max magnitude, 8-bin angle histogram).
-
-    The histogram is magnitude-weighted and normalized to sum 1; an all-zero
-    field yields the uniform histogram by convention.
-    """
-    flow = np.asarray(flow, dtype=np.float64)
-    if flow.ndim != 3 or flow.shape[2] != 2:
-        raise ValueError(f"expected (H,W,2) flow field, got shape {flow.shape}")
-    mean, peak, hist = flow_stats_rows(flow[..., 0].reshape(1, -1),
-                                       flow[..., 1].reshape(1, -1))
-    return float(mean[0]), float(peak[0]), hist[0]
-
-
 def flow_stats_rows(dx: np.ndarray, dy: np.ndarray):
-    """:func:`flow_stats` of many fields, each given as one row of the
-    (B, N) component arrays ``dx`` and ``dy``; returns (B,), (B,) and (B, 8).
+    """Mean magnitude, max magnitude and 8-bin angle histogram of many flow
+    fields, each given as one row of the (B, N) component arrays ``dx`` and
+    ``dy``; returns (B,), (B,) and (B, 8).
 
-    Sums run along each row and the histograms come from one ``np.bincount``
-    with a per-row bin offset, so a row equals its field's stats alone.
+    The histogram is magnitude-weighted and normalized to sum 1; an
+    all-zero field yields the uniform histogram by convention.  Sums run
+    along each row and the histograms come from one ``np.bincount`` with a
+    per-row bin offset, so a row equals its field's stats alone.
     """
     mag = np.hypot(dx, dy)
     total = mag.sum(axis=1)

@@ -41,8 +41,8 @@ def read_header(fh):
     reading in ``fh``, which is left at its first pixel byte.
 
     A magic other than P5/P6, a maxval other than 255, a width or height
-    that is not a number, or a file shorter than its pixel data raises
-    :class:`PNMError` naming the field.
+    that is not a number or is below 1, or a file shorter than its pixel
+    data raises :class:`PNMError` naming the field.
     """
     magic = _next_token(fh)
     if magic not in (b"P5", b"P6"):
@@ -53,6 +53,8 @@ def read_header(fh):
         if not token.isdigit():
             raise PNMError(f"{name} {token!r} is not a number")
         numbers.append(int(token))
+        if numbers[-1] < 1 and name != "maxval":
+            raise PNMError(f"{name} {numbers[-1]} is below 1")
     width, height, maxval = numbers
     if maxval != 255:
         raise PNMError(f"only maxval 255 supported, got {maxval}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DetectionConfig
-from .flow import _mirror_pad, gaussian_kernel
+from .flow import gaussian_kernel
 
 
 @dataclass
@@ -40,7 +40,8 @@ def gaussian_taps(sigma: float) -> np.ndarray:
 
 
 def smooth_scores(seq: ScoreSequence, sigma: float) -> ScoreSequence:
-    """Gaussian-smoothed copy, reflect-padded by :func:`gebd.flow._mirror_pad`;
+    """Gaussian-smoothed copy, reflect-padded by ``np.pad``'s "reflect"
+    mode, which folds a radius longer than the sequence back and forth;
     sigma 0 returns an identical copy."""
     seq.validate()
     if sigma < 0:
@@ -50,7 +51,7 @@ def smooth_scores(seq: ScoreSequence, sigma: float) -> ScoreSequence:
         smoothed = scores.copy()
     else:
         taps = gaussian_taps(sigma)
-        smoothed = np.convolve(_mirror_pad(scores, len(taps) // 2, axis=0),
+        smoothed = np.convolve(np.pad(scores, len(taps) // 2, mode="reflect"),
                                taps[::-1], mode="valid")
     return ScoreSequence(video_id=seq.video_id, timestamps=list(seq.timestamps),
                          scores=[float(s) for s in smoothed])

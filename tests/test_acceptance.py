@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from gebd.annotations import (AnnotationSet, AnnotatorTrack, RawBoundary,
-                              VideoMeta, compute_f1_consistency, pairwise_f1,
+                              VideoMeta, _pairwise_rows, compute_f1_consistency,
                               select_gt_weighted)
 from gebd.classifier import TrainConfig, bce_gradient, train_logistic
 from gebd.container import ContainerError, read_tensor, write_tensor
@@ -190,8 +190,8 @@ def test_criterion_7_consistency_properties():
                 for i, stamps in enumerate(lists)])
 
         aset = build([[1.0, 4.0], [2.5, 7.0], [1.0, 4.0]])
-        grid = pairwise_f1(aset, 0.05)
-        assert grid[0, 2] == 1.0 and grid[2, 0] == 1.0
+        grid = _pairwise_rows(aset, 0.05)
+        assert grid[0][2] == 1.0 and grid[2][0] == 1.0
 
         rng = np.random.default_rng(7)
         for _ in range(100):

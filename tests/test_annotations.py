@@ -5,10 +5,10 @@ import pytest
 
 from gebd.annotations import (AnnotationParseError, AnnotationSet,
                               AnnotationValidationError, AnnotatorTrack,
-                              RawBoundary, VideoMeta, _mean, attach_consistency,
-                              compute_f1_consistency, fnv1a64, load_annotations,
-                              normalize_track,
-                              pairwise_f1, parse_annotations, per_video_rng,
+                              RawBoundary, VideoMeta, _mean, _pairwise_rows,
+                              attach_consistency, compute_f1_consistency,
+                              fnv1a64, load_annotations, normalize_track,
+                              parse_annotations, per_video_rng,
                               select_gt, select_gt_highest, select_gt_weighted,
                               serialize_annotations)
 from gebd.evaluation import match_boundaries, prf_from_match
@@ -16,6 +16,12 @@ from gebd.evaluation import match_boundaries, prf_from_match
 from conftest import enumerate_matchings
 
 META = VideoMeta("vid0", "classA", 10.0, 10.0, 100)
+
+
+def pairwise_f1(aset, threshold):
+    """The annotator-vs-annotator F1 rows that consistency averages, as an
+    (n, n) array."""
+    return np.array(_pairwise_rows(aset, threshold))
 
 
 def make_set(track_lists, duration=10.0, video_id="vid0", consistencies=None):

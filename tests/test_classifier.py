@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from gebd import classifier
 from gebd.classifier import (FEATURE_DIM, LogisticModel, TrainConfig,
-                             bce_gradient, load_model, pc_concat, save_model,
+                             bce_gradient, load_model, save_model,
                              score_sequence, slot_features, train_logistic,
                              window_features)
 from gebd.flow import to_gray
@@ -161,21 +162,34 @@ class TestSlotFeatures:
 
 
 class TestPCConcat:
-    def test_means_of_scalar_features(self):
+    """The before/after halves of :func:`window_features`: its slot features
+    are given, so the window's RGB and flow only set the slot count."""
+
+    @pytest.fixture
+    def pc_concat(self, monkeypatch):
+        def pc_concat(before, after):
+            feats = np.concatenate([before, after])
+            monkeypatch.setattr(classifier, "slot_features",
+                                lambda rgb, flow, prev: feats)
+            n = len(feats)
+            return window_features(np.zeros((n, 3, 1, 1)), np.zeros((n, 2, 1, 1)))
+        return pc_concat
+
+    def test_means_of_scalar_features(self, pc_concat):
         before = [[1.0], [2.0], [3.0], [4.0], [5.0]]
         after = [[3.0], [4.0], [5.0], [6.0], [7.0]]
         assert pc_concat(before, after) == pytest.approx([3.0, 5.0])
 
-    def test_identical_sides(self, rng):
+    def test_identical_sides(self, rng, pc_concat):
         side = rng.random((4, 6))
         out = pc_concat(side, side)
         assert out[:6] == pytest.approx(out[6:])
 
-    def test_m_equals_one(self, rng):
+    def test_m_equals_one(self, rng, pc_concat):
         a, b = rng.random((1, 3)), rng.random((1, 3))
         assert pc_concat(a, b) == pytest.approx(np.concatenate([a[0], b[0]]))
 
-    def test_permutation_invariance_and_swap(self, rng):
+    def test_permutation_invariance_and_swap(self, rng, pc_concat):
         before, after = rng.random((5, 4)), rng.random((5, 4))
         base = pc_concat(before, after)
         shuffled = pc_concat(before[rng.permutation(5)],
@@ -186,8 +200,10 @@ class TestPCConcat:
         assert swapped[4:] == pytest.approx(base[:4])
 
     def test_count_mismatch(self):
-        with pytest.raises(ValueError):
-            pc_concat(np.zeros((3, 2)), np.zeros((4, 2)))
+        with pytest.raises(ValueError, match="2m matching slots"):
+            window_features(np.zeros((7, 3, 1, 1)), np.zeros((7, 2, 1, 1)))
+        with pytest.raises(ValueError, match="2m matching slots"):
+            window_features(np.zeros((6, 3, 1, 1)), np.zeros((8, 2, 1, 1)))
 
 
 class TestTraining:

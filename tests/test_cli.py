@@ -153,10 +153,20 @@ class TestSynthValidate:
         (("annotators", 0, "boundaries", 0), {"t": None},
          "v/a0: t must be a finite number, got None"),
         (("annotators", 0), {"boundaries": [{"start": 1.0, "end": True}]},
-         "v/a0: end must be a finite number, got True")],
+         "v/a0: end must be a finite number, got True"),
+        # str() would make these the class "None" and the annotator "7"
+        ((), {"class_label": None}, "v: class_label must be a string, got None"),
+        ((), {"class_label": ["x"]},
+         "v: class_label must be a string, got ['x']"),
+        (("annotators", 0), {"annotator_id": 7},
+         "v: annotator_id must be a string, got 7"),
+        (("annotators", 0), {"annotator_id": None},
+         "v: annotator_id must be a string, got None")],
         ids=["fps-nan", "fps-inf", "duration-nan", "duration-text",
              "num_frames-fraction", "annotators-number", "annotator-number",
-             "boundaries-null", "consistency-text", "t-null", "end-bool"])
+             "boundaries-null", "consistency-text", "t-null", "end-bool",
+             "class-null", "class-list", "annotator-number-id",
+             "annotator-null-id"])
     def test_validate_names_wrong_typed_value(self, tmp_path, capsys, path,
                                               value, message):
         doc = {"video_id": "v", "class_label": "c", "duration": 10.0,
@@ -203,6 +213,7 @@ class TestSynthValidate:
         ("odd_size", "width x height 40x48 differs from frame 0's 48x48"),
         ("maxval", "only maxval 255 supported, got 65535"),
         ("magic", "unsupported PNM magic b'P2'"),
+        ("zero_width", "width 0 is below 1"),
     ])
     def test_malformed_frame_named(self, corpus, tmp_path, capsys, damage,
                                    problem):
@@ -218,6 +229,8 @@ class TestSynthValidate:
             blob = b"P5\n40 48\n255\n" + blob[13:13 + 40 * 48]
         elif damage == "maxval":
             blob = b"P5\n48 48\n65535\n" + blob[13:] * 2
+        elif damage == "zero_width":
+            blob = b"P5\n0 48\n255\n"
         else:
             blob = b"P2" + blob[2:]
         frame.write_bytes(blob)

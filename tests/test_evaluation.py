@@ -3,8 +3,7 @@ import pytest
 
 from gebd.evaluation import (POLICIES, absolute_window_match, evaluate_corpus,
                              f1_from_pr, match_boundaries, match_count,
-                             per_class_report, prf_from_counts, prf_from_match,
-                             sweep_thresholds)
+                             prf_from_counts, prf_from_match)
 
 from conftest import enumerate_matchings, max_matching_cardinality
 
@@ -240,6 +239,12 @@ class TestF1FromPR:
         assert f1_from_pr(0.0, 0.0) == 0.0
 
 
+def sweep_thresholds(preds, gts, duration, grid):
+    """The per-threshold rows :func:`evaluate_corpus` gives one video."""
+    return evaluate_corpus({"v": preds}, {"v": gts}, {"v": duration},
+                           thresholds=grid).per_video["v"]
+
+
 class TestSweep:
     def test_grid_cardinality(self):
         grid = [round(0.05 * k, 2) for k in range(1, 11)]
@@ -262,9 +267,9 @@ class TestSweep:
                 assert prf_from_match(m, threshold) == prf
 
     def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="non-empty"):
             sweep_thresholds([1.0], [1.0], 10.0, [])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="ascending"):
             sweep_thresholds([1.0], [1.0], 10.0, [0.1, 0.05])
 
 
@@ -289,41 +294,52 @@ class TestAbsoluteWindow:
             assert rel.pairs == absolute.pairs
 
 
+def per_class(f1s, classes):
+    """:func:`evaluate_corpus`'s class means over videos whose F1 at 5% is
+    1 (one matched boundary) or 0 (one missed), as ``f1s`` maps them."""
+    gt = {vid: [5.0] for vid in f1s}
+    preds = {vid: [5.0] if f1 else [] for vid, f1 in f1s.items()}
+    return evaluate_corpus(preds, gt, {vid: 10.0 for vid in f1s}, classes,
+                           thresholds=[0.05]).per_class
+
+
 class TestPerClass:
     def test_single_class_mean(self):
-        rep = per_class_report({"a": 1.0, "b": 0.0}, {"a": "x", "b": "x"}, k=1)
-        assert rep.top == [("x", 0.5)]
+        assert per_class({"a": 1, "b": 0}, {"a": "x", "b": "x"}) == [("x", 0.5)]
 
     def test_top_bottom_ordering(self):
-        rep = per_class_report({"a": 0.9, "b": 0.1},
-                               {"a": "hi", "b": "lo"}, k=1)
-        assert rep.top == [("hi", 0.9)]
-        assert rep.bottom == [("lo", 0.1)]
-        assert not rep.k_clamped
+        # descending means; equal means by class label
+        f1s = {"a": 1, "b": 0, "c": 0, "d": 1}
+        classes = {"a": "hi", "b": "lo", "c": "dd", "d": "dd"}
+        assert per_class(f1s, classes) == [("hi", 1.0), ("dd", 0.5), ("lo", 0.0)]
 
-    def test_k_larger_than_classes_flagged(self):
-        rep = per_class_report({"a": 0.9}, {"a": "only"}, k=5)
-        assert rep.top == [("only", 0.9)]
-        assert rep.k_clamped
+    def test_unscored_labels_left_out(self):
+        # labels of videos without ground truth form no class
+        assert per_class({"a": 1}, {"a": "only", "z": "other"}) == [("only", 1.0)]
 
     def test_matches_sort_and_average_oracle(self):
         rng = np.random.default_rng(8)
         labels = ["c0", "c1", "c2", "c3", "c4"]
-        per_video = {f"v{i}": float(rng.uniform()) for i in range(30)}
-        classes = {vid: labels[i % 5] for i, vid in enumerate(sorted(per_video))}
-        rep = per_class_report(per_video, classes, k=3)
+        preds, gts, durations = {}, {}, {}
+        for i in range(30):
+            vid = f"v{i}"
+            preds[vid], gts[vid], durations[vid], _ = random_instance(rng)
+        classes = {vid: labels[i % 5] for i, vid in enumerate(sorted(gts))}
+        rep = evaluate_corpus(preds, gts, durations, classes, thresholds=[0.1],
+                              primary_threshold=0.1)
         sums, counts = {}, {}
-        for vid, f1 in per_video.items():
+        for vid in sorted(gts):
+            f1 = prf_from_match(match_boundaries(preds[vid], gts[vid],
+                                                 durations[vid], 0.1)).f1
             sums[classes[vid]] = sums.get(classes[vid], 0.0) + f1
             counts[classes[vid]] = counts.get(classes[vid], 0) + 1
         means = sorted(((lbl, sums[lbl] / counts[lbl]) for lbl in sums),
                        key=lambda lv: (-lv[1], lv[0]))
-        assert rep.top == means[:3]
-        assert rep.bottom == sorted(means, key=lambda lv: (lv[1], lv[0]))[:3]
+        assert rep.per_class == means
 
     def test_missing_class_rejected(self):
-        with pytest.raises(ValueError):
-            per_class_report({"a": 1.0}, {}, k=1)
+        with pytest.raises(ValueError, match="video 'a' has no class label"):
+            per_class({"a": 1}, {})
 
 
 class TestCorpusEval:

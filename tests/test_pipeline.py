@@ -6,6 +6,7 @@ import json
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import time
@@ -326,6 +327,70 @@ class TestResumption:
         state = {s["name"]: s["skipped"] for s in manifest["stages"]}
         assert state["validate"] and state["consistency"]
         assert not state["flow"]
+
+
+def start_pipeline(corpus, out):
+    """``gebd pipeline`` with two flow workers as a process in its own
+    session, so one ``killpg`` kills it and its forked workers together."""
+    return subprocess.Popen(
+        [sys.executable, "-m", "gebd.cli", "pipeline", str(corpus), "--out",
+         str(out), "--image-side", "32", "--workers", "2"],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, start_new_session=True)
+
+
+def flow_running(out):
+    """Whether ``out/manifest.json`` lists stage flow without its stamp,
+    which the pipeline drops while a stage runs."""
+    try:
+        with open(out / "manifest.json", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except (OSError, ValueError):  # not written yet
+        return False
+    return (any(s["name"] == "flow" for s in manifest["stages"])
+            and "flow" not in manifest["stamps"])
+
+
+def test_killed_anywhere_rerun_matches_clean_run(tmp_path):
+    # the corpus of the CI smoke check: two 3 s videos of 32x32 frames
+    corpus = tmp_path / "smoke"
+    generate_corpus(corpus, n_videos=2, seed=1, duration=3.0, fps=10.0,
+                    image_size=32)
+    clean = tmp_path / "clean"
+    start = time.perf_counter()
+    proc = start_pipeline(corpus, clean)
+    assert proc.wait() == 0, proc.stderr.read()
+    proc.stderr.close()
+    elapsed = time.perf_counter() - start
+    tables = sorted(p.name for p in (clean / "features").glob("*.gebt"))
+    assert len(tables) == 2
+    results = ["scores.csv", "predictions.csv", "eval_global.csv",
+               "eval_per_video.csv", "eval_per_class.csv"]
+    results += [os.path.join("features", name) for name in tables]
+
+    # two kills at seeded points of a clean run's time, then one in stage flow
+    delays = list(np.random.default_rng(31).uniform(0.0, 1.0, 2) * elapsed)
+    for k, delay in enumerate(delays + [None]):
+        out = tmp_path / f"killed{k}"
+        proc = start_pipeline(corpus, out)
+        try:
+            if delay is None:
+                while not flow_running(out):
+                    assert proc.poll() is None, "the run ended before stage flow"
+                    time.sleep(0.002)
+            else:
+                time.sleep(delay)
+        finally:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+            proc.stderr.close()
+        rerun = start_pipeline(corpus, out)
+        _, err = rerun.communicate()
+        assert rerun.returncode == 0, err
+        for name in results:
+            assert (out / name).read_bytes() == (clean / name).read_bytes(), \
+                (k, name)
+        assert sorted(p.name for p in (out / "features").glob("*.gebt")) == tables
+        assert not list(out.rglob("*.tmp.*")), k
 
 
 def video_ids(corpus):

@@ -6,8 +6,8 @@ import pytest
 
 from gebd.annotations import VideoMeta
 from gebd import windows
-from gebd.flow import (FlowConfig, _resize_planes, farneback_flow, flow_stats,
-                       to_gray, video_flow)
+from gebd.flow import (FlowConfig, _resize_planes, farneback_flow,
+                       flow_stats_rows, to_gray, video_flow)
 from gebd.pnm import PNMError, frame_name, read_header, read_pnm, write_pnm
 from gebd.classifier import (FEATURE_DIM, STATIC_FLOW_FEATURES, slot_features,
                              window_features, window_inputs)
@@ -378,8 +378,9 @@ class TestFrameFeatureTable:
         # frame 0 has zero flow and a zero difference
         assert table[0, 0] == table[0, 1] == 0.0
         assert np.all(table[0, 2:10] == 1 / 8) and table[0, 26] == 0.0
+        zero = np.zeros((1, 32 * 32))
         assert np.array_equal(STATIC_FLOW_FEATURES,
-                              np.hstack(flow_stats(np.zeros((32, 32, 2)))))
+                              np.column_stack(flow_stats_rows(zero, zero))[0])
         assert np.array_equal(table[0, :10], STATIC_FLOW_FEATURES)
 
     def test_reads_each_frame_and_pair_once(self, stored, monkeypatch):
