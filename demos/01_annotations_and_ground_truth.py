@@ -30,7 +30,7 @@ aset = AnnotationSet(meta=meta, tracks=tracks)
 
 print("normalized boundary lists (ranges become midpoints):")
 for track in tracks:
-    stamps = normalize_track(track, meta).timestamps
+    stamps = normalize_track(track, meta)
     print(f"  {track.annotator_id:>6}: {stamps}")
 
 print("\nF1-consistency at a 5% relative-distance threshold:")
@@ -39,13 +39,13 @@ for annotator_id, score in compute_f1_consistency(aset, threshold=0.05):
 
 attach_consistency(aset, threshold=0.05)
 best = select_gt_highest(aset)
-print(f"\nhighest-consistency ground truth -> {best.timestamps}")
+print(f"\nhighest-consistency ground truth -> {best}")
 
 print("\nweighted sampling picks proportionally to consistency;")
 print("the per-video stream makes the draw a pure function of (seed, video):")
 for seed in (1, 2, 3, 4):
     picked = select_gt_weighted(aset, seed)
-    print(f"  seed {seed}: {picked.timestamps}")
+    print(f"  seed {seed}: {picked}")
 
 # The JSON schema round-trips exactly.
 text = serialize_annotations([aset])

@@ -6,8 +6,8 @@ optimal matcher does not, then sweeps thresholds and builds a per-class
 summary the way the evaluation stage does.
 """
 
-from gebd.evaluation import (absolute_window_match, evaluate_corpus, f1_from_pr,
-                             match_boundaries, prf_from_match)
+from gebd.evaluation import (evaluate_corpus, f1_from_pr, match_boundaries,
+                             prf_from_match)
 
 # Two predictions, two ground-truth boundaries, tight threshold.  Greedy lets
 # the first prediction grab the nearest ground truth and strands the second.
@@ -26,7 +26,8 @@ for threshold in (0.02, 0.05, 0.1, 0.2):
     print(f"  thr {prf.threshold:>4}: P={prf.precision:.2f} "
           f"R={prf.recall:.2f} F1={prf.f1:.2f}")
 
-w = absolute_window_match(preds, gts, window=0.5)
+# with no duration the threshold is an absolute window in seconds
+w = match_boundaries(preds, gts, duration=None, threshold=0.5)
 print(f"\nabsolute +/-0.5 s window: {len(w.pairs)} pairs "
       f"(duration plays no role)")
 

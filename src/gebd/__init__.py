@@ -28,7 +28,6 @@ __version__ = "0.2.0"
 from .annotations import (  # noqa: F401
     AnnotationSet,
     AnnotatorTrack,
-    BoundaryList,
     RawBoundary,
     VideoMeta,
     compute_f1_consistency,
@@ -44,7 +43,6 @@ from .evaluation import (  # noqa: F401
     EvalReport,
     MatchResult,
     PRF,
-    absolute_window_match,
     evaluate_corpus,
     f1_from_pr,
     match_boundaries,

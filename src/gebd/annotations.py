@@ -63,12 +63,6 @@ class AnnotationSet:
     tracks: list  # of AnnotatorTrack
 
 
-@dataclass
-class BoundaryList:
-    video_id: str
-    timestamps: list  # strictly ascending seconds
-
-
 def _number(obj, key, where) -> float:
     """``obj[key]`` as a float; anything but a finite JSON number (Python's
     json reads ``NaN`` and ``Infinity`` too) is refused naming ``where`` and
@@ -143,6 +137,7 @@ def parse_annotations(text: str) -> list:
     if not isinstance(raw, list):
         raise AnnotationValidationError("top level must be a list of video objects")
     sets = []
+    seen = set()
     for entry in raw:
         if not isinstance(entry, dict):
             raise AnnotationValidationError("each video entry must be an object")
@@ -151,6 +146,9 @@ def parse_annotations(text: str) -> list:
             raise AnnotationValidationError("entry missing field video_id")
         if "/" in vid or "\0" in vid or vid in (".", ".."):  # it names files
             raise AnnotationValidationError(f"video_id {vid!r} is not a file name")
+        if vid in seen:
+            raise AnnotationValidationError(f"duplicate video_id {vid!r}")
+        seen.add(vid)
         for key in ("class_label", "duration", "fps", "num_frames", "annotators"):
             if key not in entry:
                 raise AnnotationValidationError(f"{vid}: missing field {key}")
@@ -234,10 +232,9 @@ def load_annotations(path) -> list:
         return parse_annotations(fh.read())
 
 
-def normalize_track(track: AnnotatorTrack, meta: VideoMeta) -> BoundaryList:
-    """Instants map to their timestamp, ranges to their midpoint.
-
-    The result is sorted and strictly ascending; timestamps that coincide
+def normalize_track(track: AnnotatorTrack, meta: VideoMeta) -> list:
+    """The track's timestamps: instants map to their timestamp, ranges to
+    their midpoint.  The list is strictly ascending; timestamps that coincide
     after midpointing collapse to a single boundary.
     """
     stamps = []
@@ -253,7 +250,7 @@ def normalize_track(track: AnnotatorTrack, meta: VideoMeta) -> BoundaryList:
     for t in stamps:
         if not dedup or t != dedup[-1]:
             dedup.append(t)
-    return BoundaryList(video_id=meta.video_id, timestamps=dedup)
+    return dedup
 
 
 def _pairwise_rows(aset: AnnotationSet, threshold: float) -> list:
@@ -263,7 +260,7 @@ def _pairwise_rows(aset: AnnotationSet, threshold: float) -> list:
     n = len(aset.tracks)
     duration = aset.meta.duration
     # normalized timestamps are strictly ascending floats, as match_count needs
-    lists = [normalize_track(t, aset.meta).timestamps for t in aset.tracks]
+    lists = [normalize_track(t, aset.meta) for t in aset.tracks]
     out = [[1.0] * n for _ in range(n)]
     if n > 1:
         check_limit(duration, threshold)
@@ -334,7 +331,7 @@ def attach_consistency(aset: AnnotationSet, threshold: float = 0.05) -> None:
         track.f1_consistency = c
 
 
-def select_gt_highest(aset: AnnotationSet) -> BoundaryList:
+def select_gt_highest(aset: AnnotationSet) -> list:
     """Normalized boundaries of the most consistent annotator.
 
     Ties break to the lexicographically smallest annotator_id.
@@ -371,7 +368,7 @@ def per_video_rng(seed: int, video_id: str):
     return np.random.default_rng((int(seed) & 0xFFFFFFFFFFFFFFFF) ^ fnv1a64(video_id))
 
 
-def select_gt_weighted(aset: AnnotationSet, seed: int) -> BoundaryList:
+def select_gt_weighted(aset: AnnotationSet, seed: int) -> list:
     """Sample one annotator with probability proportional to consistency.
 
     Uses the per-video RNG stream, so the same (seed, video_id) always picks
@@ -409,8 +406,9 @@ def parse_gt_policy(policy: str):
     raise ValueError(f"unknown gt policy {policy!r}")
 
 
-def select_gt(aset: AnnotationSet, policy: str, default_seed: int) -> BoundaryList:
-    """GT under ``highest`` or ``weighted[:<seed>]`` (no seed: ``default_seed``)."""
+def select_gt(aset: AnnotationSet, policy: str, default_seed: int) -> list:
+    """The :func:`normalize_track` list of the track that ``highest`` or
+    ``weighted[:<seed>]`` (no seed: ``default_seed``) selects."""
     name, seed = parse_gt_policy(policy)
     if name == "highest":
         return select_gt_highest(aset)

@@ -45,7 +45,6 @@ class LogisticModel:
     bias: float
     feature_mean: np.ndarray
     feature_std: np.ndarray
-    schema_version: int = FEATURE_SCHEMA_VERSION
     train_config: TrainConfig | None = None
 
     def standardize(self, x: np.ndarray) -> np.ndarray:
@@ -230,7 +229,7 @@ def score_sequence(model: LogisticModel, inputs, timestamps,
 
 def save_model(path, model: LogisticModel) -> None:
     doc = {
-        "schema_version": model.schema_version,
+        "schema_version": FEATURE_SCHEMA_VERSION,
         "weights": [float(v) for v in model.weights],
         "bias": model.bias,
         "feature_mean": [float(v) for v in model.feature_mean],
@@ -253,6 +252,5 @@ def load_model(path) -> LogisticModel:
         bias=float(doc["bias"]),
         feature_mean=np.asarray(doc["feature_mean"], dtype=np.float64),
         feature_std=np.asarray(doc["feature_std"], dtype=np.float64),
-        schema_version=doc["schema_version"],
         train_config=cfg,
     )

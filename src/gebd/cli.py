@@ -91,7 +91,7 @@ def _config(args) -> PipelineConfig:
 def _emit_primary(config, out_dir, **extra) -> int:
     """Print the ``eval_global.csv`` row of ``--threshold`` (of the window in
     ``window:`` mode), cell for cell, then ``extra``."""
-    _, window = parse_mode(config.mode)
+    window = parse_mode(config.mode)
     cell = f"{config.threshold if window is None else window:.6g}"
     path = os.path.join(out_dir, "eval_global.csv")
     rows = [r for r in read_csv(path, GLOBAL_HEADER) if r[0] == cell]

@@ -53,6 +53,16 @@ class WindowSpec:
             raise ValueError("label_tolerance must be >= 0")
 
 
+def check_stride(meta, stride: float) -> None:
+    """Refuse a candidate ``stride`` that is not positive, or, naming the
+    video, one not shorter than ``meta.duration`` (a ``VideoMeta``)."""
+    if stride <= 0:
+        raise ValueError("stride must be positive")
+    if stride >= meta.duration:
+        raise ValueError(f"{meta.video_id}: stride {stride} must be smaller "
+                         f"than duration {meta.duration}")
+
+
 @dataclass
 class TrainConfig:
     learning_rate: float = 0.0001

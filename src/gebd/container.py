@@ -6,10 +6,10 @@ file:
 
     bytes 0..3   magic  b"GEBT"
     byte  4      format version (1)
-    byte  5      dtype code (1 = float32, 2 = float64, both little-endian)
+    byte  5      dtype code, always 2 (float64, little-endian)
     byte  6      ndim (1..5)
     next 4*ndim  dims, unsigned 32-bit little-endian, each >= 1
-    rest         row-major little-endian payload, itemsize * prod(dims) bytes
+    rest         row-major little-endian payload, 8 * prod(dims) bytes
 
 There is no compression.  Per-frame feature tables are float64
 ``[N, 27]``, one row per frame, so the classifier inputs built from them
@@ -34,9 +34,7 @@ import struct
 
 MAGIC = b"GEBT"
 VERSION = 1
-DTYPE_F32 = 1
 DTYPE_F64 = 2
-_DTYPES = {DTYPE_F32: ("<f4", 4), DTYPE_F64: ("<f8", 8)}  # numpy dtype, itemsize
 MAX_NDIM = 5
 
 
@@ -98,13 +96,13 @@ def read_csv(path, header) -> list:
 
 
 def _parse_header(blob: bytes):
-    """``(dims, dtype, payload offset)`` of the GEBT file ``blob``."""
+    """``(dims, payload offset)`` of the GEBT file ``blob``."""
     if len(blob) < 7 or blob[:4] != MAGIC:
         raise ContainerError("not a GEBT file (bad magic)")
     version, dtype, ndim = struct.unpack("<BBB", blob[4:7])
     if version != VERSION:
         raise ContainerError(f"unsupported GEBT version {version}")
-    if dtype not in _DTYPES:
+    if dtype != DTYPE_F64:
         raise ContainerError(f"unsupported dtype code {dtype}")
     if not 1 <= ndim <= MAX_NDIM:
         raise ContainerError(f"ndim out of range: {ndim}")
@@ -115,49 +113,45 @@ def _parse_header(blob: bytes):
     if any(d < 1 for d in dims):
         raise ContainerError(f"every dim must be >= 1, got {dims}")
     got = len(blob) - dims_end
-    dtype, itemsize = _DTYPES[dtype]
-    expected = itemsize * math.prod(dims)
+    expected = 8 * math.prod(dims)
     if got != expected:
         raise ContainerError(f"payload length mismatch: got {got} bytes, "
                              f"expected {expected}")
-    return dims, dtype, dims_end
+    return dims, dims_end
 
 
-def write_tensor(dims, data, dtype: int = DTYPE_F32) -> bytes:
-    """Serialize ``data`` (flat or shaped array) with shape ``dims`` to GEBT bytes."""
+def write_tensor(dims, data) -> bytes:
+    """Serialize ``data`` (flat or shaped) with shape ``dims`` to float64 GEBT."""
     dims = [int(d) for d in dims]
     if not 1 <= len(dims) <= MAX_NDIM:
         raise ContainerError(f"ndim must be in [1,{MAX_NDIM}], got {len(dims)}")
     if any(d < 1 for d in dims):
         raise ContainerError(f"every dim must be >= 1, got {dims}")
-    if dtype not in _DTYPES:
-        raise ContainerError(f"unsupported dtype code {dtype}")
     import numpy as np
     n = math.prod(dims)
     if np.size(data) != n:
         raise ContainerError(f"data length mismatch: {np.size(data)} values "
                              f"for dims {dims} (need {n})")
-    return (MAGIC + struct.pack("<BBB", VERSION, dtype, len(dims))
+    return (MAGIC + struct.pack("<BBB", VERSION, DTYPE_F64, len(dims))
             + struct.pack("<" + "I" * len(dims), *dims)
-            + np.asarray(data, dtype=_DTYPES[dtype][0]).tobytes())
+            + np.asarray(data, dtype="<f8").tobytes())
 
 
 def read_tensor(blob: bytes):
-    """Parse GEBT bytes; returns ``(dims, data)`` with ``data`` a flat array.
+    """Parse GEBT bytes into ``(dims, data)``, ``data`` a flat float64 array.
 
-    ``data`` has the stored dtype (float32 or float64).  Rejects bad magic,
-    unknown version/dtype, out-of-range dims and any payload length mismatch
-    (including trailing bytes).
+    Rejects bad magic, unknown version/dtype, out-of-range dims and any
+    payload length mismatch (including trailing bytes).
     """
     import numpy as np
-    dims, dtype, offset = _parse_header(blob)
-    return dims, np.frombuffer(blob, dtype=dtype, offset=offset).copy()
+    dims, offset = _parse_header(blob)
+    return dims, np.frombuffer(blob, dtype="<f8", offset=offset).copy()
 
 
-def write_tensor_file(path, dims, data, dtype: int = DTYPE_F32) -> None:
+def write_tensor_file(path, dims, data) -> None:
     """Write a GEBT file atomically (see :func:`atomic_open`)."""
     with atomic_open(path, "wb") as fh:
-        fh.write(write_tensor(dims, data, dtype))
+        fh.write(write_tensor(dims, data))
 
 
 def read_tensor_file(path):

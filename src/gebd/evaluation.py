@@ -2,9 +2,9 @@
 
 A predicted timestamp matches a ground-truth timestamp when their relative
 distance (absolute error divided by video duration) is at or below a
-threshold; the official operating point is a 5% threshold.  An
-absolute-window variant admits pairs by raw ``|p - g| <= window`` seconds
-instead.
+threshold; the official operating point is a 5% threshold.  Given no
+duration (``None``), the same functions admit pairs by the absolute-window
+rule ``|p - g| <= window`` seconds instead, the threshold being the window.
 
 Two pairing policies are provided:
 
@@ -26,7 +26,7 @@ Metrics and annotator consistency need only the number of matched pairs.
 O(P+G) two-pointer pass over the ascending lists (a pair of heads that is
 admissible is part of some maximum matching, and a head too far left of the
 other list's head can match nothing later), so the suffix DP runs only when
-:func:`match_boundaries` or :func:`absolute_window_match` is asked for pairs.
+:func:`match_boundaries` is asked for pairs.
 Both paths admit a pair by the same float expression, so counts agree to
 the bit.  Distances are plain Python floats in lists of rows, so matching
 and scoring under either policy run without numpy.
@@ -82,7 +82,7 @@ def check_policy(policy):
 
 def check_limit(duration, threshold):
     """The argument checks of :func:`match_boundaries`; with ``duration``
-    None, those of :func:`absolute_window_match` on window ``threshold``."""
+    None, ``threshold`` is a window in seconds and must be positive."""
     if duration is None:
         if not threshold > 0:
             raise ValueError(f"window must be positive, got {threshold}")
@@ -175,8 +175,15 @@ def _match_greedy(dist, limit):
     return pairs
 
 
-def _match(predictions, ground_truth, duration, limit, policy):
-    check_limit(duration, limit)
+def match_boundaries(predictions, ground_truth, duration, threshold,
+                     policy="optimal") -> MatchResult:
+    """Match predicted to ground-truth timestamps at a relative-distance threshold.
+
+    With ``duration`` None, ``threshold`` is a window in seconds: pairs are
+    admitted by the duration-independent rule ``|p - g| <= threshold``, and
+    ``rel_distances`` in the result hold the pairs' raw second offsets.
+    """
+    check_limit(duration, threshold)
     check_policy(policy)
     p = _ascending_floats(predictions, "predictions")
     g = _ascending_floats(ground_truth, "ground_truth")
@@ -184,9 +191,9 @@ def _match(predictions, ground_truth, duration, limit, policy):
     if not p or not g:
         pairs = []
     elif policy == "optimal":
-        pairs = _match_optimal(dist, limit)
+        pairs = _match_optimal(dist, threshold)
     else:
-        pairs = _match_greedy(dist, limit)
+        pairs = _match_greedy(dist, threshold)
     return MatchResult(
         pairs=pairs,
         rel_distances=[dist[i][j] for i, j in pairs],
@@ -195,26 +202,11 @@ def _match(predictions, ground_truth, duration, limit, policy):
     )
 
 
-def match_boundaries(predictions, ground_truth, duration, threshold,
-                     policy="optimal") -> MatchResult:
-    """Match predicted to ground-truth timestamps at a relative-distance threshold."""
-    return _match(predictions, ground_truth, duration, threshold, policy)
-
-
-def absolute_window_match(predictions, ground_truth, window,
-                          policy="optimal") -> MatchResult:
-    """Match with the duration-independent rule ``|p - g| <= window`` seconds.
-
-    ``rel_distances`` in the result hold raw second offsets of the pairs.
-    """
-    return _match(predictions, ground_truth, None, window, policy)
-
-
 def match_count(p, g, duration, threshold, policy="optimal") -> int:
     """``len(match_boundaries(p, g, duration, threshold, policy).pairs)``;
-    with ``duration`` None, that of ``absolute_window_match`` on window
-    ``threshold`` seconds.  ``optimal`` builds no pairs (one two-pointer
-    pass), ``greedy_nearest`` counts its pairs over the P x G distances.
+    with ``duration`` None, ``threshold`` is a window in seconds.
+    ``optimal`` builds no pairs (one two-pointer pass), ``greedy_nearest``
+    counts its pairs over the P x G distances.
 
     Nothing is checked, so callers check once for many counts: ``p`` and
     ``g`` must be strictly ascending floats and the other arguments pass
@@ -271,13 +263,12 @@ class EvalReport:
     global_prf: list  # PRF per threshold, micro-aggregated over videos
     per_video: dict  # video_id -> list of PRF over thresholds
     per_class: list  # (class_label, mean F1 at the primary threshold), descending
-    mode: str  # "relative" | "absolute_window"
     primary_threshold: float
 
 
 def evaluate_corpus(predictions, ground_truth, durations, classes=None,
                     thresholds=(0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5),
-                    primary_threshold=0.05, mode="relative", window=None,
+                    primary_threshold=0.05, window=None,
                     policy="optimal") -> EvalReport:
     """Evaluate per-video boundary lists over a corpus.
 
@@ -285,16 +276,16 @@ def evaluate_corpus(predictions, ground_truth, durations, classes=None,
     list; videos missing from ``predictions`` count as empty prediction
     lists.  Global PRF sums matched/predicted/ground-truth counts over
     videos before dividing, so aggregation is independent of video order.
-    In ``absolute_window`` mode the single ``window`` (seconds) replaces the
-    threshold sweep and is echoed in the threshold column.  Per-class means
-    sum per-video F1 at the primary threshold in ``video_id`` order, ties
-    ordered by class label; a video ``classes`` lacks raises ``ValueError``.
+    ``window`` None sweeps the relative ``thresholds``; a window in seconds
+    replaces the sweep by that one absolute window, echoed in the threshold
+    column.  Per-class means sum per-video F1 at the primary threshold in
+    ``video_id`` order, ties ordered by class label; a video ``classes``
+    lacks raises ``ValueError``.
     """
     unknown = sorted(set(predictions) - set(ground_truth))
     if unknown:
         raise KeyError(f"predictions reference unknown video_id(s): {unknown}")
-    relative = mode == "relative"
-    if relative:
+    if window is None:
         grid = list(thresholds)
         if not grid:
             raise ValueError("threshold list must be non-empty")
@@ -303,13 +294,10 @@ def evaluate_corpus(predictions, ground_truth, durations, classes=None,
             grid = sorted(set(grid) | {primary_threshold})
         for t in grid:
             check_threshold(t)
-    elif mode == "absolute_window":
-        if window is None or not window > 0:
-            raise ValueError("absolute_window mode needs a positive window")
+    else:
+        check_limit(None, window)
         grid = [window]
         primary_threshold = window
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
     check_policy(policy)
 
     # an optimal count is a maximum matching, so it only grows along the
@@ -321,7 +309,7 @@ def evaluate_corpus(predictions, ground_truth, durations, classes=None,
     video_ids = sorted(ground_truth)
     for vid in video_ids:
         duration = None
-        if relative:
+        if window is None:
             duration = durations[vid]
             _check_duration(duration)
         pred = _ascending_floats(predictions.get(vid, []), "predictions")
@@ -353,4 +341,4 @@ def evaluate_corpus(predictions, ground_truth, durations, classes=None,
             counts[label] = counts.get(label, 0) + 1
         per_class = sorted(((label, sums[label] / counts[label]) for label in sums),
                            key=lambda lv: (-lv[1], lv[0]))
-    return EvalReport(global_prf, per_video, per_class, mode, primary_threshold)
+    return EvalReport(global_prf, per_video, per_class, primary_threshold)

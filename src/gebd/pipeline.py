@@ -67,13 +67,14 @@ from dataclasses import dataclass
 from . import __version__
 from .annotations import (attach_consistency, load_annotations, normalize_track,
                           parse_gt_policy, per_video_rng, select_gt)
-from .config import DetectionConfig, FlowConfig, TrainConfig, WindowSpec
-from .container import (DTYPE_F64, atomic_open, read_csv, read_csv_lines,
-                        read_tensor_file, write_csv, write_tensor_file)
+from .config import (DetectionConfig, FlowConfig, TrainConfig, WindowSpec,
+                     check_stride)
+from .container import (atomic_open, read_csv, read_csv_lines, read_tensor_file,
+                        write_csv, write_tensor_file)
 from .evaluation import (check_ascending, check_policy, check_threshold,
                          evaluate_corpus)
 from .pnm import check_frames, frame_files
-from .report import TimelineSpec, render_class_bars, render_timeline
+from .report import render_class_bars, render_timeline
 
 DEFAULT_THRESHOLDS = tuple(round(0.05 * k, 2) for k in range(1, 11))
 MAX_RANGE_VALUES = 10_000  # per lo:step:hi range; relative steps down to 1e-4
@@ -127,10 +128,10 @@ class PipelineConfig:
             except ValueError as e:  # each message starts with its field's name
                 word = str(e).split()[0]
                 raise ValueError(f"key {_RENAMED.get(word, word)!r}: {e}") from e
-        _named("mode", parse_mode, self.mode)
+        window = _named("mode", parse_mode, self.mode)
         _named("gt_policy", parse_gt_policy, self.gt_policy)
         _named("match_policy", check_policy, self.match_policy)
-        if self.mode == "relative":  # as evaluate_corpus checks them
+        if window is None:  # as evaluate_corpus checks them
             _named("threshold", check_threshold, self.threshold)
             for t in self.thresholds:
                 _named("thresholds", check_threshold, t)
@@ -469,8 +470,7 @@ def attach_stage_consistency(sets, config: PipelineConfig) -> None:
 
 def ground_truth(sets, config: PipelineConfig) -> dict:
     """video_id -> timestamps of the track ``config.gt_policy`` selects."""
-    return {aset.meta.video_id: select_gt(aset, config.gt_policy,
-                                          config.seed).timestamps
+    return {aset.meta.video_id: select_gt(aset, config.gt_policy, config.seed)
             for aset in sets}
 
 
@@ -480,11 +480,11 @@ def write_eval(paths, sets, config: PipelineConfig, preds, gt) -> None:
     gt = {**{aset.meta.video_id: [] for aset in sets}, **gt}
     durations = {a.meta.video_id: a.meta.duration for a in sets}
     classes = {a.meta.video_id: a.meta.class_label for a in sets}
-    mode, window = parse_mode(config.mode)
     report = evaluate_corpus(preds, gt, durations, classes,
                              thresholds=config.thresholds,
                              primary_threshold=config.threshold,
-                             mode=mode, window=window, policy=config.match_policy)
+                             window=parse_mode(config.mode),
+                             policy=config.match_policy)
     os.makedirs(paths.out, exist_ok=True)
     write_csv(paths.eval_global_csv, GLOBAL_HEADER,
               map(_prf_cells, report.global_prf))
@@ -497,10 +497,16 @@ def write_eval(paths, sets, config: PipelineConfig, preds, gt) -> None:
 
 
 def _flow_job(args):
+    """Write one video's feature table; an error names the video once."""
     from .windows import FrameSequence, frame_feature_table
     meta, frame_dir, table_path, spec, flow_cfg = args
-    table = frame_feature_table(FrameSequence(meta, frame_dir), spec, flow_cfg)
-    write_tensor_file(table_path, table.shape, table, DTYPE_F64)
+    try:
+        table = frame_feature_table(FrameSequence(meta, frame_dir), spec, flow_cfg)
+        write_tensor_file(table_path, table.shape, table)
+    except Exception as e:
+        if str(e).startswith(f"{meta.video_id}: "):
+            raise
+        raise RuntimeError(f"{meta.video_id}: {e}") from e
     return meta.video_id
 
 
@@ -529,6 +535,8 @@ class Pipeline:
     def stage_validate(self):
         check_videos(self.sets, self.paths.annotations)
         for aset in self.sets:
+            # the rule of windows.candidate_timestamps, before stage flow runs
+            check_stride(aset.meta, self.config.stride)
             check_frames(aset.meta, self.paths.frames_dir(aset.meta.video_id))
 
     def stage_consistency(self):
@@ -660,10 +668,8 @@ class Pipeline:
             tracks = [("predicted", preds.get(vid, []))]
             for track in aset.tracks:
                 tracks.append((track.annotator_id,
-                               normalize_track(track, aset.meta).timestamps))
-            svg = render_timeline(TimelineSpec(video_id=vid,
-                                               duration=aset.meta.duration,
-                                               tracks=tracks))
+                               normalize_track(track, aset.meta)))
+            svg = render_timeline(vid, aset.meta.duration, tracks)
             with atomic_open(self.paths.timeline_svg(vid)) as fh:
                 fh.write(svg)
         per_class = [(label, float(mean_f1)) for label, mean_f1, _ in
@@ -688,7 +694,7 @@ class Pipeline:
         p = self.paths
         vids = [a.meta.video_id for a in self.sets]
         table = [
-            ("validate", ("annotations", "frames"), (), []),
+            ("validate", ("annotations", "frames"), ("stride",), []),
             ("consistency", ("annotations",),
              ("consistency_threshold", "use_file_consistency"),
              [p.consistency_csv]),
@@ -794,14 +800,14 @@ class Pipeline:
 
 
 def parse_mode(text: str):
-    """'relative' or 'window:<seconds>' -> (mode, window)."""
+    """'relative' -> None; 'window:<seconds>' -> the window in seconds."""
     if text == "relative":
-        return "relative", None
+        return None
     if text.startswith("window:"):
         window = _typed("float", text.split(":", 1)[1])
         if not window > 0:
             raise ValueError(f"evaluation window must be positive, got {text!r}")
-        return "absolute_window", window
+        return window
     raise ValueError(f"unknown evaluation mode {text!r}")
 
 

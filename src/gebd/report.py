@@ -1,13 +1,12 @@
 """SVG rendering: per-video boundary timelines and per-class bar charts.
 
-Output is plain SVG 1.1 text built deterministically from the input spec -
-no timestamps, no randomness - so renders are diffable and testable by
-string comparison.
+Output is plain SVG 1.1 text of fixed width, built deterministically from
+the arguments - no timestamps, no randomness - so renders are diffable and
+testable by string comparison.  A timeline is 640 px wide and as tall as
+its tracks need; a bar chart is 520 px wide.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 _SVG_HEADER = ('<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
                'viewBox="0 0 {w} {h}" font-family="monospace" font-size="11">\n')
@@ -15,30 +14,24 @@ _SVG_HEADER = ('<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}"
 _TRACK_COLORS = ("#d62728", "#1f77b4", "#2ca02c", "#9467bd", "#8c564b",
                  "#e377c2", "#7f7f7f", "#bcbd22", "#17becf", "#ff7f0e")
 
-
-@dataclass
-class TimelineSpec:
-    video_id: str
-    duration: float
-    tracks: list  # ordered (name, [timestamps]) pairs
-    width: int = 640
-    height: int = 0  # 0: derive from track count
+TIMELINE_WIDTH = 640
+BARS_WIDTH = 520
 
 
-def render_timeline(spec: TimelineSpec) -> str:
-    """One horizontal lane per track with a vertical tick per boundary."""
-    if not spec.tracks:
+def render_timeline(video_id: str, duration: float, tracks) -> str:
+    """One lane per ``(name, [timestamps])`` track, a tick per boundary."""
+    if not tracks:
         raise ValueError("timeline needs at least one track")
-    if spec.duration <= 0:
+    if duration <= 0:
         raise ValueError("duration must be positive")
     label_w = 110
     lane_h = 26
     top = 22
-    height = spec.height or top + lane_h * len(spec.tracks) + 8
-    plot_w = spec.width - label_w - 12
-    out = [_SVG_HEADER.format(w=spec.width, h=height)]
-    out.append(f'<text x="4" y="14">{_esc(spec.video_id)}</text>\n')
-    for lane, (name, stamps) in enumerate(spec.tracks):
+    height = top + lane_h * len(tracks) + 8
+    plot_w = TIMELINE_WIDTH - label_w - 12
+    out = [_SVG_HEADER.format(w=TIMELINE_WIDTH, h=height)]
+    out.append(f'<text x="4" y="14">{_esc(video_id)}</text>\n')
+    for lane, (name, stamps) in enumerate(tracks):
         y0 = top + lane * lane_h
         mid = y0 + lane_h / 2
         color = _TRACK_COLORS[lane % len(_TRACK_COLORS)]
@@ -47,10 +40,10 @@ def render_timeline(spec: TimelineSpec) -> str:
                    f'x2="{label_w + plot_w}" y2="{mid:.2f}" '
                    f'stroke="#cccccc" stroke-width="1"/>\n')
         for t in stamps:
-            if not 0 <= t <= spec.duration:
+            if not 0 <= t <= duration:
                 raise ValueError(
-                    f"{spec.video_id}/{name}: timestamp {t} outside [0,duration]")
-            x = label_w + t / spec.duration * plot_w
+                    f"{video_id}/{name}: timestamp {t} outside [0,duration]")
+            x = label_w + t / duration * plot_w
             out.append(f'<line x1="{x:.2f}" y1="{y0 + 3:.2f}" '
                        f'x2="{x:.2f}" y2="{y0 + lane_h - 3:.2f}" '
                        f'stroke="{color}" stroke-width="2"/>\n')
@@ -58,7 +51,7 @@ def render_timeline(spec: TimelineSpec) -> str:
     return "".join(out)
 
 
-def render_class_bars(classes, title: str, width: int = 520) -> str:
+def render_class_bars(classes, title: str) -> str:
     """Horizontal bars, one per (label, value in [0,1]) pair, lengths proportional."""
     classes = list(classes)
     if not classes:
@@ -68,8 +61,8 @@ def render_class_bars(classes, title: str, width: int = 520) -> str:
     gap = 6
     top = 26
     height = top + len(classes) * (bar_h + gap) + 6
-    plot_w = width - label_w - 60
-    out = [_SVG_HEADER.format(w=width, h=height)]
+    plot_w = BARS_WIDTH - label_w - 60
+    out = [_SVG_HEADER.format(w=BARS_WIDTH, h=height)]
     out.append(f'<text x="4" y="16">{_esc(title)}</text>\n')
     for row, (label, value) in enumerate(classes):
         if not 0 <= value <= 1:

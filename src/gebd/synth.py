@@ -25,7 +25,7 @@ from .annotations import (AnnotationSet, AnnotatorTrack, RawBoundary, VideoMeta,
                           per_video_rng, serialize_annotations)
 from .container import atomic_open
 from .flow import gaussian_kernel, sep_correlate
-from .pnm import write_pnm
+from .pnm import frame_name, write_pnm
 
 CLASS_NAMES = (
     "drift_square", "bounce_square", "pulse_square", "slide_square",
@@ -168,7 +168,7 @@ def generate_video(frame_dir, class_idx, rng, duration, fps, image_size):
         if segment > 0 and f == int(np.ceil(seg_starts[segment] * fps)):
             # global brightness pulse on the first frame of a new segment
             frame = np.clip(frame + BOUNDARY_FLASH, 0.0, 1.0)
-        write_pnm(os.path.join(frame_dir, f"frame_{f:06d}.pgm"), frame)
+        write_pnm(os.path.join(frame_dir, frame_name(f) + ".pgm"), frame)
     return n_frames, planted, centres
 
 

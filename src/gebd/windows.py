@@ -24,7 +24,7 @@ import numpy as np
 
 from .annotations import VideoMeta
 from .classifier import FEATURE_DIM, slot_features
-from .config import FlowConfig, WindowSpec
+from .config import FlowConfig, WindowSpec, check_stride
 from .flow import PAIR_CHUNK_PIXELS, _resize_planes, to_gray, video_flow
 from .pnm import frame_files, read_pnm
 
@@ -64,11 +64,7 @@ class FrameSequence:
 
 def candidate_timestamps(meta: VideoMeta, stride: float):
     """Grid t_k = (k + 0.5) * stride for every t_k < duration."""
-    if stride <= 0:
-        raise ValueError("stride must be positive")
-    if stride >= meta.duration:
-        raise ValueError(
-            f"stride {stride} must be smaller than duration {meta.duration}")
+    check_stride(meta, stride)
     out = []
     k = 0
     while True:

@@ -78,6 +78,16 @@ class TestParsing:
         with pytest.raises(AnnotationValidationError, match="duplicate"):
             parse_annotations(bad)
 
+    def test_duplicate_video_id_rejected(self):
+        # a second entry for v1, of another class and boundaries
+        doc = json.loads(ONE_VIDEO)
+        doc.append(dict(doc[0], class_label="other",
+                        annotators=[{"annotator_id": "b0",
+                                     "boundaries": [{"t": 7.0}]}]))
+        with pytest.raises(AnnotationValidationError,
+                           match="duplicate video_id 'v1'"):
+            parse_annotations(json.dumps(doc))
+
     def test_missing_field_named(self):
         doc = json.loads(ONE_VIDEO)
         del doc[0]["fps"]
@@ -116,22 +126,22 @@ class TestParsing:
 class TestNormalize:
     def test_range_midpoint(self):
         track = AnnotatorTrack("a", [RawBoundary("range", 2.0, 4.0)])
-        assert normalize_track(track, META).timestamps == [3.0]
+        assert normalize_track(track, META) == [3.0]
 
     def test_instants_identity(self):
         track = AnnotatorTrack("a", [RawBoundary("instant", 1.0),
                                      RawBoundary("instant", 5.0)])
-        assert normalize_track(track, META).timestamps == [1.0, 5.0]
+        assert normalize_track(track, META) == [1.0, 5.0]
 
     def test_midpoint_collapses_with_instant(self):
         track = AnnotatorTrack("a", [RawBoundary("range", 1.0, 3.0),
                                      RawBoundary("instant", 2.0)])
-        assert normalize_track(track, META).timestamps == [2.0]
+        assert normalize_track(track, META) == [2.0]
 
     def test_midpoints_resorted(self):
         track = AnnotatorTrack("a", [RawBoundary("range", 1.0, 9.0),
                                      RawBoundary("instant", 2.0)])
-        assert normalize_track(track, META).timestamps == [2.0, 5.0]
+        assert normalize_track(track, META) == [2.0, 5.0]
 
     def test_idempotent_on_instants(self):
         track = AnnotatorTrack("a", [RawBoundary("instant", 1.5),
@@ -139,8 +149,8 @@ class TestNormalize:
         once = normalize_track(track, META)
         again = normalize_track(
             AnnotatorTrack("a", [RawBoundary("instant", t)
-                                 for t in once.timestamps]), META)
-        assert again.timestamps == once.timestamps
+                                 for t in once]), META)
+        assert again == once
 
     def test_corrupt_timestamp_guard(self):
         track = AnnotatorTrack("a", [RawBoundary("instant", 11.0)])
@@ -246,19 +256,19 @@ class TestConsistency:
 class TestSelectGT:
     def test_argmax(self):
         aset = make_set([[1.0], [2.0], [3.0]], consistencies=[0.6, 0.8, 0.7])
-        assert select_gt_highest(aset).timestamps == [2.0]
+        assert select_gt_highest(aset) == [2.0]
 
     def test_tie_breaks_lexicographic(self):
         aset = make_set([[1.0], [2.0]], consistencies=[0.5, 0.5])
-        assert select_gt_highest(aset).timestamps == [1.0]
+        assert select_gt_highest(aset) == [1.0]
         # swap ids so lexicographic order differs from track order
         aset.tracks[0].annotator_id = "zz"
         aset.tracks[1].annotator_id = "aa"
-        assert select_gt_highest(aset).timestamps == [2.0]
+        assert select_gt_highest(aset) == [2.0]
 
     def test_singleton(self):
         aset = make_set([[4.0]], consistencies=[0.3])
-        assert select_gt_highest(aset).timestamps == [4.0]
+        assert select_gt_highest(aset) == [4.0]
 
     def test_missing_consistency_instructs(self):
         aset = make_set([[1.0], [2.0]])
@@ -267,19 +277,19 @@ class TestSelectGT:
 
     def test_rescaling_invariance(self):
         aset = make_set([[1.0], [2.0], [3.0]], consistencies=[0.2, 0.9, 0.5])
-        base = select_gt_highest(aset).timestamps
+        base = select_gt_highest(aset)
         for track in aset.tracks:
             track.f1_consistency = track.f1_consistency * 0.5
-        assert select_gt_highest(aset).timestamps == base
+        assert select_gt_highest(aset) == base
 
     def test_weighted_zero_mass_excluded(self):
         for seed in (0, 1, 99):
             aset = make_set([[1.0], [2.0]], consistencies=[1.0, 0.0])
-            assert select_gt_weighted(aset, seed).timestamps == [1.0]
+            assert select_gt_weighted(aset, seed) == [1.0]
 
     def test_weighted_deterministic(self):
         aset = make_set([[1.0], [2.0]], consistencies=[0.5, 0.5])
-        picks = {select_gt_weighted(aset, 42).timestamps[0] for _ in range(5)}
+        picks = {select_gt_weighted(aset, 42)[0] for _ in range(5)}
         assert len(picks) == 1
 
     def test_policy_dispatch(self):
@@ -306,7 +316,7 @@ class TestSelectGT:
         for v in range(n):
             aset = make_set([[1.0], [2.0]], video_id=f"v{v}",
                             consistencies=[0.25, 0.75])
-            if select_gt_weighted(aset, 7).timestamps == [2.0]:
+            if select_gt_weighted(aset, 7) == [2.0]:
                 hits += 1
         sigma = (0.75 * 0.25 / n) ** 0.5
         assert abs(hits / n - 0.75) <= 4 * sigma

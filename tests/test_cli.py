@@ -16,8 +16,9 @@ from gebd.annotations import (attach_consistency, load_annotations,
                               normalize_track, select_gt_highest)
 from gebd.cli import build_parser, main
 from gebd.evaluation import evaluate_corpus
-from gebd.pipeline import (Pipeline, PipelineConfig, read_boundary_csv,
-                           write_boundary_csv)
+from gebd.config import FlowConfig, WindowSpec
+from gebd.pipeline import (Pipeline, PipelineConfig, _flow_job,
+                           read_boundary_csv, write_boundary_csv)
 from gebd.synth import generate_corpus
 
 
@@ -58,7 +59,7 @@ def gt(corpus):
     out = {}
     for aset in sets:
         attach_consistency(aset, 0.05)
-        out[aset.meta.video_id] = select_gt_highest(aset).timestamps
+        out[aset.meta.video_id] = select_gt_highest(aset)
     return out
 
 
@@ -246,6 +247,31 @@ class TestSynthValidate:
                 f"{problem}") in err
         assert not (run / "features").exists()
 
+    def test_repeated_video_id_refused(self, corpus, tmp_path, capsys):
+        # the first video listed again, with another class and boundaries
+        corpus2 = tmp_path / "corpus"
+        shutil.copytree(corpus, corpus2)
+        doc = json.load(open(corpus2 / "annotations.json"))
+        doc.append(dict(doc[0], class_label="other", annotators=[
+            {"annotator_id": "b0", "boundaries": [{"t": 1.0}]}]))
+        (corpus2 / "annotations.json").write_text(json.dumps(doc))
+        vid = doc[0]["video_id"]
+        code, values, err = run_cli(capsys, "validate",
+                                    str(corpus2 / "annotations.json"))
+        assert code == 1 and "ok" not in values
+        assert err == f"error: duplicate video_id {vid!r}\n"
+        empty = tmp_path / "empty.csv"
+        empty.write_text("video_id,timestamp\n")
+        code, _, err = run_cli(capsys, "eval", "--predictions", str(empty),
+                               "--annotations", str(corpus2 / "annotations.json"),
+                               "--out", str(tmp_path / "eval"))
+        assert code == 1 and "duplicate video_id" in err
+        assert not (tmp_path / "eval").exists()
+        code, _, err = run_cli(capsys, "pipeline", str(corpus2), "--out",
+                               str(tmp_path / "run"), "--image-side", "32")
+        assert code == 1 and "duplicate video_id" in err
+        assert not (tmp_path / "run").exists()
+
     def test_pgm_and_ppm_frames_may_mix(self, corpus, tmp_path, capsys):
         corpus2 = tmp_path / "corpus"
         shutil.copytree(corpus, corpus2)
@@ -282,7 +308,7 @@ def single_annotator(corpus, tmp_path):
     shutil.copytree(corpus / "frames" / vid, root / "frames" / vid)
     (root / "annotations.json").write_text(json.dumps(doc))
     aset = load_annotations(root / "annotations.json")[0]
-    return root, normalize_track(aset.tracks[0], aset.meta).timestamps
+    return root, normalize_track(aset.tracks[0], aset.meta)
 
 
 class TestEval:
@@ -600,6 +626,66 @@ class TestPipelineCommand:
             assert [row[2] for row in list(csv.reader(fh))[1:]] == ["1.0"]
         gt = read_boundary_csv(run / "gt.csv")
         assert list(gt.values()) == [track]
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_flow_error_names_the_video(self, corpus, tmp_path, capsys,
+                                        workers):
+        # 4x4 frames pass validate, but are too small for the flow pyramid
+        corpus2 = tmp_path / "corpus"
+        shutil.copytree(corpus, corpus2)
+        vid = sorted(os.listdir(corpus2 / "frames"))[1]
+        for frame in (corpus2 / "frames" / vid).iterdir():
+            frame.write_bytes(b"P5\n4 4\n255\n" + bytes(16))
+        code, _, err = run_cli(capsys, "validate",
+                               str(corpus2 / "annotations.json"))
+        assert code == 0, err
+        code, _, err = run_cli(capsys, "pipeline", str(corpus2), "--out",
+                               str(tmp_path / "run"), "--image-side", "32",
+                               "--workers", workers)
+        assert code == 1
+        assert f"stage 'flow' failed: {vid}: " in err
+        assert err.count(vid) == 1
+
+    def test_flow_error_that_names_the_video_is_kept(self, corpus, tmp_path):
+        meta = load_annotations(corpus / "annotations.json")[0].meta
+        frames = tmp_path / "frames"
+        shutil.copytree(corpus / "frames" / meta.video_id, frames)
+        os.remove(frames / "frame_000002.pgm")
+        job = (meta, str(frames), str(tmp_path / "t.gebt"),
+               PipelineConfig().layer(WindowSpec), FlowConfig())
+        with pytest.raises(ValueError) as info:
+            _flow_job(job)
+        assert str(info.value).startswith(
+            f"{meta.video_id}: missing frame index 2 ")
+        assert str(info.value).count(meta.video_id) == 1
+
+    def test_video_shorter_than_stride_fails_in_validate(self, corpus,
+                                                         tmp_path, capsys):
+        # 2 frames, 0.2 s: the 0.25 s candidate grid has no room
+        corpus2 = tmp_path / "corpus"
+        shutil.copytree(corpus, corpus2)
+        doc = json.load(open(corpus2 / "annotations.json"))
+        entry = doc[1]
+        vid = entry["video_id"]
+        entry.update(duration=0.2, num_frames=2)
+        for ann in entry["annotators"]:
+            ann["boundaries"] = [{"t": 0.1}]
+        (corpus2 / "annotations.json").write_text(json.dumps(doc))
+        for frame in (corpus2 / "frames" / vid).iterdir():
+            if frame.name not in ("frame_000000.pgm", "frame_000001.pgm"):
+                frame.unlink()
+        code, _, err = run_cli(capsys, "validate",
+                               str(corpus2 / "annotations.json"))
+        assert code == 0, err
+        run = tmp_path / "run"
+        code, _, err = run_cli(capsys, "pipeline", str(corpus2), "--out",
+                               str(run), "--image-side", "32")
+        assert code == 1
+        assert (f"stage 'validate' failed: {vid}: stride 0.25 must be "
+                f"smaller than duration 0.2") in err
+        stages = json.load(open(run / "manifest.json"))["stages"]
+        assert [s["name"] for s in stages] == ["validate"]
+        assert not (run / "features").exists()
 
     def test_path_like_video_id_writes_nothing(self, corpus, tmp_path, capsys):
         corpus2 = tmp_path / "corpus"

@@ -8,22 +8,22 @@ from gebd.container import (DTYPE_F64, ContainerError, atomic_open, read_csv,
 
 def test_header_layout_small_vector():
     blob = write_tensor([2], [1.0, 2.0])
-    # 4 magic + 1 version + 1 dtype + 1 ndim + 4 dims, then 8 payload bytes
+    # 4 magic + 1 version + 1 dtype + 1 ndim + 4 dims, then 16 payload bytes
     assert blob[:4] == b"GEBT"
-    assert blob[4] == 1 and blob[5] == 1 and blob[6] == 1
-    assert len(blob) == 11 + 8
-    assert np.frombuffer(blob[11:], dtype="<f4").tolist() == [1.0, 2.0]
+    assert blob[4] == 1 and blob[5] == DTYPE_F64 == 2 and blob[6] == 1
+    assert len(blob) == 11 + 16
+    assert np.frombuffer(blob[11:], dtype="<f8").tolist() == [1.0, 2.0]
 
 
 def test_window_shape_payload_size():
     dims = [10, 3, 224, 224]
-    blob = write_tensor(dims, np.zeros(10 * 3 * 224 * 224, dtype=np.float32))
+    blob = write_tensor(dims, np.zeros(10 * 3 * 224 * 224))
     header = 7 + 4 * len(dims)
-    assert len(blob) - header == 6_021_120
+    assert len(blob) - header == 12_042_240
 
 
 def test_round_trip_identity():
-    data = np.array([0.5, -1.25, 3.75, 1e-20], dtype=np.float32)
+    data = np.array([0.5, -1.25, 3.75, 1e-20])
     dims, out = read_tensor(write_tensor([2, 2], data))
     assert dims == [2, 2]
     assert out.tobytes() == data.tobytes()
@@ -34,7 +34,7 @@ def test_round_trip_random_property():
     for _ in range(100):
         ndim = int(rng.integers(1, 6))
         dims = [int(rng.integers(1, 5)) for _ in range(ndim)]
-        data = rng.standard_normal(int(np.prod(dims))).astype(np.float32)
+        data = rng.standard_normal(int(np.prod(dims)))
         got_dims, got = read_tensor(write_tensor(dims, data))
         assert got_dims == dims
         assert got.tobytes() == data.tobytes()
@@ -81,7 +81,7 @@ def test_dim_count_and_length_validation():
 
 def test_file_round_trip(tmp_path):
     path = tmp_path / "t.gebt"
-    data = np.arange(12, dtype=np.float32)
+    data = np.arange(12, dtype=np.float64)
     write_tensor_file(path, [3, 4], data)
     dims, out = read_tensor_file(path)
     assert dims == [3, 4]
@@ -91,22 +91,26 @@ def test_file_round_trip(tmp_path):
 
 def test_float64_round_trip_exact(tmp_path):
     data = np.array([0.1, 1 / 3, -2.5e-300, 1e300])
-    blob = write_tensor([2, 2], data, DTYPE_F64)
+    blob = write_tensor([2, 2], data)
     assert blob[5] == DTYPE_F64
     assert len(blob) == 7 + 8 + 8 * 4
     dims, out = read_tensor(blob)
     assert dims == [2, 2] and out.dtype == np.float64
     assert out.tobytes() == data.tobytes()
     with pytest.raises(ContainerError, match="payload length mismatch"):
-        read_tensor(blob[:-4])  # a float32-sized payload does not parse
+        read_tensor(blob[:-4])  # half a value short
     path = tmp_path / "t.gebt"
-    write_tensor_file(path, [4], data, DTYPE_F64)
+    write_tensor_file(path, [4], data)
     assert read_tensor_file(path)[1].tobytes() == data.tobytes()
 
 
-def test_unknown_dtype_not_written():
-    with pytest.raises(ContainerError, match="dtype"):
-        write_tensor([1], [1.0], dtype=7)
+def test_float32_dtype_code_refused():
+    # a well-formed float32 file of the earlier format: dtype code 1 and a
+    # payload of 4 bytes per value
+    blob = (b"GEBT" + bytes([1, 1, 1]) + (2).to_bytes(4, "little")
+            + np.array([1.0, 2.0], dtype="<f4").tobytes())
+    with pytest.raises(ContainerError, match="unsupported dtype code 1"):
+        read_tensor(blob)
 
 
 def test_atomic_open_failure_keeps_previous_file(tmp_path):

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from gebd.evaluation import (POLICIES, absolute_window_match, evaluate_corpus,
-                             f1_from_pr, match_boundaries, match_count,
-                             prf_from_counts, prf_from_match)
+from gebd.evaluation import (POLICIES, evaluate_corpus, f1_from_pr,
+                             match_boundaries, match_count, prf_from_counts,
+                             prf_from_match)
 
 from conftest import enumerate_matchings, max_matching_cardinality
 
@@ -150,7 +150,7 @@ class TestMatchCount:
             preds, gts = grid_lists(rng)
             for w in (0.05, 0.1, 0.25, 0.5, 1.0, 2.5):
                 assert (match_count(preds, gts, None, w, policy)
-                        == len(absolute_window_match(preds, gts, w, policy).pairs))
+                        == len(match_boundaries(preds, gts, None, w, policy).pairs))
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_distances_are_the_plain_float_expression(self, policy):
@@ -161,7 +161,7 @@ class TestMatchCount:
             m = match_boundaries(p, g, duration, threshold, policy)
             assert m.rel_distances == [abs(p[i] - g[j]) / duration
                                        for i, j in m.pairs]
-            w = absolute_window_match(p, g, threshold * duration, policy)
+            w = match_boundaries(p, g, None, threshold * duration, policy)
             assert w.rel_distances == [abs(p[i] - g[j]) for i, j in w.pairs]
             assert all(type(d) is float
                        for d in m.rel_distances + w.rel_distances)
@@ -275,22 +275,22 @@ class TestSweep:
 
 class TestAbsoluteWindow:
     def test_inside_window(self):
-        assert len(absolute_window_match([4.8], [5.0], 0.25).pairs) == 1
+        assert len(match_boundaries([4.8], [5.0], None, 0.25).pairs) == 1
 
     def test_outside_window(self):
-        assert len(absolute_window_match([4.8], [5.0], 0.1).pairs) == 0
+        assert len(match_boundaries([4.8], [5.0], None, 0.1).pairs) == 0
 
     def test_bad_window(self):
         for window in (0.0, float("nan")):
             with pytest.raises(ValueError, match="window must be positive"):
-                absolute_window_match([1.0], [1.0], window)
+                match_boundaries([1.0], [1.0], None, window)
 
     def test_equivalence_with_relative(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
             preds, gts, duration, threshold = random_instance(rng, max_side=6)
             rel = match_boundaries(preds, gts, duration, threshold)
-            absolute = absolute_window_match(preds, gts, threshold * duration)
+            absolute = match_boundaries(preds, gts, None, threshold * duration)
             assert rel.pairs == absolute.pairs
 
 
@@ -352,9 +352,13 @@ class TestCorpusEval:
                               thresholds=[0.05], primary_threshold=0.05)
         assert rep.global_prf[0].precision == pytest.approx(2 / 3)
         assert rep.global_prf[0].recall == pytest.approx(2 / 3)
-        win = evaluate_corpus(preds, gt, durations, classes,
-                              mode="absolute_window", window=0.5)
+        win = evaluate_corpus(preds, gt, durations, classes, window=0.5)
         assert win.global_prf[0].threshold == 0.5
+
+    def test_bad_window_refused(self):
+        for window in (0.0, -0.5, float("nan")):
+            with pytest.raises(ValueError, match="window must be positive"):
+                evaluate_corpus({}, {"v": [1.0]}, {"v": 10.0}, window=window)
 
     def test_unknown_video_raises_keyerror(self):
         with pytest.raises(KeyError, match="ghost"):
@@ -395,7 +399,7 @@ class TestCorpusEval:
         if mode == "relative":
             grid, duration, kwargs = GRID, 10.0, {"thresholds": GRID}
         else:
-            grid, duration, kwargs = (0.3,), None, {"mode": mode, "window": 0.3}
+            grid, duration, kwargs = (0.3,), None, {"window": 0.3}
         rep = evaluate_corpus(preds, gt, dict.fromkeys(gt, 10.0), policy=policy,
                               **kwargs)
         saturated_early = 0  # before the last threshold, with both lists non-empty

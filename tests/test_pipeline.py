@@ -17,7 +17,7 @@ import pytest
 import gebd
 from gebd.annotations import load_annotations
 from gebd.config import DetectionConfig, FlowConfig, TrainConfig
-from gebd.container import DTYPE_F64, read_tensor_file, write_tensor_file
+from gebd.container import read_tensor_file, write_tensor_file
 from gebd.evaluation import evaluate_corpus
 from gebd import pipeline
 from gebd.pipeline import (LAYERS, PipelineConfig, PipelineError, Pipeline,
@@ -98,8 +98,8 @@ class TestConfig:
             parse_thresholds("0.05:0.05")
 
     def test_mode_forms(self):
-        assert parse_mode("relative") == ("relative", None)
-        assert parse_mode("window:0.25") == ("absolute_window", 0.25)
+        assert parse_mode("relative") is None
+        assert parse_mode("window:0.25") == 0.25
         with pytest.raises(ValueError):
             parse_mode("sideways")
 
@@ -305,7 +305,7 @@ class TestResumption:
         out = tmp_path / "run"
         run_pipeline(corpus, out, PipelineConfig(**CFG))
         table = sorted((out / "features").glob("*.gebt"))[0]
-        write_tensor_file(table, [2, 2, 27], np.zeros(108), DTYPE_F64)
+        write_tensor_file(table, [2, 2, 27], np.zeros(108))
         os.remove(out / "model.json")
         with pytest.raises(PipelineError, match=f"{table.name}: expected dims"):
             run_pipeline(corpus, out, PipelineConfig(**CFG))
@@ -453,8 +453,10 @@ class TestStageStamps:
         # the manifest records no input stamps; validate's is built on it
         annotations = hashlib.sha256(
             (corpus / "annotations.json").read_bytes()).hexdigest()
+        stride = PipelineConfig(**CFG).stride  # the one key validate reads
         assert manifest["stamps"]["validate"] == digest(
-            [gebd.__version__, "validate", {}, [annotations, frames]])
+            [gebd.__version__, "validate", {"stride": stride},
+             [annotations, frames]])
 
     def test_workers_change_reruns_nothing(self, copied_run):
         corpus, out = copied_run
@@ -542,7 +544,9 @@ class TestStageStamps:
         corpus, out = copied_run
         manifest = run_pipeline(corpus, out,
                                 PipelineConfig(**dict(CFG, stride=0.5)))
-        assert ran_stages(manifest) == STAGE_NAMES[4:]
+        # validate checks the stride against each duration, and no stage
+        # depends on it, so flow stays fresh
+        assert ran_stages(manifest) == ["validate"] + STAGE_NAMES[4:]
 
     def test_interrupted_stage_reruns(self, copied_run, monkeypatch):
         corpus, out = copied_run
@@ -752,7 +756,7 @@ class TestStageStamps:
         for table in (out / "features").glob("*.gebt"):
             dims, data = read_tensor_file(table)
             rows = np.repeat(data.reshape(dims)[:, None], 2, axis=1)
-            write_tensor_file(table, rows.shape, rows, DTYPE_F64)
+            write_tensor_file(table, rows.shape, rows)
         manifest = run_pipeline(corpus, out, PipelineConfig(**CFG))
         reasons = {s["name"]: s["reason"] for s in manifest["stages"]}
         assert reasons["flow"] == "stamp-mismatch"

@@ -101,7 +101,7 @@ class TestAnnotations:
         for aset in sets:
             expect = planted[aset.meta.video_id]
             for track in aset.tracks:
-                stamps = normalize_track(track, aset.meta).timestamps
+                stamps = normalize_track(track, aset.meta)
                 assert len(stamps) == len(expect)
                 for got, want in zip(stamps, expect):
                     assert abs(got - want) <= 3 * JITTER_SIGMA + 1e-6
@@ -118,7 +118,7 @@ class TestAnnotations:
             planted = _plant_boundaries(rng, 10.0, int(rng.integers(3, 6)))
             aset = annotate_video(vid, v, planted, rng, 10.0, 10.0, 100)
             for track in aset.tracks:
-                stamps = normalize_track(track, aset.meta).timestamps
+                stamps = normalize_track(track, aset.meta)
                 for got, want in zip(stamps, planted):
                     assert abs(got - want) <= 3 * JITTER_SIGMA + 1e-6
             checked += len(planted)

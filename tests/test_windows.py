@@ -54,7 +54,8 @@ class TestCandidates:
             assert all(0 < t < 10.0 for t in out)
 
     def test_stride_too_large(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^v: stride 10.0 must be smaller "
+                                             "than duration 10.0$"):
             candidate_timestamps(META10, 10.0)
 
 
