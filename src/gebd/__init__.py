@@ -6,7 +6,7 @@ Library surface:
   ground-truth selection
 * :mod:`gebd.evaluation` - boundary matching and precision/recall/F1 metrics
 * :mod:`gebd.flow` - dense optical flow via polynomial expansion
-* :mod:`gebd.windows` - candidate timestamps, labels, RGB/flow window
+* :mod:`gebd.windows` - candidate timestamps, labels, gray/flow window
   extraction and per-frame feature tables
 * :mod:`gebd.classifier` - hand-crafted features and the logistic boundary
   classifier
@@ -23,7 +23,7 @@ Importing the package loads no numpy.  The flow names below
 ``to_gray``) import :mod:`gebd.flow`, and with it numpy, on first use.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .annotations import (  # noqa: F401
     AnnotationSet,

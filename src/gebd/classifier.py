@@ -1,6 +1,6 @@
 """Hand-crafted per-frame features and the logistic boundary classifier.
 
-Each window frame yields a 27-dimensional feature vector
+Each window slot, a gray frame and the flow into it, yields 27 features
 
     [0]     mean flow magnitude
     [1]     max flow magnitude
@@ -25,7 +25,7 @@ import numpy as np
 
 from .config import TrainConfig
 from .container import atomic_open
-from .flow import flow_stats_rows, to_gray
+from .flow import flow_stats_rows
 from .postprocess import ScoreSequence
 
 FEATURE_DIM = 27
@@ -74,45 +74,44 @@ def _sigmoid(z):
     return out
 
 
-def slot_features(rgb, flow, prev_rgb) -> np.ndarray:
-    """(B, FEATURE_DIM) features of a stack of window slots: (B,3,S,S) RGB,
-    (B,2,S,S) flow and the (B,3,S,S) previous RGB slots.
+def slot_features(gray, flow, prev_gray) -> np.ndarray:
+    """(B, FEATURE_DIM) features of a stack of window slots: (B,S,S) gray,
+    (B,2,S,S) flow and the (B,S,S) previous gray slots.
 
     Every reduction runs along one slot's row of S*S values, so a row is
     bit-identical to that slot featurized alone.  Intensity bins are
     ``min(int(gray * 16), 15)`` of the clipped gray value: the edges k/16 and
     the scaling by 16 are exact, so they equal ``np.histogram``'s bins.
     """
-    rgb = np.asarray(rgb, dtype=np.float64)
+    gray = np.asarray(gray, dtype=np.float64)
     flow = np.asarray(flow, dtype=np.float64)
-    prev_rgb = np.asarray(prev_rgb, dtype=np.float64)
-    if (rgb.ndim != 4 or rgb.shape[1] != 3 or rgb.shape != prev_rgb.shape
-            or flow.shape != rgb.shape[:1] + (2,) + rgb.shape[2:]):
+    prev_gray = np.asarray(prev_gray, dtype=np.float64)
+    if (gray.ndim != 3 or gray.shape != prev_gray.shape
+            or flow.shape != gray.shape[:1] + (2,) + gray.shape[1:]):
         raise ValueError(
-            f"slice shapes disagree: rgb {rgb.shape}, flow {flow.shape}, "
-            f"prev {prev_rgb.shape}")
-    n = len(rgb)
+            f"slice shapes disagree: gray {gray.shape}, flow {flow.shape}, "
+            f"prev {prev_gray.shape}")
+    n = len(gray)
     mean_mag, max_mag, angle_hist = flow_stats_rows(flow[:, 0].reshape(n, -1),
                                                     flow[:, 1].reshape(n, -1))
-    gray = to_gray(np.moveaxis(rgb, 1, -1)).reshape(n, -1)
-    prev_gray = to_gray(np.moveaxis(prev_rgb, 1, -1)).reshape(n, -1)
+    gray = gray.reshape(n, -1)
     bins = np.minimum((np.clip(gray, 0, 1) * 16).astype(np.intp), 15)
     bins += 16 * np.arange(n)[:, None]
     intensity_hist = np.bincount(bins.ravel(), minlength=16 * n).reshape(n, 16)
     intensity_hist = intensity_hist / gray.shape[1]
-    diff = np.abs(gray - prev_gray).mean(axis=1)
+    diff = np.abs(gray - prev_gray.reshape(n, -1)).mean(axis=1)
     return np.concatenate([mean_mag[:, None], max_mag[:, None], angle_hist,
                            intensity_hist, diff[:, None]], axis=1)
 
 
-def window_features(rgb_window, flow_window) -> np.ndarray:
-    """Classifier input for one extracted window ((2m,3,S,S), (2m,2,S,S)):
+def window_features(gray_window, flow_window) -> np.ndarray:
+    """Classifier input for one extracted window ((2m,S,S), (2m,2,S,S)):
     the mean features of its first m slots, then those of its last m."""
-    n = rgb_window.shape[0]
+    n = gray_window.shape[0]
     if n % 2 != 0 or flow_window.shape[0] != n:
         raise ValueError("windows must hold 2m matching slots")
-    prev = np.concatenate([rgb_window[:1], rgb_window[:-1]])
-    feats = slot_features(rgb_window, flow_window, prev)
+    prev = np.concatenate([gray_window[:1], gray_window[:-1]])
+    feats = slot_features(gray_window, flow_window, prev)
     m = n // 2
     return np.concatenate([feats[:m].mean(axis=0), feats[m:].mean(axis=0)])
 

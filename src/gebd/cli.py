@@ -25,6 +25,7 @@ import sys
 
 from .annotations import (AnnotationParseError, AnnotationValidationError,
                           load_annotations)
+from .config import check_stride
 from .container import read_csv
 from .pipeline import (GLOBAL_HEADER, Paths, Pipeline, PipelineConfig,
                        attach_stage_consistency, check_videos, ground_truth,
@@ -76,6 +77,12 @@ def cmd_validate(args) -> int:
     except (AnnotationParseError, AnnotationValidationError, ValueError,
             OSError) as e:
         return _fail(str(e))
+    for aset in sets:  # the rule of stage validate, at the default stride
+        try:
+            check_stride(aset.meta, PipelineConfig.stride)
+        except ValueError as e:
+            print(f"warning: {e}: gebd pipeline refuses it at the default "
+                  f"--stride", file=sys.stderr)
     n_boundaries = sum(len(t.boundaries) for a in sets for t in a.tracks)
     _emit(videos=len(sets), tracks=sum(len(a.tracks) for a in sets),
           boundaries=n_boundaries, ok=1)

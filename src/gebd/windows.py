@@ -12,7 +12,7 @@ with the flow and difference from the frame before, in one pass over the
 video, and :func:`gebd.classifier.window_inputs` gathers the rows per
 candidate.  A window's first slot and any clamped repeat are "static": their
 rows are the moving ones with the columns of zero flow and no difference.
-:func:`extract_window` builds one window's ``(2m, 3, S, S)`` RGB and
+:func:`extract_window` builds one window's ``(2m, S, S)`` gray and
 ``(2m, 2, S, S)`` flow tensors; the tests hold the tables to it.
 """
 
@@ -44,15 +44,15 @@ class FrameSequence:
         self.files = frame_files(meta, frame_dir)
 
     def frame(self, index: int) -> np.ndarray:
-        """Frame as (H,W,3) floats in [0,1]; grayscale inputs replicate channels.
+        """Frame as (H,W) gray floats in [0,1]; a P6 frame goes through ``to_gray``.
 
         Every frame must have the shape of the first one read.
         """
         if not 0 <= index < self.meta.num_frames:
             raise IndexError(f"frame index {index} out of range")
         img = read_pnm(self.files[index])
-        if img.ndim == 2:
-            img = np.repeat(img[:, :, None], 3, axis=2)
+        if img.ndim == 3:
+            img = to_gray(img)
         if self._shape is None:
             self._shape = img.shape
         elif img.shape != self._shape:
@@ -115,16 +115,15 @@ def label_windows(candidates, gt_timestamps, tolerance: float):
     return labels
 
 
-def _slot_rgb(frames: np.ndarray, side: int) -> np.ndarray:
-    """(..., H, W, 3) frames as (..., 3, S, S) float32 window slots."""
-    planes = np.moveaxis(frames, -1, -3)
-    if planes.shape[-2:] != (side, side):
-        planes = _resize_planes(planes, side, side)
-    return np.ascontiguousarray(planes, dtype=np.float32)
+def _slot_gray(frames: np.ndarray, side: int) -> np.ndarray:
+    """(..., H, W) gray frames as (..., S, S) window slots."""
+    if frames.shape[-2:] == (side, side):
+        return frames
+    return _resize_planes(frames, side, side)
 
 
 def _slot_flow(flow: np.ndarray, side: int) -> np.ndarray:
-    """(..., H, W, 2) flow fields as (..., 2, S, S) float32 window slots.
+    """(..., H, W, 2) flow fields as (..., 2, S, S) window slots.
 
     The components scale by the resize ratio, so they stay in slot pixels.
     """
@@ -132,29 +131,28 @@ def _slot_flow(flow: np.ndarray, side: int) -> np.ndarray:
     planes = np.moveaxis(flow, -1, -3)
     if (h, w) != (side, side):
         planes = _resize_planes(planes, side, side)
-    planes = planes * np.array([side / w, side / h])[:, None, None]
-    return np.ascontiguousarray(planes, dtype=np.float32)
+    return planes * np.array([side / w, side / h])[:, None, None]
 
 
 def extract_window(seq: FrameSequence, spec: WindowSpec, t: float,
                    flow: np.ndarray):
-    """RGB and flow window tensors at candidate ``t``.
+    """Gray and flow window tensors at candidate ``t``.
 
     ``flow`` is the video's ``[N, H, W, 2]`` flow, row ``i`` being the flow
-    from frame ``i-1`` into frame ``i`` and row 0 zero.  Returns float32
-    arrays shaped (2m, 3, S, S) and (2m, 2, S, S).  Frames resize bilinearly
+    from frame ``i-1`` into frame ``i`` and row 0 zero.  Returns float64
+    arrays shaped (2m, S, S) and (2m, 2, S, S).  Frames resize bilinearly
     to S x S; flow components scale by the spatial resize ratio.
     """
     spec.validate()
     indices = window_frame_indices(t, seq.meta, spec.m)
     side = spec.image_side
-    rgb = np.zeros((2 * spec.m, 3, side, side), dtype=np.float32)
-    flo = np.zeros((2 * spec.m, 2, side, side), dtype=np.float32)
+    gray = np.zeros((2 * spec.m, side, side))
+    flo = np.zeros((2 * spec.m, 2, side, side))
     for slot, idx in enumerate(indices):
-        rgb[slot] = _slot_rgb(seq.frame(idx), side)
+        gray[slot] = _slot_gray(seq.frame(idx), side)
         if slot > 0 and idx != indices[slot - 1]:
             flo[slot] = _slot_flow(flow[idx], side)
-    return rgb, flo
+    return gray, flo
 
 
 def frame_feature_table(seq: FrameSequence, spec: WindowSpec,
@@ -163,14 +161,13 @@ def frame_feature_table(seq: FrameSequence, spec: WindowSpec,
 
     ``table[i]`` is frame ``i`` with the flow from frame ``i-1`` into it and
     its difference from frame ``i-1``; frame 0 has zero flow and a zero
-    difference.  Each frame is read once.  Flow comes from
+    difference.  Each frame is read once, as gray.  Flow comes from
     :func:`video_flow` on chunks of about ``PAIR_CHUNK_PIXELS`` frame
-    pixels, each starting at the previous chunk's last frame, rounded to
-    float32 as :func:`extract_window` expects; a chunk's rows are filled
-    before the next is read, so memory does not grow with video length.
-    Within a chunk, slots are resized and featurized by
-    :func:`gebd.classifier.slot_features` in batches of at most
-    ``PAIR_CHUNK_PIXELS // S**2`` slots (at least one), so the batch's
+    pixels, each starting at the previous chunk's last frame; a chunk's rows
+    are filled before the next is read, so memory does not grow with video
+    length.  Within a chunk, slots are resized from its gray frames and
+    featurized by :func:`gebd.classifier.slot_features` in batches of at
+    most ``PAIR_CHUNK_PIXELS // S**2`` slots (at least one), so the batch's
     memory is bounded too.
     :func:`gebd.classifier.window_inputs` on this table equals
     ``window_features(*extract_window(...))`` bit for bit.
@@ -180,37 +177,25 @@ def frame_feature_table(seq: FrameSequence, spec: WindowSpec,
     table = np.empty((n, FEATURE_DIM))
     batch = max(1, PAIR_CHUNK_PIXELS // side**2)
 
-    # gray frames and one batch of RGB slots; a function of its own so that
-    # the full-size frames are freed before the chunk's flow is computed
-    def read(lo, hi):
-        frames = [seq.frame(i) for i in range(lo, hi)]
-        return [to_gray(frame) for frame in frames], _slot_rgb(np.stack(frames), side)
+    def fill(start, grays, flow, prev):
+        """Fill rows from ``start`` on from the gray frames, the flow into
+        each and the slot before the first; returns the last frame's slot."""
+        for lo in range(0, len(grays), batch):
+            slots = _slot_gray(grays[lo:lo + batch], side)
+            table[start + lo:start + lo + len(slots)] = slot_features(
+                slots, _slot_flow(flow[lo:lo + batch], side),
+                np.concatenate([prev, slots[:-1]]))
+            prev = slots[-1:]
+        return prev.copy()  # a copy frees the frames it may be a view of
 
-    def chunk(start, stop, last, prev):
-        """Fill rows start .. stop-1, given the gray frame and the slot before
-        them (None for frame 0, which has no flow into it and is its own
-        previous slot); returns this chunk's last gray frame and slot."""
-        grays, slots = [], []  # no full-size RGB frame is kept
-        for lo in range(start, stop, batch):
-            batch_grays, rgb = read(lo, min(lo + batch, stop))
-            grays += batch_grays
-            slots.append(rgb)
-        if last is None:
-            flow = np.zeros((1,) + grays[0].shape + (2,), dtype=np.float32)
-            prev = slots[0]
-        else:
-            flow = video_flow(np.stack([last] + grays), flow_config).astype(np.float32)
-        lo = start
-        for rgb in slots:
-            hi = lo + len(rgb)
-            flow_slots = _slot_flow(flow[lo - start:hi - start], side)
-            table[lo:hi] = slot_features(rgb, flow_slots,
-                                         np.concatenate([prev, rgb[:-1]]))
-            prev, lo = rgb[-1:], hi
-        return grays[-1], prev.copy()  # a copy frees the batch it is a view of
-
-    last, prev = chunk(0, 1, None, None)
+    last = seq.frame(0)
+    # frame 0 has no flow into it and is its own previous slot
+    prev = fill(0, last[None], np.zeros((1,) + last.shape + (2,)),
+                _slot_gray(last[None], side))
     step = max(1, PAIR_CHUNK_PIXELS // last.size)
     for start in range(1, n, step):  # frame start-1 gives the flow into start
-        last, prev = chunk(start, min(start + step, n), last, prev)
+        grays = np.stack([last] + [seq.frame(i)
+                                   for i in range(start, min(start + step, n))])
+        prev = fill(start, grays[1:], video_flow(grays, flow_config), prev)
+        last = grays[-1].copy()
     return table

@@ -6,7 +6,6 @@ from gebd.classifier import (FEATURE_DIM, LogisticModel, TrainConfig,
                              bce_gradient, load_model, save_model,
                              score_sequence, slot_features, train_logistic,
                              window_features)
-from gebd.flow import to_gray
 
 from conftest import separable_dataset
 
@@ -19,9 +18,9 @@ def zero_model(dim):
 
 class TestFrameFeatures:
     def test_degenerate_constant_input(self):
-        rgb = np.full((3, 8, 8), 0.5)
+        gray = np.full((8, 8), 0.5)
         flow = np.zeros((2, 8, 8))
-        f = slot_features(rgb[None], flow[None], rgb[None])[0]
+        f = slot_features(gray[None], flow[None], gray[None])[0]
         assert f.shape == (FEATURE_DIM,)
         assert f[0] == 0.0 and f[1] == 0.0  # magnitudes
         assert f[2:10] == pytest.approx(np.full(8, 0.125))  # angle histogram
@@ -29,20 +28,17 @@ class TestFrameFeatures:
         assert f[26] == 0.0  # frame difference
 
     def test_constant_345_flow(self):
-        rgb = np.full((3, 8, 8), 0.5)
+        gray = np.full((8, 8), 0.5)
         flow = np.stack([np.full((8, 8), 3.0), np.full((8, 8), 4.0)])
-        f = slot_features(rgb[None], flow[None], rgb[None])[0]
+        f = slot_features(gray[None], flow[None], gray[None])[0]
         assert f[0] == pytest.approx(5.0)
         assert f[1] == pytest.approx(5.0)
 
     def test_matches_naive_recomputation(self, rng):
-        rgb = rng.random((3, 6, 6))
-        prev = rng.random((3, 6, 6))
+        gray = rng.random((6, 6))
+        prev = rng.random((6, 6))
         flow = rng.normal(size=(2, 6, 6))
-        f = slot_features(rgb[None], flow[None], prev[None])[0]
-
-        def luma(img):
-            return 0.299 * img[0] + 0.587 * img[1] + 0.114 * img[2]
+        f = slot_features(gray[None], flow[None], prev[None])[0]
 
         mags, bins = [], np.zeros(8)
         for y in range(6):
@@ -54,30 +50,29 @@ class TestFrameFeatures:
         assert f[0] == pytest.approx(np.mean(mags))
         assert f[1] == pytest.approx(np.max(mags))
         assert f[2:10] == pytest.approx(bins / np.sum(mags))
-        gray = luma(rgb)
         hist = np.zeros(16)
         for v in gray.ravel():
             hist[min(int(v * 16), 15)] += 1
         assert f[10:26] == pytest.approx(hist / gray.size)
-        assert f[26] == pytest.approx(np.abs(gray - luma(prev)).mean())
+        assert f[26] == pytest.approx(np.abs(gray - prev).mean())
 
     def test_histograms_sum_to_one(self, rng):
-        f = slot_features(rng.random((1, 3, 5, 5)), rng.normal(size=(1, 2, 5, 5)),
-                          rng.random((1, 3, 5, 5)))[0]
+        f = slot_features(rng.random((1, 5, 5)), rng.normal(size=(1, 2, 5, 5)),
+                          rng.random((1, 5, 5)))[0]
         assert f[2:10].sum() == pytest.approx(1.0, abs=1e-6)
         assert f[10:26].sum() == pytest.approx(1.0, abs=1e-6)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            slot_features(np.zeros((1, 3, 4, 4)), np.zeros((1, 2, 5, 5)),
-                          np.zeros((1, 3, 4, 4)))
+            slot_features(np.zeros((1, 4, 4)), np.zeros((1, 2, 5, 5)),
+                          np.zeros((1, 4, 4)))
 
 
-def histogram_features(rgb, flow, prev_rgb):
+def histogram_features(gray, flow, prev_gray):
     """slot_features as first written: one slot at a time, with
     np.histogram for the intensity bins."""
-    rgb, flow, prev_rgb = (np.asarray(a, dtype=np.float64)
-                           for a in (rgb, flow, prev_rgb))
+    gray, flow, prev_gray = (np.asarray(a, dtype=np.float64)
+                             for a in (gray, flow, prev_gray))
     field = np.transpose(flow, (1, 2, 0))
     mag = np.hypot(field[..., 0], field[..., 1])
     total = float(mag.sum())
@@ -88,73 +83,56 @@ def histogram_features(rgb, flow, prev_rgb):
         bins = np.minimum((theta + np.pi) / (2 * np.pi / 8), 7.9999).astype(np.intp)
         angle_hist = np.bincount(np.clip(bins, 0, 7).ravel(),
                                  weights=mag.ravel(), minlength=8) / total
-    gray = to_gray(np.transpose(rgb, (1, 2, 0)))
-    prev_gray = to_gray(np.transpose(prev_rgb, (1, 2, 0)))
     intensity_hist, _ = np.histogram(np.clip(gray, 0, 1), bins=16, range=(0.0, 1.0))
     return np.concatenate([[float(mag.mean()), float(mag.max())], angle_hist,
                            intensity_hist / gray.size,
                            [float(np.abs(gray - prev_gray).mean())]])
 
 
-def exact_gray_pixels():
-    """(17, 3) RGB pixels whose gray values are exactly k/16, k = 0 .. 16."""
-    steps = np.arange(-8, 9)
-    pixels = []
-    for k in range(17):
-        near = k / 16 + steps * np.spacing(k / 16)
-        rgb = np.stack(np.meshgrid(near, near, near, indexing="ij"), axis=-1)
-        hits = np.argwhere(to_gray(rgb) == k / 16)
-        assert len(hits), k
-        pixels.append(rgb[tuple(hits[0])])
-    return np.array(pixels)
-
-
 class TestSlotFeatures:
     """The batched rows equal the one-slot formula bit for bit."""
 
     def slots(self, rng, dtype=np.float64):
-        rgb = rng.random((6, 3, 12, 12)).astype(dtype)
+        gray = rng.random((6, 12, 12)).astype(dtype)
         flow = rng.normal(size=(6, 2, 12, 12)).astype(dtype)
-        prev = rng.random((6, 3, 12, 12)).astype(dtype)
+        prev = rng.random((6, 12, 12)).astype(dtype)
         flow[1] = 0.0  # all-zero flow: the uniform angle histogram
-        rgb[2, :, :, :5] = 0.0  # gray 0.0
-        rgb[2, :, :, 5:] = 1.5  # gray above 1, clipped to 1.0
-        edges = exact_gray_pixels().T  # gray on every bin edge k/16, 1.0 included
-        rgb[3, :, 0, :] = edges[:, :12]
-        rgb[3, :, 1, :5] = edges[:, 12:]
+        gray[2, :, :5] = 0.0
+        gray[2, :, 5:] = 1.5  # above 1, clipped to 1.0
+        edges = np.arange(17) / 16  # every bin edge k/16, 1.0 included
+        gray[3, 0, :] = edges[:12]
+        gray[3, 1, :5] = edges[12:]
         flow[4, 0], flow[4, 1] = -1.0, 0.0  # angle exactly +pi
         flow[4, 1, :6] = -0.0  # angle exactly -pi
         flow[5, :, ::2] = 0.0  # zero vectors among moving ones
-        return rgb, flow, prev
+        return gray, flow, prev
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_rows_equal_per_slot_formula(self, rng, dtype):
-        rgb, flow, prev = self.slots(rng, dtype)
-        gray = to_gray(np.moveaxis(rgb[3].astype(np.float64), 0, -1))
-        if dtype == np.float64:
-            assert set(np.arange(17) / 16) <= set(gray.ravel())
+        gray, flow, prev = self.slots(rng, dtype)
+        assert set(np.arange(17) / 16) <= set(gray[3].astype(np.float64).ravel())
         theta = np.arctan2(flow[4, 1], flow[4, 0])
         assert theta.max() == np.pi and theta.min() == -np.pi
-        got = slot_features(rgb, flow, prev)
+        got = slot_features(gray, flow, prev)
         assert got.shape == (6, FEATURE_DIM)
         for k in range(6):
-            want = histogram_features(rgb[k], flow[k], prev[k])
+            want = histogram_features(gray[k], flow[k], prev[k])
             assert np.array_equal(got[k], want), k
             assert np.array_equal(
-                slot_features(rgb[k][None], flow[k][None], prev[k][None])[0], want)
+                slot_features(gray[k][None], flow[k][None], prev[k][None])[0], want)
         assert np.all(got[1, 2:10] == 1 / 8) and got[1, 0] == 0.0
 
     def test_row_does_not_depend_on_batch(self, rng):
-        rgb, flow, prev = self.slots(rng)
-        whole = slot_features(rgb, flow, prev)
+        gray, flow, prev = self.slots(rng)
+        whole = slot_features(gray, flow, prev)
         for lo, hi in [(0, 1), (1, 4), (4, 6)]:
-            part = slot_features(rgb[lo:hi], flow[lo:hi], prev[lo:hi])
+            part = slot_features(gray[lo:hi], flow[lo:hi], prev[lo:hi])
             assert np.array_equal(part, whole[lo:hi])
 
     @pytest.mark.parametrize("shapes", [
-        ((2, 3, 4, 4), (3, 2, 4, 4), (2, 3, 4, 4)),  # batch sizes differ
-        ((2, 3, 4, 4), (2, 3, 4, 4), (2, 3, 4, 4)),  # three flow channels
-        ((2, 4, 4), (2, 2, 4, 4), (2, 4, 4)),        # no channel axis
+        ((2, 4, 4), (3, 2, 4, 4), (2, 4, 4)),        # batch sizes differ
+        ((2, 4, 4), (2, 3, 4, 4), (2, 4, 4)),        # three flow channels
+        ((2, 3, 4, 4), (2, 2, 4, 4), (2, 3, 4, 4)),  # a channel axis
     ])
     def test_shape_mismatch(self, shapes):
         with pytest.raises(ValueError, match="slice shapes disagree"):
@@ -163,16 +141,16 @@ class TestSlotFeatures:
 
 class TestPCConcat:
     """The before/after halves of :func:`window_features`: its slot features
-    are given, so the window's RGB and flow only set the slot count."""
+    are given, so the window's gray and flow only set the slot count."""
 
     @pytest.fixture
     def pc_concat(self, monkeypatch):
         def pc_concat(before, after):
             feats = np.concatenate([before, after])
             monkeypatch.setattr(classifier, "slot_features",
-                                lambda rgb, flow, prev: feats)
+                                lambda gray, flow, prev: feats)
             n = len(feats)
-            return window_features(np.zeros((n, 3, 1, 1)), np.zeros((n, 2, 1, 1)))
+            return window_features(np.zeros((n, 1, 1)), np.zeros((n, 2, 1, 1)))
         return pc_concat
 
     def test_means_of_scalar_features(self, pc_concat):
@@ -201,9 +179,9 @@ class TestPCConcat:
 
     def test_count_mismatch(self):
         with pytest.raises(ValueError, match="2m matching slots"):
-            window_features(np.zeros((7, 3, 1, 1)), np.zeros((7, 2, 1, 1)))
+            window_features(np.zeros((7, 1, 1)), np.zeros((7, 2, 1, 1)))
         with pytest.raises(ValueError, match="2m matching slots"):
-            window_features(np.zeros((6, 3, 1, 1)), np.zeros((8, 2, 1, 1)))
+            window_features(np.zeros((6, 1, 1)), np.zeros((8, 2, 1, 1)))
 
 
 class TestTraining:
@@ -353,14 +331,14 @@ class TestModelIO:
 
 
 def test_window_features_shape(rng):
-    rgb = rng.random((6, 3, 8, 8)).astype(np.float32)
-    flow = rng.normal(size=(6, 2, 8, 8)).astype(np.float32)
-    out = window_features(rgb, flow)
+    gray = rng.random((6, 8, 8))
+    flow = rng.normal(size=(6, 2, 8, 8))
+    out = window_features(gray, flow)
     assert out.shape == (2 * FEATURE_DIM,)
     # first slot's difference term is zero by the self-pair rule
-    feats0 = slot_features(rgb[0][None], flow[0][None], rgb[0][None])[0]
+    feats0 = slot_features(gray[0][None], flow[0][None], gray[0][None])[0]
     assert out[:FEATURE_DIM][26] == pytest.approx(
-        np.mean([slot_features(rgb[k][None], flow[k][None],
-                               (rgb[k - 1] if k else rgb[0])[None])[0][26]
+        np.mean([slot_features(gray[k][None], flow[k][None],
+                               (gray[k - 1] if k else gray[0])[None])[0][26]
                  for k in range(3)]))
     assert feats0[26] == 0.0

@@ -659,9 +659,11 @@ class TestPipelineCommand:
             f"{meta.video_id}: missing frame index 2 ")
         assert str(info.value).count(meta.video_id) == 1
 
-    def test_video_shorter_than_stride_fails_in_validate(self, corpus,
-                                                         tmp_path, capsys):
-        # 2 frames, 0.2 s: the 0.25 s candidate grid has no room
+    @staticmethod
+    def shorter_than_stride(corpus, tmp_path):
+        """A copy of ``corpus`` whose second video is cut to 2 frames and
+        0.2 s, too short for the 0.25 s candidate grid; returns the copy and
+        that video's id."""
         corpus2 = tmp_path / "corpus"
         shutil.copytree(corpus, corpus2)
         doc = json.load(open(corpus2 / "annotations.json"))
@@ -674,6 +676,24 @@ class TestPipelineCommand:
         for frame in (corpus2 / "frames" / vid).iterdir():
             if frame.name not in ("frame_000000.pgm", "frame_000001.pgm"):
                 frame.unlink()
+        return corpus2, vid
+
+    def test_validate_warns_of_video_shorter_than_default_stride(
+            self, corpus, tmp_path, capsys):
+        corpus2, vid = self.shorter_than_stride(corpus, tmp_path)
+        code = main(["validate", str(corpus2 / "annotations.json")])
+        out, err = capsys.readouterr()
+        assert code == 0, err
+        assert all("=" in line for line in out.splitlines())
+        assert "ok=1" in out.splitlines()
+        warnings = [line for line in err.splitlines() if line.startswith("warning:")]
+        assert warnings == [
+            f"warning: {vid}: stride 0.25 must be smaller than duration 0.2: "
+            f"gebd pipeline refuses it at the default --stride"]
+
+    def test_video_shorter_than_stride_fails_in_validate(self, corpus,
+                                                         tmp_path, capsys):
+        corpus2, vid = self.shorter_than_stride(corpus, tmp_path)
         code, _, err = run_cli(capsys, "validate",
                                str(corpus2 / "annotations.json"))
         assert code == 0, err

@@ -22,10 +22,12 @@ META10 = VideoMeta("v", "c", 10.0, 10.0, 100)
 
 
 def write_video(tmp_path, meta, frames):
+    """Each frame as a P5 file, or as a P6 file if it has three channels."""
     d = tmp_path / meta.video_id
     d.mkdir(parents=True, exist_ok=True)
     for i, frame in enumerate(frames):
-        write_pnm(d / f"{frame_name(i)}.pgm", frame)
+        suffix = "ppm" if np.ndim(frame) == 3 else "pgm"
+        write_pnm(d / f"{frame_name(i)}.{suffix}", frame)
     return d
 
 
@@ -164,7 +166,7 @@ class TestFrameSequence:
         seq = FrameSequence(meta, d)
         assert seq.files == [os.path.join(str(d), f"{frame_name(i)}.pgm")
                              for i in range(20)]
-        assert seq.frame(3)[..., 0] == pytest.approx(frames[3], abs=1 / 255)
+        assert seq.frame(3) == pytest.approx(frames[3], abs=1 / 255)
 
     def test_ppm_frames_listed(self, tiny_video):
         meta, d, frames = tiny_video
@@ -172,30 +174,34 @@ class TestFrameSequence:
         write_pnm(d / "frame_000005.ppm", np.stack([frames[5]] * 3, axis=2))
         seq = FrameSequence(meta, d)
         assert os.path.basename(seq.files[5]) == "frame_000005.ppm"
-        assert seq.frame(5).shape == (40, 40, 3)
+        assert seq.frame(5).shape == (40, 40)
 
-    def test_grayscale_replicates_channels(self, tiny_video):
-        meta, d, frames = tiny_video
+    def test_gray_and_colour_frames_read_as_gray(self, tiny_video, rng):
+        # a P6 frame of three equal channels may differ from its P5 twin by
+        # an ulp, so this one's channels differ and the two are not compared
+        meta, d, _ = tiny_video
+        os.remove(d / "frame_000005.pgm")
+        write_pnm(d / "frame_000005.ppm", rng.random((40, 40, 3)))
         seq = FrameSequence(meta, d)
-        frame = seq.frame(0)
-        assert frame.shape == (40, 40, 3)
-        assert frame[..., 0] == pytest.approx(frame[..., 2])
+        gray = seq.frame(4)
+        assert gray.dtype == np.float64
+        assert np.array_equal(gray, read_pnm(d / "frame_000004.pgm"))
+        colour = seq.frame(5)
+        assert colour.dtype == np.float64
+        assert np.array_equal(colour, to_gray(read_pnm(d / "frame_000005.ppm")))
 
 
 FLOW_CONFIG = FlowConfig(averaging_window=9)
 
 
 def flow_tensor(seq, config=FLOW_CONFIG):
-    """The video's [N, H, W, 2] flow from one video_flow call over every frame.
-
-    Row 0 is zero; rows are rounded to float32 as frame_feature_table
-    rounds them.
-    """
-    grays = np.stack([to_gray(seq.frame(i)) for i in range(seq.meta.num_frames)])
+    """The video's [N, H, W, 2] flow from one video_flow call over every
+    frame; row 0 is zero."""
+    grays = np.stack([seq.frame(i) for i in range(seq.meta.num_frames)])
     flow = np.zeros((1,) + grays.shape[1:] + (2,))
     if len(grays) > 1:
         flow = np.concatenate([flow, video_flow(grays, config)])
-    return flow.astype(np.float32)
+    return flow
 
 
 class TestExtractWindow:
@@ -203,10 +209,10 @@ class TestExtractWindow:
         meta, d, _ = tiny_video
         seq = FrameSequence(meta, d)
         spec = WindowSpec(m=5, image_side=224)
-        rgb, flo = extract_window(seq, spec, 1.0, flow_tensor(seq))
-        assert rgb.shape == (10, 3, 224, 224)
+        gray, flo = extract_window(seq, spec, 1.0, flow_tensor(seq))
+        assert gray.shape == (10, 224, 224)
         assert flo.shape == (10, 2, 224, 224)
-        assert rgb.dtype == np.float32 and flo.dtype == np.float32
+        assert gray.dtype == np.float64 and flo.dtype == np.float64
 
     def test_constant_video_zero_flow(self, tmp_path):
         meta = VideoMeta("flat", "c", 1.5, 10.0, 15)
@@ -230,7 +236,7 @@ class TestExtractWindow:
         d = write_video(tmp_path, meta,
                         [smooth_texture(rng, 64, 64) for _ in range(10)])
         seq = FrameSequence(meta, d)
-        constant = np.zeros((10, 64, 64, 2), dtype=np.float32)
+        constant = np.zeros((10, 64, 64, 2))
         constant[1:, ..., 0] = 4.0
         _, flo = extract_window(seq, WindowSpec(m=2, image_side=32), 0.5,
                                 constant)
@@ -268,13 +274,12 @@ class TestStaticVideo:
         seq = FrameSequence(meta, write_video(tmp_path, meta, frames))
         table = frame_feature_table(seq, WindowSpec(m=3, image_side=40),
                                     FLOW_CONFIG)
-        gray = to_gray(seq.frame(10))[0, 0]
+        gray = seq.frame(10)[0, 0]
         want = np.zeros((20, FEATURE_DIM))
         want[:, :len(STATIC_FLOW_FEATURES)] = STATIC_FLOW_FEATURES
         want[:10, 10] = 1.0
         want[10:, 10 + int(gray * 16)] = 1.0
-        assert table[10, -1] == pytest.approx(gray, rel=1e-6)  # a float32 slot
-        want[10, -1] = table[10, -1]
+        want[10, -1] = gray
         assert table.tobytes() == want.tobytes()
 
 
@@ -309,8 +314,7 @@ class TestFlowChunks:
         assert [len(c) for c in chunks] == [3, 3, 3, 3, 3, 3, 1]
         # each chunk starts at the previous chunk's last frame
         for k, pair in enumerate(np.concatenate(chunks), start=1):
-            want = farneback_flow(to_gray(seq.frame(k - 1)),
-                                  to_gray(seq.frame(k)), FLOW_CONFIG)
+            want = farneback_flow(seq.frame(k - 1), seq.frame(k), FLOW_CONFIG)
             assert pair.tobytes() == want.tobytes()
 
 
@@ -325,9 +329,9 @@ class TestFeatureBatches:
         meta, d, _ = tiny_video
         sizes = []
 
-        def recording(rgb, flow, prev):
-            sizes.append(len(rgb))
-            return slot_features(rgb, flow, prev)
+        def recording(gray, flow, prev):
+            sizes.append(len(gray))
+            return slot_features(gray, flow, prev)
         monkeypatch.setattr(windows, "slot_features", recording)
         table = frame_feature_table(FrameSequence(meta, d),
                                     WindowSpec(m=1, image_side=side), FLOW_CONFIG)
@@ -342,11 +346,24 @@ class TestFrameFeatureTable:
         seq = FrameSequence(meta, d)
         return seq, flow_tensor(seq)
 
-    # clip start (clamped), middle, and clamped end of the 20-frame clip
-    @pytest.mark.parametrize("t", [0.0, 1.0, 1.95])
-    @pytest.mark.parametrize("m", [1, 2, 5])
-    def test_inputs_equal_window_features(self, stored, m, t):
-        seq, flow = stored
+    @pytest.fixture
+    def stored_ppm(self, tmp_path, rng):
+        """A 20-frame P6 video whose three channels differ."""
+        meta = VideoMeta("colour", "c", 2.0, 10.0, 20)
+        textures = [smooth_texture(rng, 40, 40) for _ in range(20)]
+        d = write_video(tmp_path, meta, [np.stack([g, 1 - g, g * g], axis=2)
+                                         for g in textures])
+        seq = FrameSequence(meta, d)
+        return seq, flow_tensor(seq)
+
+    # clip start (clamped), middle, and clamped end of the 20-frame clip, of
+    # the P5 video and of the P6 one
+    @pytest.mark.parametrize("video, m, t", [
+        pytest.param(video, m, t, id=f"{m}-{t}{suffix}")
+        for video, suffix in (("stored", ""), ("stored_ppm", "-ppm"))
+        for m in (1, 2, 5) for t in (0.0, 1.0, 1.95)])
+    def test_inputs_equal_window_features(self, request, video, m, t):
+        seq, flow = request.getfixturevalue(video)
         spec = WindowSpec(m=m, image_side=32)
         table = frame_feature_table(seq, spec, FLOW_CONFIG)
         assert table.shape == (20, FEATURE_DIM)
@@ -372,9 +389,9 @@ class TestFrameFeatureTable:
         table = frame_feature_table(seq, spec, FLOW_CONFIG)
         # stored rows are moving slots: a window at frame k has frames k-1, k
         for k in range(1, 20):
-            rgb, flo = extract_window(seq, spec, k / seq.meta.fps, flow)
+            gray, flo = extract_window(seq, spec, k / seq.meta.fps, flow)
             assert np.array_equal(
-                table[k], slot_features(rgb[1][None], flo[1][None], rgb[0][None])[0])
+                table[k], slot_features(gray[1][None], flo[1][None], gray[0][None])[0])
         assert np.all(table[1:, 26] > 0.0)  # textures differ frame to frame
         # frame 0 has zero flow and a zero difference
         assert table[0, 0] == table[0, 1] == 0.0
@@ -404,10 +421,9 @@ class TestFrameFeatureTable:
         monkeypatch.setattr(windows, "PAIR_CHUNK_PIXELS", 3 * 40 * 40)
         table = frame_feature_table(seq, spec, FLOW_CONFIG)
         assert np.array_equal(table, whole)
-        per_pair = np.zeros((20, 40, 40, 2), dtype=np.float32)
+        per_pair = np.zeros((20, 40, 40, 2))
         for k in range(1, 20):
-            per_pair[k] = farneback_flow(to_gray(seq.frame(k - 1)),
-                                         to_gray(seq.frame(k)), FLOW_CONFIG)
+            per_pair[k] = farneback_flow(seq.frame(k - 1), seq.frame(k), FLOW_CONFIG)
         # a window at frame k reads frame k-1's static row and frame k's
         # moving row, so these cover every moving row
         for k in range(20):
