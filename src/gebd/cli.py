@@ -14,6 +14,12 @@ stages, whose code it runs.  Both print the primary ``eval_global.csv`` row.
 Standard output carries only machine-parseable ``key=value`` lines;
 diagnostics go to standard error.  Exit codes: 0 success, 1 usage, parse or
 validation failure, 2 video_id mismatch between files.
+
+:func:`run` is the process entry point (the ``gebd`` script and ``python -m
+gebd.cli``): it calls :func:`main`, flushes standard output and error, and
+ends the process with ``os._exit``, skipping the interpreter's teardown.
+Every output file is closed before :func:`main` returns.  Tests and other
+in-process callers call :func:`main`, which returns the exit code.
 """
 
 from __future__ import annotations
@@ -207,5 +213,25 @@ def main(argv=None) -> int:
     return args.func(args)
 
 
+def run():
+    """Run :func:`main` and exit with its code, skipping interpreter teardown.
+
+    A command's files are closed by then: each goes through ``atomic_open``,
+    the manifest is written in ``Pipeline.run``'s ``finally`` and the flow
+    pool is joined in its ``with`` block.  Only the standard streams can
+    still hold buffered text, so they are flushed first; if a flush fails,
+    the normal exit reports it.  An exception from :func:`main` propagates
+    through the normal exit too, traceback included.
+    """
+    code = main()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None when the descriptor was closed
+                stream.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

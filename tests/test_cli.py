@@ -4,6 +4,7 @@ import json
 import os
 import resource
 import shutil
+import signal
 import subprocess
 import sys
 
@@ -872,3 +873,83 @@ def test_console_script_installed():
                          capture_output=True, text=True)
     assert out.returncode == 0
     assert "pipeline" in out.stdout
+
+
+class TestProcessEntryPoint:
+    """``gebd.cli.run``, the ``gebd`` script and ``python -m gebd.cli``: a
+    flushed ``os._exit`` with ``main``'s code, skipping interpreter teardown."""
+
+    SRC = os.path.dirname(os.path.dirname(gebd.__file__))
+    # block-buffered standard streams, as under a redirection
+    ENV = {**{k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"},
+           "PYTHONPATH": SRC}
+
+    def gebd(self, *args, **kwargs):
+        """``python -m gebd.cli <args>`` in a fresh interpreter."""
+        return subprocess.run([sys.executable, "-m", "gebd.cli", *args],
+                              env=self.ENV, timeout=120, **kwargs)
+
+    def eval_args(self, corpus, gt, tmp_path, preds=None):
+        pred_csv = tmp_path / "pred.csv"
+        write_boundary_csv(pred_csv, gt if preds is None else preds)
+        return ["eval", "--predictions", str(pred_csv), "--annotations",
+                str(corpus / "annotations.json"), "--out", str(tmp_path / "eval")]
+
+    def test_redirected_output_is_flushed(self, corpus, gt, tmp_path):
+        out_txt = tmp_path / "eval.txt"
+        with open(out_txt, "w") as fh:
+            done = self.gebd(*self.eval_args(corpus, gt, tmp_path), stdout=fh)
+        assert done.returncode == 0
+        lines = out_txt.read_text().splitlines()
+        assert [line.split("=", 1)[0] for line in lines] == [
+            "threshold", "precision", "recall", "f1", "out"]
+        assert lines[3] == "f1=1.000000"
+
+    def test_exit_codes_survive(self, corpus, gt, tmp_path):
+        args = self.eval_args(corpus, gt, tmp_path)
+        assert self.gebd(*args, capture_output=True).returncode == 0
+        done = self.gebd(*args, "--threshold", "abc", capture_output=True,
+                         text=True)
+        assert done.returncode == 1 and "threshold" in done.stderr
+        # with its descriptor closed, sys.stdout is None and is not flushed
+        done = self.gebd(*args, stderr=subprocess.PIPE, text=True,
+                         preexec_fn=lambda: os.close(1))
+        assert done.returncode == 0 and done.stderr == ""
+        args = self.eval_args(corpus, gt, tmp_path, {"ghost_video": [1.0]})
+        done = self.gebd(*args, capture_output=True, text=True)
+        assert done.returncode == 2 and "ghost_video" in done.stderr
+
+    def test_teardown_is_skipped(self, corpus, gt, tmp_path):
+        # an atexit handler runs only in the interpreter's teardown
+        script = ("import atexit, runpy, sys\n"
+                  "atexit.register(print, 'teardown ran')\n"
+                  f"sys.argv = ['gebd', *{self.eval_args(corpus, gt, tmp_path)!r}]\n"
+                  "runpy.run_module('gebd.cli', run_name='__main__')\n")
+        done = subprocess.run([sys.executable, "-c", script], env=self.ENV,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert "f1=1.000000" in done.stdout
+        assert "teardown ran" not in done.stdout
+
+    def test_no_process_outlives_a_pooled_run(self, corpus, tmp_path):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "gebd.cli", "pipeline", str(corpus),
+             "--image-side", "32", "--workers", "2",
+             "--out", str(tmp_path / "run")],
+            env=self.ENV, start_new_session=True,
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        try:
+            assert proc.wait(timeout=120) == 0
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+            raise
+        # the pool's workers were in the command's process group
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+
+    def test_script_runs_the_entry_point(self):
+        # read as text: Python 3.10 has no tomllib
+        pyproject = os.path.join(os.path.dirname(self.SRC), "pyproject.toml")
+        with open(pyproject) as fh:
+            assert 'gebd = "gebd.cli:run"' in fh.read().splitlines()
